@@ -11,7 +11,7 @@ GO ?= go
 # fails below it so coverage can only go up.
 COVER_FLOOR ?= 74.0
 
-.PHONY: all build test check vet fmt race bench bench-smoke bench-json cover fuzz-smoke staticcheck
+.PHONY: all build test check vet fmt race bench bench-smoke bench-json bench-test cover fuzz-smoke staticcheck
 
 all: build test
 
@@ -22,10 +22,12 @@ test: build
 	$(GO) test ./...
 
 # check runs the static gates, the race detector over the concurrent
-# packages, the differential-fuzz smoke runs, the coverage floor, and a
+# packages, the differential-fuzz smoke runs, the coverage floor, a
 # one-iteration pass over every guard benchmark so the benchmarks
-# themselves cannot rot uncompiled or crash unnoticed between re-pins.
-check: vet fmt staticcheck race fuzz-smoke cover bench-smoke
+# themselves cannot rot uncompiled or crash unnoticed between re-pins,
+# and the tests of the bench/ module, which the root `go test ./...`
+# does not reach because bench/ is a module of its own.
+check: vet fmt staticcheck race fuzz-smoke cover bench-smoke bench-test
 
 vet:
 	$(GO) vet ./...
@@ -92,6 +94,11 @@ bench:
 # enough to sit inside `make check`.
 bench-smoke:
 	$(GO) test -run NONE -short -bench . -benchtime 1x ./...
+
+# bench-test runs the tests of the wsbench benchmark program (about
+# 35 s on a 2-core host).
+bench-test:
+	cd bench && $(GO) test ./...
 
 # bench-json snapshots the guard benchmarks (simulator inner loop with
 # the timeline/tracer/attribution on and off, the saturated/knee

@@ -160,17 +160,17 @@ func (n *Network) atVADone(pkt int32, r int) {
 // freshly allocated head being decomposed — charges the cycle to the
 // packet's credit-stall component. The SA loop visits a stalled VC at
 // most once per cycle, so per-packet credit stall never exceeds the
-// elapsed hop time. gv is the stalled input VC, out the global index of
-// its requested output port (always channel-backed: terminal sinks never
-// run out of credits).
-func (n *Network) atCreditStall(gv int32, r, out int) {
+// elapsed hop time. gv is the stalled input VC on input port in, out
+// the global index of its requested output port (always channel-backed:
+// terminal sinks never run out of credits).
+func (n *Network) atCreditStall(in, gv int32, r, out int) {
 	at := n.at
 	ch := n.outCh[out]
 	at.a.Routers[r].CreditStall++
 	at.a.Routers[n.channels[ch].dstRouter].Blamed++
 	at.a.ChanBlame[ch]++
 	if n.vcAttribHead[gv] {
-		at.pkts[n.frontVC(gv).pkt].credHop++
+		at.pkts[n.frontVC(in, gv).pkt].credHop++
 	}
 }
 
@@ -285,7 +285,7 @@ func (n *Network) AnalyzeBackpressure() *obs.BackpressureReport {
 		for p := 0; p < int(n.numPorts[r]); p++ {
 			for v := 0; v < n.V; v++ {
 				gv := int32((base+p)*n.V + v)
-				if n.vcStatus[gv] != vcActive || n.vcHL[gv]&0xffff == 0 {
+				if n.vcStatus[gv] != vcActive || n.vcQ[gv]&0xffff == 0 {
 					continue
 				}
 				o := base + int(n.vcOutPort[gv])

@@ -38,7 +38,7 @@ type Network struct {
 	V     int   // VCs per input port
 	maxP  int   // ports per router (padded)
 	T     int   // terminals
-	bufPP int32 // cfg.BufPerPort, hot-path copy (per-VC ring window)
+	bufPP int32 // cfg.BufPerPort, hot-path copy (slots per input-port pool)
 
 	numPorts []int32
 	rcOfIn   []int32 // per input port: RC delay (ingress vs non-ingress)
@@ -51,18 +51,29 @@ type Network struct {
 	npIdx  []int32
 	npRot  []int32
 
+	// Input buffers are the paper's shared per-port buffers: input port
+	// in = r*maxP+p stores the flits of all its VCs in one pool of
+	// BufPerPort slots, slots[in*BufPerPort : (in+1)*BufPerPort], handed
+	// out on demand (allocator state in alloc[in], see slotAlloc), so
+	// flit storage does not grow with NumVCs. A slot holds a packed flit
+	// (see packFlit) in bits 0..31 and, in bits 32..47, the port-local
+	// index of the next slot of its VC's FIFO (zero while it is the
+	// tail). freeSlots[in*BufPerPort:] is the port's LIFO stack of
+	// returned slot indices, alloc[in].free deep: a contiguous array
+	// rather than a list threaded through the free slots, so the checker
+	// scans it without chasing links. Credit-based flow control bounds a
+	// port's buffered flits by BufPerPort, so a push always finds a free
+	// slot and the steady-state loop never allocates queue memory.
+	slots     []uint64
+	freeSlots []uint16
+	alloc     []slotAlloc
 	// Per-input-VC pipeline state, structure-of-arrays: every array is
-	// indexed by the global VC index gv = (r*maxP+p)*V + v. Each VC's
-	// flit queue is a ring of BufPerPort packed-flit slots (see packFlit)
-	// inside the shared slab (window gv*BufPerPort), tracked by vcHL —
-	// the ring position of the head flit in the high 16 bits and the
-	// queue length in the low 16, one word so a push or pop touches a
-	// single cache line of queue state (BufPerPort is validated to fit).
-	// Credit-based flow control bounds a port's buffered flits by
-	// BufPerPort, so no ring can overflow its window and the
-	// steady-state loop never allocates queue memory.
-	slab      []uint32
-	vcHL      []uint32
+	// indexed by the global VC index gv = (r*maxP+p)*V + v. vcQ is the
+	// VC's whole FIFO in one word — port-local head slot in bits 32..47,
+	// tail slot in bits 16..31, length in bits 0..15 (BufPerPort is
+	// validated to fit 16 bits) — so a push or pop touches a single word
+	// of queue state.
+	vcQ       []uint64
 	vcStatus  []uint8
 	vcRCLeft  []int32
 	vcOutPort []int32
@@ -346,8 +357,10 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 		bufPP:        int32(cfg.BufPerPort),
 		numPorts:     numPorts,
 		rcOfIn:       make([]int32, R*maxP),
-		slab:         make([]uint32, nVC*cfg.BufPerPort),
-		vcHL:         make([]uint32, nVC),
+		slots:        make([]uint64, R*maxP*cfg.BufPerPort),
+		freeSlots:    make([]uint16, R*maxP*cfg.BufPerPort),
+		alloc:        make([]slotAlloc, R*maxP),
+		vcQ:          make([]uint64, nVC),
 		vcStatus:     make([]uint8, nVC),
 		vcRCLeft:     make([]int32, nVC),
 		vcOutPort:    make([]int32, nVC),

@@ -61,6 +61,11 @@ type checker struct {
 
 	violations []string
 	dropped    int // violations beyond MaxViolations
+
+	// slotSeen is checkPools' per-port scratch bitset of the pool slots
+	// the scan has already found queued or free, for slots 64 and up
+	// (see markSlot).
+	slotSeen []uint64
 }
 
 // Check enables the runtime invariant checker for this network's run.
@@ -74,6 +79,9 @@ type checker struct {
 //     BufPerPort;
 //   - per-VC packet integrity: flits of distinct packets never
 //     interleave inside an input VC FIFO (tail before next head);
+//   - slot-pool conservation: for every input port, free slots plus
+//     the queue lengths of its VCs == BufPerPort, and no slot is both
+//     free and queued (or queued twice);
 //   - no packet loss or duplication: every packet-table entry ejects
 //     exactly Size flits between allocation and completion, and no
 //     freed entry ejects flits;
@@ -189,7 +197,7 @@ func (c *checker) endCycle(n *Network) {
 	if n.now%int64(c.opt.Every) == 0 {
 		c.checkConservation(n)
 		c.checkCredits(n)
-		c.checkVCIntegrity(n)
+		c.checkPools(n)
 	}
 	c.checkProgress(n)
 }
@@ -253,7 +261,7 @@ func (c *checker) checkCreditChannel(n *Network, ci int, onRing, credInFlight in
 	in := int32(ch.dstRouter)*int32(n.maxP) + int32(ch.dstPort)
 	var buffered int64
 	for v := int32(0); v < int32(n.V); v++ {
-		buffered += int64(n.vcHL[in*int32(n.V)+v] & 0xffff)
+		buffered += int64(n.vcQ[in*int32(n.V)+v] & 0xffff)
 	}
 	if got := upstream + onRing + buffered + credInFlight; got != depth {
 		c.violatef("cycle %d: credit conservation broken on channel %d (->r%d.p%d): credits %d + ring %d + buffered %d + cred-in-flight %d = %d, want %d",
@@ -263,36 +271,111 @@ func (c *checker) checkCreditChannel(n *Network, ci int, onRing, credInFlight in
 	return false
 }
 
-// checkVCIntegrity asserts wormhole packet integrity inside every input
-// VC FIFO: once a packet's head flit occupies a VC, every following flit
-// up to the tail belongs to the same packet (per-VC in-order delivery is
-// then FIFO order by construction).
-func (c *checker) checkVCIntegrity(n *Network) {
-	buf := int32(n.cfg.BufPerPort)
-	for vi := range n.vcHL {
-		ln := int32(n.vcHL[vi] & 0xffff)
-		if ln == 0 {
-			continue
+// checkPools walks every input port's slot pool. Along each VC FIFO's
+// slot chain it asserts wormhole packet integrity: once a packet's head
+// flit occupies a VC, every following flit up to the tail belongs to
+// the same packet (per-VC in-order delivery is then FIFO order by
+// construction). Over the whole pool it asserts slot conservation: the
+// free slots (never handed out, or on the free stack) plus the VCs'
+// queue lengths make exactly BufPerPort, and no slot is reached twice —
+// free and queued, or queued in two places. Reports at most one
+// violation per scan.
+func (c *checker) checkPools(n *Network) {
+	buf := n.bufPP
+	V := int32(n.V)
+	if len(c.slotSeen) < int(buf+63)/64 {
+		c.slotSeen = make([]uint64, (buf+63)/64)
+	}
+	seen := c.slotSeen
+	for in := int32(0); in < int32(len(n.alloc)); in++ {
+		a := n.alloc[in]
+		base := in * buf
+		used := int32(a.bump)
+		if used > buf {
+			c.violatef("cycle %d: slot pool overflow on port %d: %d slots handed out, pool holds %d",
+				n.now, in, used, buf)
+			return
 		}
-		ring := n.slab[int32(vi)*buf : (int32(vi)+1)*buf]
-		pos := int32(n.vcHL[vi] >> 16)
-		inPkt := int32(-1)
-		for i := int32(0); i < ln; i++ {
-			f := unpackFlit(ring[pos])
-			if pos++; pos == buf {
-				pos = 0
+		if used > 64 {
+			clear(seen[1 : (used+63)/64])
+		}
+		var lo uint64 // marks of slots 0..63 (see markSlot)
+		var ok bool
+		queued := int32(0)
+		for gv := in * V; gv < (in+1)*V; gv++ {
+			q := n.vcQ[gv]
+			ln := int32(q & 0xffff)
+			queued += ln
+			s := int32(q >> 32)
+			inPkt := int32(-1)
+			for i := int32(0); i < ln; i++ {
+				if lo, ok = markSlot(lo, seen, s, used); !ok {
+					c.slotFault(n, in, s, used, "queued")
+					return
+				}
+				w := n.slots[base+s]
+				f := unpackFlit(uint32(w))
+				if inPkt >= 0 && f.pkt != inPkt {
+					c.violatef("cycle %d: VC %d interleaves packets %d and %d", n.now, gv, inPkt, f.pkt)
+					return
+				}
+				if f.last {
+					inPkt = -1
+				} else {
+					inPkt = f.pkt
+				}
+				s = int32(w >> 32)
 			}
-			if inPkt >= 0 && f.pkt != inPkt {
-				c.violatef("cycle %d: VC %d interleaves packets %d and %d", n.now, vi, inPkt, f.pkt)
+		}
+		nFree := int32(a.free)
+		if nFree > used {
+			c.violatef("cycle %d: slot pool overflow on port %d: %d free slots, %d handed out",
+				n.now, in, nFree, used)
+			return
+		}
+		for _, s16 := range n.freeSlots[base : base+nFree] {
+			if lo, ok = markSlot(lo, seen, int32(s16), used); !ok {
+				c.slotFault(n, in, int32(s16), used, "free")
 				return
 			}
-			if f.last {
-				inPkt = -1
-			} else {
-				inPkt = f.pkt
-			}
+		}
+		if free := buf - used + nFree; free+queued != buf {
+			c.violatef("cycle %d: slot pool conservation broken on port %d: free %d + queued %d != %d",
+				n.now, in, free, queued, buf)
+			return
 		}
 	}
+}
+
+// markSlot marks pool slot s as reached by the checkPools walk and
+// reports whether the mark is new and s lies among the used slots handed
+// out so far. Marks of slots 0..63 travel in lo, which the caller keeps
+// in a register: every pool of up to 64 slots is scanned without a
+// store-to-load round trip per slot. Higher slots are marked in hi.
+func markSlot(lo uint64, hi []uint64, s, used int32) (uint64, bool) {
+	if s >= used {
+		return lo, false
+	}
+	if s < 64 {
+		b := uint64(1) << s
+		return lo | b, lo&b == 0
+	}
+	w, b := hi[s>>6], uint64(1)<<(s&63)
+	hi[s>>6] = w | b
+	return lo, w&b == 0
+}
+
+// slotFault reports the checkPools walk reaching slot s of input port
+// in's pool (as a queued or free slot) when s lies outside the used
+// slots handed out so far, or was already reached.
+func (c *checker) slotFault(n *Network, in, s, used int32, what string) {
+	if s >= used {
+		c.violatef("cycle %d: port %d: %s slot %d was never handed out (%d of %d used)",
+			n.now, in, what, s, used, n.bufPP)
+		return
+	}
+	c.violatef("cycle %d: port %d: %s slot %d is both free and queued, or queued twice",
+		n.now, in, what, s)
 }
 
 // checkProgress fires the no-progress watchdog: buffered flits with no
@@ -339,12 +422,12 @@ func (c *checker) deadlockDump(n *Network) string {
 		for p := 0; p < int(n.numPorts[r]); p++ {
 			for v := 0; v < n.V; v++ {
 				gv := int32((base+p)*n.V + v)
-				if n.vcHL[gv]&0xffff == 0 {
+				if n.vcQ[gv]&0xffff == 0 {
 					continue
 				}
 				st := n.vcStatus[gv]
 				line := fmt.Sprintf("    port %d vc %d: %d flits, state %s",
-					p, v, n.vcHL[gv]&0xffff, stateName[st])
+					p, v, n.vcQ[gv]&0xffff, stateName[st])
 				if st == vcActive || st == vcVCAlloc {
 					line += fmt.Sprintf(", out port %d", n.vcOutPort[gv])
 					if st == vcActive {

@@ -102,9 +102,7 @@ func TestCheckerDetectsFlitLeak(t *testing.T) {
 	// believes it is idle), which is exactly the kind of counter drift
 	// the conservation scan exists to catch.
 	n.pkts = append(n.pkts, packetInfo{dst: 0})
-	if n.pushVC(0, flit{pkt: 0, last: true}) == 0 {
-		n.markBusy(0, 0, 0, 0)
-	}
+	plantFlit(n, 0, 0, flit{pkt: 0, last: true})
 	n.Run(silentInjector{}, 0.01)
 	err = n.CheckErr()
 	if err == nil {
@@ -150,6 +148,48 @@ func TestCheckerDetectsCreditLoss(t *testing.T) {
 	}
 }
 
+// TestCheckerDetectsSlotLeak: an input-port pool slot handed out but
+// neither queued nor freed must trip slot-pool conservation, and a slot
+// both queued and on the free stack must be named as such.
+func TestCheckerDetectsSlotLeak(t *testing.T) {
+	cases := []struct {
+		name, want string
+		corrupt    func(n *Network)
+	}{
+		{"leak", "slot pool conservation", func(n *Network) {
+			n.alloc[0].bump++
+		}},
+		{"free-and-queued", "both free and queued", func(n *Network) {
+			n.pkts = append(n.pkts, packetInfo{dst: 0})
+			plantFlit(n, 0, 0, flit{pkt: 0, last: true})
+			n.freeSlots[0] = 0 // slot 0, which VC 0 still queues
+			n.alloc[0].free = 1
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.WarmupCycles, cfg.MeasureCycles = 10, 20
+			n, err := Build(testClos(t), ConstantLatency(1), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Check(CheckOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(n)
+			n.Run(silentInjector{}, 0.01)
+			err = n.CheckErr()
+			if err == nil {
+				t.Fatal("checker missed a corrupted slot pool")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("violation does not mention %q: %v", tc.want, err)
+			}
+		})
+	}
+}
+
 // TestCheckerDetectsVCInterleave: flits of two packets interleaved in
 // one VC FIFO (head of packet B before tail of packet A) must trip the
 // wormhole-integrity scan.
@@ -168,12 +208,8 @@ func TestCheckerDetectsVCInterleave(t *testing.T) {
 	// are left untouched so the pipeline ignores the queue and only the
 	// integrity scan (which walks every VC unconditionally) sees it.
 	n.pkts = append(n.pkts, packetInfo{}, packetInfo{})
-	if n.pushVC(0, flit{pkt: 0, last: false}) == 0 {
-		n.markBusy(0, 0, 0, 0)
-	}
-	if n.pushVC(0, flit{pkt: 1, last: false}) == 0 {
-		n.markBusy(0, 0, 0, 0)
-	}
+	plantFlit(n, 0, 0, flit{pkt: 0, last: false})
+	plantFlit(n, 0, 0, flit{pkt: 1, last: false})
 	n.Run(silentInjector{}, 0.01)
 	err = n.CheckErr()
 	if err == nil {
@@ -218,12 +254,10 @@ func TestCheckerWatchdog(t *testing.T) {
 	n.creditM[out/n.maxP] &^= uint64(1) << uint32(out%n.maxP)
 	n.pkts = append(n.pkts, packetInfo{dst: 0})
 	// Setting vcActive before the push keeps the VC out of the RC/VA scan
-	// mask (pushVC only queues pipeline work for non-active VCs), exactly
+	// mask (markBusy only queues pipeline work for non-active VCs), exactly
 	// the mid-packet state a real stuck tail would be in.
 	n.vcStatus[0] = vcActive
-	if n.pushVC(0, flit{pkt: 0, last: true}) == 0 {
-		n.markBusy(0, 0, 0, 0)
-	}
+	plantFlit(n, 0, 0, flit{pkt: 0, last: true})
 	n.vcOutPort[0] = int32(out % n.maxP)
 	n.vcOutVC[0] = 0
 	n.outFreeVC[out] &^= 1

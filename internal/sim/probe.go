@@ -78,8 +78,8 @@ func (n *Network) LatencyHistogram() obs.Histogram { return n.latHist }
 // boundary.
 func (n *Network) BufferedFlits() int64 {
 	var total int64
-	for _, hl := range n.vcHL {
-		total += int64(hl & 0xffff)
+	for _, q := range n.vcQ {
+		total += int64(q & 0xffff)
 	}
 	for _, ev := range n.ringSlab {
 		if ev&evValid != 0 {

@@ -15,11 +15,11 @@ import "waferswitch/internal/obs"
 //     (latVals/classOff/classCnt/classHot, packed producer offsets),
 //     port wiring (feedCh/outCh, rcOfIn), terminal wiring, and the
 //     cached shard plan (see shard.go) — none of it changes across runs.
-//   - Resettable: everything a cycle can write — VC rings and status,
-//     port masks, credits, channel ring slab, source queues, the packet
-//     table, RNG states, counters and observer attachments. Reset
-//     rewinds all of it by truncating slices to zero length and zeroing
-//     arrays in place.
+//   - Resettable: everything a cycle can write — VC queues and status,
+//     the input ports' slot-pool allocators, port masks, credits,
+//     channel ring slab, source queues, the packet table, RNG states,
+//     counters and observer attachments. Reset rewinds all of it by
+//     truncating slices to zero length and zeroing arrays in place.
 //
 // Equivalence argument (gated by TestResetEquivalence and the refsim
 // fuzz oracle): after Reset, every array a fresh Build would allocate
@@ -27,10 +27,11 @@ import "waferswitch/internal/obs"
 // credit mask, source credits) is re-derived by the same expressions
 // Build uses; truncated slices replay identical append sequences within
 // retained capacity, and Go's append semantics make capacity invisible
-// to behavior. Stale bytes can only survive where no read can reach
-// them (e.g. slab words outside every VC's zero-length ring window, and
-// even those are cleared below so Snapshot-style scans cannot tell the
-// difference).
+// to behavior. Stale bytes survive only where no read can reach them:
+// the input-buffer pool slots are not cleared, because clearing alloc
+// rewinds every port's pool to "no slot handed out yet", and a slot is
+// written whole when it is handed out, before anything reads it, so
+// rewinding the input buffers costs O(ports), not O(slots).
 
 // Reset rewinds the network to the pristine just-built state, reseeded
 // with seed, reusing every backing array. All observers (probe,
@@ -39,8 +40,8 @@ import "waferswitch/internal/obs"
 // what the next run needs. The cached shard plan survives, so a
 // following RunSharded reuses its shard copies and outboxes.
 func (n *Network) Reset(seed int64) {
-	clear(n.slab)
-	clear(n.vcHL)
+	clear(n.vcQ)
+	clear(n.alloc)
 	clear(n.vcStatus)
 	clear(n.vcRCLeft)
 	clear(n.vcOutPort)

@@ -272,22 +272,42 @@ func (n *Network) recordOccupancy() {
 	}
 }
 
-// pushVC appends a flit to input VC gv's ring and returns the queue
-// length before the push. A zero return means the VC just turned
-// non-empty: the caller must follow up with markBusy so the port-level
-// masks track it (split out to keep pushVC under the inlining budget —
-// past the saturation knee almost every arrival joins an already-backed-
-// up queue and never needs the mask update).
-func (n *Network) pushVC(gv int32, f flit) int32 {
-	hl := n.vcHL[gv]
-	l := int32(hl & 0xffff)
-	pos := int32(hl>>16) + l
-	if pos >= n.bufPP {
-		pos -= n.bufPP
+// takeSlot hands out a free slot of input port in's pool (base is the
+// pool's offset, in*BufPerPort): the most recently freed one, else the
+// next never-used one. Credit flow control bounds a port at BufPerPort
+// buffered flits, so one of the two exists.
+func (n *Network) takeSlot(in, base int32) int32 {
+	a := &n.alloc[in]
+	if a.free > 0 {
+		a.free--
+		return int32(n.freeSlots[base+int32(a.free)])
 	}
-	n.slab[gv*n.bufPP+pos] = packFlit(f)
-	n.vcHL[gv] = hl + 1
-	return l
+	a.bump++
+	return int32(a.bump) - 1
+}
+
+// pushVC appends the packed flit w (see packFlit), stored in slot s of
+// its input port's pool (s from takeSlot; base is the pool's offset),
+// to input VC gv's FIFO, and returns the queue length before the push.
+// A zero return means the VC just turned non-empty: the caller must
+// follow up with markBusy so the port-level masks track it (split out
+// because past the saturation knee almost every arrival joins an
+// already-backed-up queue and never needs the mask update). takeSlot
+// and pushVC each stay under the inlining budget, so the arrivals scan
+// keeps queue state in registers.
+func (n *Network) pushVC(gv, base, s int32, w uint32) int32 {
+	n.slots[base+s] = uint64(w)
+	q := n.vcQ[gv]
+	l := q & 0xffff
+	head := uint64(s)
+	if l != 0 {
+		// The old tail's link is zero (every push writes its slot whole),
+		// so OR links the new slot behind it.
+		n.slots[base+int32(q>>16&0xffff)] |= uint64(s) << 32
+		head = q >> 32
+	}
+	n.vcQ[gv] = head<<32 | uint64(s)<<16 | (l + 1)
+	return int32(l)
 }
 
 // markBusy flags VC gv as newly non-empty in its port's masks: the VC
@@ -306,9 +326,9 @@ func (n *Network) markBusy(in, gv, r, p int32) {
 }
 
 // frontVC returns the head flit of input VC gv (which must be
-// non-empty).
-func (n *Network) frontVC(gv int32) flit {
-	return unpackFlit(n.slab[gv*n.bufPP+int32(n.vcHL[gv]>>16)])
+// non-empty) on input port in.
+func (n *Network) frontVC(in, gv int32) flit {
+	return unpackFlit(uint32(n.slots[in*n.bufPP+int32(n.vcQ[gv]>>32)]))
 }
 
 // arrivals delivers flits and credits whose channel latency elapsed.
@@ -339,7 +359,8 @@ func (n *Network) arrivals() {
 				f, vc := unpackEv(w)
 				in := rec.dstR*maxP + rec.dstP
 				gv := in*V + vc
-				if n.pushVC(gv, f) == 0 {
+				pool := in * n.bufPP
+				if n.pushVC(gv, pool, n.takeSlot(in, pool), packFlit(f)) == 0 {
 					n.markBusy(in, gv, rec.dstR, rec.dstP)
 				}
 				n.routerOcc[rec.dstR]++
@@ -418,20 +439,20 @@ func (n *Network) routerRCVA(r int) {
 				st = vcRouting
 				vcRCLeft[gv] = n.rcOfIn[in]
 				if n.at != nil {
-					n.atRCStart(n.frontVC(gv).pkt, r)
+					n.atRCStart(n.frontVC(in, gv).pkt, r)
 				}
 			}
 			if st == vcRouting {
 				left := vcRCLeft[gv] - 1
 				vcRCLeft[gv] = left
 				if left <= 0 {
-					n.computeRoute(r, gv)
+					n.computeRoute(r, in, gv)
 					st = vcVCAlloc
 					if n.at != nil {
-						n.atRCDone(n.frontVC(gv).pkt, r)
+						n.atRCDone(n.frontVC(in, gv).pkt, r)
 					}
 					if n.tr != nil {
-						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(gv).pkt,
+						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(in, gv).pkt,
 							Router: int32(r), Kind: obs.TraceRC, Arg: vcOutPort[gv]})
 					}
 				}
@@ -464,11 +485,11 @@ func (n *Network) routerRCVA(r int) {
 						ps.pipe = pmNew
 					}
 					if n.at != nil {
-						n.atVADone(n.frontVC(gv).pkt, r)
+						n.atVADone(n.frontVC(in, gv).pkt, r)
 						n.vcAttribHead[gv] = true
 					}
 					if n.tr != nil {
-						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(gv).pkt,
+						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(in, gv).pkt,
 							Router: int32(r), Kind: obs.TraceVA, Arg: ov})
 						n.vcTraceHead[gv] = true
 					}
@@ -508,20 +529,20 @@ func (n *Network) routerRCVAWide(r int) {
 				st = vcRouting
 				vcRCLeft[gv] = n.rcOfIn[in]
 				if n.at != nil {
-					n.atRCStart(n.frontVC(gv).pkt, r)
+					n.atRCStart(n.frontVC(in, gv).pkt, r)
 				}
 			}
 			if st == vcRouting {
 				left := vcRCLeft[gv] - 1
 				vcRCLeft[gv] = left
 				if left <= 0 {
-					n.computeRoute(r, gv)
+					n.computeRoute(r, in, gv)
 					st = vcVCAlloc
 					if n.at != nil {
-						n.atRCDone(n.frontVC(gv).pkt, r)
+						n.atRCDone(n.frontVC(in, gv).pkt, r)
 					}
 					if n.tr != nil {
-						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(gv).pkt,
+						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(in, gv).pkt,
 							Router: int32(r), Kind: obs.TraceRC, Arg: vcOutPort[gv]})
 					}
 				}
@@ -545,11 +566,11 @@ func (n *Network) routerRCVAWide(r int) {
 					st = vcActive
 					n.inState[in].pipe &^= uint64(1) << v
 					if n.at != nil {
-						n.atVADone(n.frontVC(gv).pkt, r)
+						n.atVADone(n.frontVC(in, gv).pkt, r)
 						n.vcAttribHead[gv] = true
 					}
 					if n.tr != nil {
-						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(gv).pkt,
+						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(in, gv).pkt,
 							Router: int32(r), Kind: obs.TraceVA, Arg: ov})
 						n.vcTraceHead[gv] = true
 					}
@@ -568,8 +589,8 @@ func (n *Network) routerRCVAWide(r int) {
 // spines). The destination router and egress port come from the packed
 // pktRoute word stamped at packet allocation — one dense int32 load per
 // RC instead of chasing the packet table and two terminal arrays.
-func (n *Network) computeRoute(r int, gv int32) {
-	f := n.frontVC(gv)
+func (n *Network) computeRoute(r int, in, gv int32) {
+	f := n.frontVC(in, gv)
 	route := n.pktRoute[f.pkt]
 	dr := int(route & 0xffff)
 	if dr == r {
@@ -660,7 +681,7 @@ func (n *Network) routerSA(r int) {
 							n.probe.Routers[r].CreditStalls++
 						}
 						if n.at != nil {
-							n.atCreditStall(gv, r, base+out)
+							n.atCreditStall(int32(in), gv, r, base+out)
 						}
 					}
 				}
@@ -729,7 +750,7 @@ func (n *Network) routerSAWide(r int) {
 						n.probe.Routers[r].CreditStalls++
 					}
 					if n.at != nil {
-						n.atCreditStall(gv, r, base+out)
+						n.atCreditStall(int32(in), gv, r, base+out)
 					}
 					continue
 				}
@@ -762,21 +783,28 @@ func (n *Network) routerSAWide(r int) {
 // site to keep divisions out of the per-flit path.
 func (n *Network) forward(r, out, winnerVC, inPort int) {
 	gv := int32(winnerVC)
-	// Pop the head flit of gv's ring in place (the only pop site, inlined
-	// so the per-flit path keeps queue state in registers), clearing the
-	// port's busy bit when the ring empties.
-	buf := n.bufPP
-	hl := n.vcHL[gv]
-	h := int32(hl >> 16)
-	f := unpackFlit(n.slab[gv*buf+h])
-	h++
-	if h == buf {
-		h = 0
-	}
-	left := hl&0xffff - 1
-	n.vcHL[gv] = uint32(h)<<16 | left
+	// Pop the head flit of gv's FIFO in place (the only pop site, inlined
+	// so the per-flit path keeps queue state in registers), pushing its
+	// slot onto the port's free stack and clearing the port's busy bit
+	// when the FIFO empties. When the port's last flit leaves, its pool
+	// rewinds to fresh, so free stacks hold only slots of ports in use.
+	a := &n.alloc[inPort]
+	q := n.vcQ[gv]
+	h := int32(q >> 32)
+	base := int32(inPort) * n.bufPP
+	w := n.slots[base+h]
+	f := unpackFlit(uint32(w))
+	n.freeSlots[base+int32(a.free)] = uint16(h)
+	a.free++
+	left := q&0xffff - 1
 	if left == 0 {
-		n.inState[inPort].busy &^= uint64(1) << (gv - int32(inPort)*int32(n.V))
+		n.vcQ[gv] = 0
+		ps := &n.inState[inPort]
+		if ps.busy &^= uint64(1) << (gv - int32(inPort)*int32(n.V)); ps.busy == 0 {
+			*a = slotAlloc{}
+		}
+	} else {
+		n.vcQ[gv] = w>>32<<32 | q&0xffff0000 | left
 	}
 	n.routerOcc[r]--
 	if n.tr != nil && n.vcTraceHead[gv] {

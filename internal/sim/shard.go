@@ -773,7 +773,7 @@ func (n *Network) RunSharded(inj Injector, offered float64, shards int) (Stats, 
 			}
 			n.chk.checkConservationAt(b-1, injected, delivered, shardedBufferedFlits(n, nets))
 			checkCreditsSharded()
-			n.chk.checkVCIntegrity(n)
+			n.chk.checkPools(n)
 		}
 		if n.chk.opt.Watchdog >= 0 && !n.chk.deadlocked {
 			glp := globalProgress()
@@ -1018,14 +1018,14 @@ func (n *Network) RunSharded(inj Injector, offered float64, shards int) (Stats, 
 }
 
 // shardedBufferedFlits recounts the global in-flight flits at a barrier:
-// input-VC occupancy from the shared vcHL array plus channel-ring
+// input-VC occupancy from the shared vcQ array plus channel-ring
 // occupancy from every shard's ring slab (the master's serial slab is
 // stale in sharded mode; after the boundary commit the shard slabs hold
 // exactly the serial ring state).
 func shardedBufferedFlits(n *Network, nets []*Network) int64 {
 	var total int64
-	for _, hl := range n.vcHL {
-		total += int64(hl & 0xffff)
+	for _, q := range n.vcQ {
+		total += int64(q & 0xffff)
 	}
 	for _, sh := range nets {
 		for _, ev := range sh.ringSlab {

@@ -25,7 +25,9 @@ type Config struct {
 	// NumVCs is the number of virtual channels per input port.
 	NumVCs int
 	// BufPerPort is the shared input buffer per port, in flits, split on
-	// demand across its VCs (the paper's shared buffer policy).
+	// demand across its VCs (the paper's shared buffer policy): each input
+	// port stores its flits in one pool of BufPerPort slots, whatever
+	// NumVCs is. At most 65535 (pool slot indices are 16 bits).
 	BufPerPort int
 	// PacketFlits is the packet size for synthetic traffic.
 	PacketFlits int
@@ -88,7 +90,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("sim: BufPerPort = %d must hold at least one packet (%d flits)", c.BufPerPort, c.PacketFlits)
 	}
 	if c.BufPerPort > 0xffff {
-		return fmt.Errorf("sim: BufPerPort = %d (must fit 16 bits: VC ring positions are packed head|len words)", c.BufPerPort)
+		return fmt.Errorf("sim: BufPerPort = %d (must fit 16 bits: VC queues pack port-local slot indices as head|tail|len words)", c.BufPerPort)
 	}
 	if c.PacketFlits < 1 {
 		return fmt.Errorf("sim: PacketFlits = %d", c.PacketFlits)
@@ -128,8 +130,8 @@ type flit struct {
 }
 
 // Buffered flits are stored packed — bit 0 tail, bits 1.. packet id —
-// so the input-buffer slab (the simulator's largest array) holds 4-byte
-// words instead of 8-byte structs, halving its cache footprint.
+// in the low 32 bits of an input-port pool slot, leaving the slot's high
+// bits for its queue link (see the slot-pool fields on Network).
 func packFlit(f flit) uint32 {
 	w := uint32(f.pkt) << 1
 	if f.last {
@@ -144,8 +146,8 @@ func unpackFlit(w uint32) flit {
 
 // Input-VC pipeline state lives in structure-of-arrays form on Network
 // (see build.go): flat parallel arrays indexed by the global VC index
-// gv = (router*maxP + port)*V + vc hold the queue ring position
-// (vcHL, packed head|len into the shared flit slab), the pipeline state
+// gv = (router*maxP + port)*V + vc hold the queue state (vcQ, packed
+// head|tail|len into the port's slot pool), the pipeline state
 // (vcStatus), the RC countdown (vcRCLeft) and the routing decision
 // (vcOutPort/vcOutVC). Per input port, two 64-bit masks index the VCs
 // worth visiting — inState.busy (non-empty) and inState.pipe (non-empty
@@ -205,6 +207,17 @@ type portState struct {
 	busy uint64
 	pipe uint64
 	rr   int32
+}
+
+// slotAlloc is one input port's slot-pool allocator: bump counts the
+// pool slots handed out since Build, Reset or the port last emptied
+// (slots at or above it are unused), and free is the depth of the
+// port's LIFO stack of returned slots (see freeSlots on Network). The
+// zero value is a fresh pool. Four bytes per port keep the whole
+// allocator array cache-resident even on large fabrics, since every
+// flit arrival and every forward touches it.
+type slotAlloc struct {
+	bump, free uint16
 }
 
 // chanHot is the per-channel record the arrivals stripe scan reads, in
