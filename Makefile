@@ -101,8 +101,8 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # bench-json snapshots the guard benchmarks (simulator inner loop with
-# the timeline/tracer/attribution on and off, the saturated/knee
-# hot-loop guards, the sharded whole-run guards at 1/2/4/8 shards and
+# the timeline/tracer/attribution on and off, the saturated/knee/
+# low-load hot-loop guards, the sharded whole-run guards at 1/2/4/8 shards and
 # with the timeline/attribution observers attached, and the sweep
 # engine serial/parallel plus exhaustive/adaptive saturation
 # pairs: ns/op, allocs/op, cycles/op) into BENCH_sim.json so the perf
@@ -119,7 +119,7 @@ bench-test:
 DIFF_FLAGS ?= -diff BENCH_sim.json
 bench-json:
 	{ $(GO) test -run NONE -short -bench 'BenchmarkSimCycle$$|BenchmarkSimTimeline|BenchmarkSimTracer|BenchmarkSweepSerial$$|BenchmarkSweepParallel$$|BenchmarkSweepReuse$$|BenchmarkSweepExhaustive$$|BenchmarkSweepAdaptive$$|BenchmarkNetworkResetVsBuild$$' -benchmem . ; \
-	  $(GO) test -run NONE -short -bench 'BenchmarkSimSteadyState|BenchmarkSimAttribution|BenchmarkSimCycleSaturated|BenchmarkSimCycleKnee$$|BenchmarkSimSharded' -benchmem ./internal/sim ; } \
+	  $(GO) test -run NONE -short -bench 'BenchmarkSimSteadyState|BenchmarkSimAttribution|BenchmarkSimCycleSaturated|BenchmarkSimCycleKnee$$|BenchmarkSimCycleLowLoad$$|BenchmarkSimSharded' -benchmem ./internal/sim ; } \
 	| $(GO) run ./cmd/benchjson $(DIFF_FLAGS) > BENCH_sim.json.tmp
 	mv BENCH_sim.json.tmp BENCH_sim.json
 	@echo wrote BENCH_sim.json

@@ -87,6 +87,24 @@ func BenchmarkSimCycleKnee(b *testing.B) {
 	benchCycleAtLoad(b, benchClos(b), 0.75)
 }
 
+// BenchmarkSimCycleLowLoad pins per-cycle cost below the knee on the
+// 1024-port Clos of radix-64 sub-switches (offered 0.15), the regime
+// most of every Section VI latency-load curve sits in and the 128-port
+// guards miss: few routers hold flits, so the cost is visiting — the
+// arrivals stripes, the ports switch allocation scans, one injection
+// trial per terminal — rather than allocation work.
+func BenchmarkSimCycleLowLoad(b *testing.B) {
+	chip, err := ssc.MustTH5(200).Deradix(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl, err := topo.HomogeneousClos(1024, chip)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchCycleAtLoad(b, cl, 0.15)
+}
+
 // BenchmarkSimShardedSaturated pins whole-run cost of the sharded
 // engine on a 1024-port Clos past saturation — the regime the Section
 // VI sweeps spend their wall-clock in, at the scale sharding targets.

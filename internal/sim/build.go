@@ -99,7 +99,14 @@ type Network struct {
 	// when input port p of router r has a non-empty pipe mask. RC/VA
 	// scans set bits instead of loading every port's mask (ports >= 64
 	// shift out to nothing; wide routers scan every port regardless).
-	portPipeM []uint64
+	// portReadyM[r] is switch allocation's counterpart: bit p set when
+	// port p holds a VC that is non-empty and active (busy &^ pipe != 0),
+	// so SA visits only ports with a grantable VC. It changes at the same
+	// transition points as the port masks: a body flit reaching an empty
+	// active VC and VA success set it, a forward that empties the VC or
+	// sends its tail clears it when nothing else on the port is ready.
+	portPipeM  []uint64
+	portReadyM []uint64
 
 	feedCh []int32 // channel feeding input port, -1 if terminal/unused
 
@@ -134,9 +141,9 @@ type Network struct {
 	// out slot by slot — slot s of every channel in the class is the
 	// contiguous stripe classOff[k] + s*classCnt[k] + chanPos[ci]. All
 	// channels of a class mature the same slot each cycle (s = now %
-	// lat), so arrivals scans one dense stripe per class — a linear walk
-	// of exactly the words that can hold deliverable events — and the
-	// per-event worklist bookkeeping the old layout needed disappears.
+	// lat), so arrivals visits one contiguous stripe per class — exactly
+	// the words that can hold deliverable events — and the per-event
+	// worklist bookkeeping the old layout needed disappears.
 	// classSlotBase[k] (= classOff[k] + (now%lat_k)*classCnt[k]) is
 	// refreshed once per cycle; producers index the current stripe
 	// through it. classHot[k] mirrors the stripe order with the
@@ -146,7 +153,17 @@ type Network struct {
 	// latency class) so a ring write computes its slot from one loaded
 	// word. chanLatIdx/chanPos keep the per-channel-index view for the
 	// cold checker scans.
+	//
+	// ringFlitM and ringCredM are occupancy bitmaps over ringSlab, one
+	// bit per slot: bit j of ringFlitM is set while slot j holds a flit,
+	// of ringCredM while it holds a credit. Every producer (forward,
+	// inject, the sharded boundary commit) sets the bit with the word,
+	// and arrivals clears both, so arrivals walks the set bits of the
+	// stripe's bitmap words instead of loading every slot — below the
+	// knee almost every slot is empty.
 	ringSlab      []uint64
+	ringFlitM     []uint64
+	ringCredM     []uint64
 	latVals       []int32
 	classOff      []int32
 	classCnt      []int32
@@ -171,8 +188,11 @@ type Network struct {
 	nextFlat   [][]int32
 	egressPort []int32 // terminal -> output port on hosting router
 
-	// Terminal source state.
+	// Terminal source state. Bit t of srcPendM is set while terminal t's
+	// source queue holds a packet (len(srcQ[t]) > srcQHead[t]), so the
+	// send pass of inject visits only terminals with something to send.
 	srcQ      [][]pendingPkt
+	srcPendM  []uint64
 	srcQHead  []int32
 	srcSent   []int32 // flits of the current packet already injected
 	srcCredit []int32
@@ -369,6 +389,7 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 		vcAttribHead: make([]bool, nVC),
 		inState:      make([]portState, R*maxP),
 		portPipeM:    make([]uint64, R),
+		portReadyM:   make([]uint64, R),
 		routerOcc:    make([]int32, R),
 		feedCh:       make([]int32, R*maxP),
 		outCredits:   make([]int32, R*maxP),
@@ -444,6 +465,7 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 	n.destRouter = make([]int32, T)
 	n.egressPort = make([]int32, T)
 	n.srcQ = make([][]pendingPkt, T)
+	n.srcPendM = make([]uint64, bitWords(T))
 	n.srcQHead = make([]int32, T)
 	n.srcSent = make([]int32, T)
 	n.srcCredit = make([]int32, T)
@@ -490,6 +512,8 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 		n.classHot[k] = make([]chanHot, 0, n.classCnt[k])
 	}
 	n.ringSlab = make([]uint64, total)
+	n.ringFlitM = make([]uint64, bitWords(int(total)))
+	n.ringCredM = make([]uint64, bitWords(int(total)))
 	n.chanLatIdx = make([]int32, nc)
 	n.chanPos = make([]int32, nc)
 	for i := range n.channels {
@@ -599,6 +623,9 @@ func (n *Network) initTermRng(seed int64) {
 		n.termSrc[t] = splitmix64{x: termRNGState(seed, t)}
 	}
 }
+
+// bitWords returns the number of 64-bit words a bitmap of n bits needs.
+func bitWords(n int) int { return (n + 63) / 64 }
 
 // fullVCMask returns the mask with the low v bits set (v = 64 yields
 // all ones: 1<<64 is 0 on uint64, and 0-1 wraps).

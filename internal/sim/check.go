@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -82,6 +83,10 @@ type checker struct {
 //   - slot-pool conservation: for every input port, free slots plus
 //     the queue lengths of its VCs == BufPerPort, and no slot is both
 //     free and queued (or queued twice);
+//   - summary integrity: every summary the kernel scans instead of the
+//     state it summarises agrees with that state — the per-router
+//     pipe, ready-port and credit masks, the ring occupancy bitmaps and
+//     the pending-source bitmap;
 //   - no packet loss or duplication: every packet-table entry ejects
 //     exactly Size flits between allocation and completion, and no
 //     freed entry ejects flits;
@@ -198,6 +203,8 @@ func (c *checker) endCycle(n *Network) {
 		c.checkConservation(n)
 		c.checkCredits(n)
 		c.checkPools(n)
+		c.checkMasks(n)
+		c.checkOccupancy(n.now, n)
 	}
 	c.checkProgress(n)
 }
@@ -376,6 +383,83 @@ func (c *checker) slotFault(n *Network, in, s, used int32, what string) {
 	}
 	c.violatef("cycle %d: port %d: %s slot %d is both free and queued, or queued twice",
 		n.now, in, what, s)
+}
+
+// checkMasks asserts that the router-level summaries agree with the
+// per-port state they summarise: creditM with the output credit counts
+// (ports below 64, on every router), and — on routers of at most 64
+// ports, the ones whose pipeline scans read them — portPipeM with the
+// ports' pipe masks and portReadyM with their ready VCs (busy &^ pipe).
+// Reports at most one violation per scan.
+func (c *checker) checkMasks(n *Network) {
+	for r := 0; r < n.R; r++ {
+		base := r * n.maxP
+		var pipe, ready, credit uint64
+		for p := 0; p < n.maxP && p < 64; p++ {
+			ps := n.inState[base+p]
+			if ps.pipe != 0 {
+				pipe |= uint64(1) << p
+			}
+			if ps.busy&^ps.pipe != 0 {
+				ready |= uint64(1) << p
+			}
+			if n.outCredits[base+p] > 0 {
+				credit |= uint64(1) << p
+			}
+		}
+		if n.creditM[r] != credit {
+			c.violatef("cycle %d: router %d: credit mask %#x, want %#x", n.now, r, n.creditM[r], credit)
+			return
+		}
+		if n.numPorts[r] > 64 {
+			continue // wide routers scan every port and keep no port summaries
+		}
+		if n.portPipeM[r] != pipe {
+			c.violatef("cycle %d: router %d: pipe-port mask %#x, want %#x", n.now, r, n.portPipeM[r], pipe)
+			return
+		}
+		if n.portReadyM[r] != ready {
+			c.violatef("cycle %d: router %d: ready-port mask %#x, want %#x", n.now, r, n.portReadyM[r], ready)
+			return
+		}
+	}
+}
+
+// checkOccupancy asserts that the occupancy bitmaps of sh — the network
+// itself, or one shard of a sharded run, each stepping its own ring slab
+// and terminal range — agree with the state they flag: a ring slot's
+// flit (credit) bit is set exactly when its word holds a flit (credit),
+// and a terminal's pending bit exactly when its source queue holds a
+// packet. Reports at most one violation per scan.
+func (c *checker) checkOccupancy(now int64, sh *Network) {
+	slab := sh.ringSlab
+	for wi := range sh.ringFlitM {
+		// Rebuild bitmap word wi from its 64 slot words; bits past the
+		// slab's end must stay clear.
+		var flit, cred uint64
+		lo := wi << 6
+		for b, w := range slab[lo:min(lo+64, len(slab))] {
+			flit |= (w & evValid) << b
+			cred |= ((w & evCred) >> 2) << b
+		}
+		if diff := (flit ^ sh.ringFlitM[wi]) | (cred ^ sh.ringCredM[wi]); diff != 0 {
+			b := bits.TrailingZeros64(diff)
+			var w uint64
+			if lo+b < len(slab) {
+				w = slab[lo+b]
+			}
+			c.violatef("cycle %d: ring slot %d: occupancy bits flit=%t credit=%t disagree with slot word %#x",
+				now, lo+b, sh.ringFlitM[wi]>>b&1 != 0, sh.ringCredM[wi]>>b&1 != 0, w)
+			return
+		}
+	}
+	for t := sh.tLo; t < sh.tHi; t++ {
+		queued := len(sh.srcQ[t]) - int(sh.srcQHead[t])
+		if pend := sh.srcPendM[t>>6]>>(t&63)&1 != 0; pend != (queued > 0) {
+			c.violatef("cycle %d: terminal %d: pending bit %t with %d queued packets", now, t, pend, queued)
+			return
+		}
+	}
 }
 
 // checkProgress fires the no-progress watchdog: buffered flits with no

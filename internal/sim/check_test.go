@@ -190,6 +190,65 @@ func TestCheckerDetectsSlotLeak(t *testing.T) {
 	}
 }
 
+// TestCheckerDetectsSummaryDrift: every summary the kernel scans in
+// place of the state it summarises — the per-router pipe, ready-port
+// and credit masks, the ring flit and credit occupancy bitmaps, the
+// pending-source bitmap — must be checked against that state: a drifted
+// summary silently skips (or invents) work. Each case plants one drift
+// and runs a single cycle, so the end-of-cycle scan sees it before
+// anything consumes it.
+func TestCheckerDetectsSummaryDrift(t *testing.T) {
+	// ringSlot returns a slot of the second stripe of latency class 0,
+	// which no arrivals pass reaches in cycle 0.
+	ringSlot := func(n *Network) int32 { return n.classOff[0] + n.classCnt[0] }
+	cases := []struct {
+		name, want string
+		corrupt    func(n *Network)
+	}{
+		{"pipe", "pipe-port mask", func(n *Network) {
+			n.portPipeM[0] |= 1 << 1
+		}},
+		{"ready", "ready-port mask", func(n *Network) {
+			n.portReadyM[0] |= 1 << 1
+		}},
+		{"credit", "credit mask", func(n *Network) {
+			n.creditM[0] &^= 1 // output 0 is a terminal sink, always credited
+		}},
+		{"ring-flit", "occupancy bits flit=false credit=false", func(n *Network) {
+			n.ringSlab[ringSlot(n)] |= packEv(0, true, 0)
+		}},
+		{"ring-credit", "occupancy bits flit=false credit=true", func(n *Network) {
+			j := ringSlot(n)
+			n.ringCredM[j>>6] |= uint64(1) << (j & 63)
+		}},
+		{"pending", "pending bit false with 1 queued", func(n *Network) {
+			n.srcQ[0] = append(n.srcQ[0], pendingPkt{dst: 1, size: 1})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.WarmupCycles, cfg.MeasureCycles = 0, 1
+			n, err := Build(testClos(t), ConstantLatency(1), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Check(CheckOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(n)
+			n.Run(silentInjector{}, 0.01)
+			err = n.CheckErr()
+			if err == nil {
+				t.Fatal("checker missed a drifted summary")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("violation does not mention %q: %v", tc.want, err)
+			}
+		})
+	}
+}
+
 // TestCheckerDetectsVCInterleave: flits of two packets interleaved in
 // one VC FIFO (head of packet B before tail of packet A) must trip the
 // wormhole-integrity scan.

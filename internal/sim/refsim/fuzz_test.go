@@ -30,6 +30,13 @@ func FuzzSimEquivalence(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint8(1), uint8(1), uint8(3), uint8(13), uint8(1), uint8(1), uint8(0), uint8(2), uint8(2), uint16(40), uint16(160), int64(-31), uint16(430))
 	f.Add(uint8(1), uint8(2), uint8(3), uint8(2), uint8(7), uint8(2), uint8(0), uint8(2), uint8(1), uint8(0), uint8(3), uint16(80), uint16(120), int64(5551), uint16(930))
 	f.Add(uint8(3), uint8(1), uint8(0), uint8(1), uint8(7), uint8(0), uint8(2), uint8(1), uint8(1), uint8(1), uint8(0), uint16(30), uint16(100), int64(404), uint16(30))
+	// The committed corpus (testdata/fuzz/FuzzSimEquivalence) adds
+	// kernel-layout seeds: seed-wide-mixed (radix-16 leaves under
+	// 128-port spines) and seed-wide-all (128-port routers only, past
+	// saturation) keep the dense wide-router scans under the oracle, and
+	// seed-stripe-mesh68 puts 96 channels in one latency class, so every
+	// ring stripe after the first starts mid-word in the occupancy
+	// bitmaps.
 	f.Fuzz(func(t *testing.T, family, size, pattern, link, vcs, buf, pkt, rci, rco, pipe, term uint8,
 		warmup, measure uint16, seed int64, loadMil uint16) {
 		s := SpecFromRaw(family, size, pattern, link, vcs, buf, pkt, rci, rco, pipe, term, warmup, measure, seed, loadMil)
@@ -74,6 +81,12 @@ func FuzzShardEquivalence(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), uint8(3), uint8(0), uint8(3), uint8(1), uint8(1), uint8(0), uint8(0), uint16(30), uint16(90), int64(-7), uint16(550), uint8(64+5))
 	f.Add(uint8(2), uint8(1), uint8(2), uint8(2), uint8(0), uint8(11), uint8(0), uint8(2), uint8(2), uint8(2), uint8(3), uint16(80), uint16(150), int64(424242), uint16(930), uint8(96+2))
 	f.Add(uint8(3), uint8(2), uint8(3), uint8(1), uint8(2), uint8(6), uint8(2), uint8(0), uint8(2), uint8(1), uint8(2), uint16(60), uint16(140), int64(11), uint16(700), uint8(96+9))
+	// The committed corpus (testdata/fuzz/FuzzShardEquivalence) adds
+	// seeds whose shard cuts split a 64-terminal word of the pending-
+	// source bitmap: the 120-terminal mesh on 3 shards (cuts at
+	// terminals 41 and 79) and on 7, the 40-terminal dragonfly on 7
+	// (every shard inside one word), and the wide-spine Clos on 3 with
+	// both observers attached.
 	f.Fuzz(func(t *testing.T, family, size, pattern, link, vcs, buf, pkt, rci, rco, pipe, term uint8,
 		warmup, measure uint16, seed int64, loadMil uint16, shardRaw uint8) {
 		s := SpecFromRaw(family, size, pattern, link, vcs, buf, pkt, rci, rco, pipe, term, warmup, measure, seed, loadMil)

@@ -65,8 +65,17 @@ var (
 	specPatterns = []string{"uniform", "tornado", "neighbor", "asymmetric"}
 )
 
+// wideFamilyByte is the lowest raw family byte that selects the
+// "wideclos" family, a Clos whose spines have more than 64 ports — the
+// only shape that reaches the simulator's wide-router paths. Bytes
+// below it index specFamilies round-robin, which fixes the meaning of
+// the committed corpus entries below it; the wide shape, several times
+// costlier per run, gets a small share of random fuzz inputs.
+const wideFamilyByte = 252
+
 // SpecFromRaw maps arbitrary fuzz-provided values into a valid Spec:
-// enums index modulo the tables, every knob clamps into a range where
+// enums index modulo the tables (family bytes from wideFamilyByte up
+// pick "wideclos"), every knob clamps into a range where
 // the configuration is buildable and a run completes in well under a
 // second. The mapping is total — any input is a legal test case. The
 // ranges deliberately reach the regimes where the optimized simulator's
@@ -76,8 +85,12 @@ var (
 func SpecFromRaw(family, size, pattern, link, vcs, buf, pkt, rci, rco, pipe, term uint8,
 	warmup, measure uint16, seed int64, loadMil uint16) Spec {
 	p := 1 + int(pkt)%4
+	fam := specFamilies[int(family)%len(specFamilies)]
+	if family >= wideFamilyByte {
+		fam = "wideclos"
+	}
 	return Spec{
-		Family:  specFamilies[int(family)%len(specFamilies)],
+		Family:  fam,
 		Size:    int(size) % 3,
 		Pattern: specPatterns[int(pattern)%len(specPatterns)],
 		LinkLat: 1 + int(link)%4,
@@ -169,7 +182,8 @@ func ParseSpec(in string) (Spec, error) {
 }
 
 // Build constructs the spec's topology. Shapes are kept small (4-24
-// routers, 20-130 terminals) so a differential run costs milliseconds.
+// routers, 20-130 terminals; wideclos 6-68 routers of up to 128
+// ports, 256-512 terminals) so a differential run costs milliseconds.
 func (s Spec) Build() (*topo.Topology, error) {
 	chip, err := ssc.MustTH5(200).Deradix(16) // radix-16 sub-switch
 	if err != nil {
@@ -200,6 +214,22 @@ func (s Spec) Build() (*topo.Topology, error) {
 			return topo.Dragonfly(4, 2, 2, 1, chip)
 		default:
 			return topo.Dragonfly(5, 2, 2, 1, chip)
+		}
+	case "wideclos":
+		// Sizes 0 and 1 put radix-16 leaves under radix-128 spines,
+		// narrow and wide routers side by side; size 2 is built of
+		// radix-128 chiplets only, so terminals attach to wide routers.
+		wide, err := ssc.MustTH5(200).Deradix(2)
+		if err != nil {
+			return nil, err
+		}
+		switch s.Size % 3 {
+		case 0:
+			return topo.Clos2(256, chip, wide)
+		case 1:
+			return topo.Clos2(512, chip, wide)
+		default:
+			return topo.HomogeneousClos(256, wide)
 		}
 	default:
 		return nil, fmt.Errorf("refsim: unknown topology family %q", s.Family)
@@ -252,7 +282,7 @@ func (s Spec) Injector(terms int) (sim.Injector, error) {
 // property of the configuration, not a simulator bug, and both
 // implementations must stall identically.
 func (s Spec) DeadlockFree() bool {
-	return s.Family == "clos" || s.Family == "mesh"
+	return s.Family == "clos" || s.Family == "wideclos" || s.Family == "mesh"
 }
 
 // DiffReport is the outcome of one differential run.

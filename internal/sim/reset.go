@@ -17,9 +17,10 @@ import "waferswitch/internal/obs"
 //     cached shard plan (see shard.go) — none of it changes across runs.
 //   - Resettable: everything a cycle can write — VC queues and status,
 //     the input ports' slot-pool allocators, port masks, credits,
-//     channel ring slab, source queues, the packet table, RNG states,
-//     counters and observer attachments. Reset rewinds all of it by
-//     truncating slices to zero length and zeroing arrays in place.
+//     channel ring slab, occupancy bitmaps, source queues, the packet
+//     table, RNG states, counters and observer attachments. Reset
+//     rewinds all of it by truncating slices to zero length and zeroing
+//     arrays in place.
 //
 // Equivalence argument (gated by TestResetEquivalence and the refsim
 // fuzz oracle): after Reset, every array a fresh Build would allocate
@@ -50,8 +51,11 @@ func (n *Network) Reset(seed int64) {
 	clear(n.vcAttribHead)
 	clear(n.inState)
 	clear(n.portPipeM)
+	clear(n.portReadyM)
 	clear(n.routerOcc)
 	clear(n.ringSlab)
+	clear(n.ringFlitM)
+	clear(n.ringCredM)
 	clear(n.classSlotBase)
 	clear(n.npRot)
 	clear(n.outRRVA)
@@ -87,6 +91,7 @@ func (n *Network) Reset(seed int64) {
 	for t := range n.srcQ {
 		n.srcQ[t] = n.srcQ[t][:0]
 	}
+	clear(n.srcPendM)
 	clear(n.srcQHead)
 	clear(n.srcSent)
 	clear(n.curPkt)

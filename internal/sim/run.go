@@ -18,7 +18,9 @@ type Injector interface {
 
 // RateInjector offers Bernoulli traffic at a fixed load with a synthetic
 // pattern: each cycle each terminal generates a PacketFlits-flit packet
-// with probability Load/PacketFlits.
+// with probability Load/PacketFlits. The simulator draws its trial
+// inline rather than through Generate (see births); the two consume a
+// terminal's stream identically, so Generate remains the definition.
 type RateInjector struct {
 	Load        float64 // flits/terminal/cycle
 	Pattern     traffic.Pattern
@@ -311,10 +313,11 @@ func (n *Network) pushVC(gv, base, s int32, w uint32) int32 {
 }
 
 // markBusy flags VC gv as newly non-empty in its port's masks: the VC
-// turns busy, and — unless it is mid-packet (vcActive, receiving body
-// flits) — it owes pipeline work, flagged in both the port's VC mask
-// and router r's port summary mask (a shift by port p >= 64 is zero in
-// Go, so wide routers — which scan every port — are left alone).
+// turns busy, and either owes pipeline work, flagged in both the port's
+// VC mask and router r's port summary mask, or — mid-packet (vcActive,
+// receiving body flits) — is ready for switch allocation, flagged in
+// r's ready-port mask (a shift by port p >= 64 is zero in Go, so wide
+// routers — which scan every port — are left alone).
 func (n *Network) markBusy(in, gv, r, p int32) {
 	bit := uint64(1) << (gv - in*int32(n.V))
 	ps := &n.inState[in]
@@ -322,6 +325,8 @@ func (n *Network) markBusy(in, gv, r, p int32) {
 	if n.vcStatus[gv] != vcActive {
 		ps.pipe |= bit
 		n.portPipeM[r] |= uint64(1) << uint32(p)
+	} else {
+		n.portReadyM[r] |= uint64(1) << uint32(p)
 	}
 }
 
@@ -334,29 +339,37 @@ func (n *Network) frontVC(in, gv int32) flit {
 // arrivals delivers flits and credits whose channel latency elapsed.
 // Every channel of a latency class matures the same ring slot each
 // cycle, and those slots form one contiguous stripe per class (see the
-// slot-major layout on Network), so the scan is a linear walk of
-// exactly the words that can hold deliverable events; empty slots cost
-// one sequential load. Delivery order (class-major, then stripe
-// position) differs from channel-index order, which cannot affect
-// results: each channel feeds exactly one input port (disjoint VC
-// queues) and credits exactly one output port or terminal, so arrivals
-// on distinct channels commute.
+// slot-major layout on Network). The occupancy bitmaps name the
+// stripe's slots that hold events, so arrivals visits only those —
+// flits first, then credits — at one bitmap word per 64 slots, with no
+// load at all for an empty slot. Delivery order (class-major, flits
+// before credits, then stripe position) differs from channel-index
+// order, which cannot affect results: each channel feeds exactly one
+// input port (disjoint VC queues) and credits exactly one output port
+// or terminal, and a flit delivery touches only input-port state while
+// a credit delivery touches only output-port or source state, so all
+// arrivals of a cycle commute.
 func (n *Network) arrivals() {
 	ringSlab := n.ringSlab
+	flitM, credM := n.ringFlitM, n.ringCredM
 	V := int32(n.V)
 	maxP := int32(n.maxP)
-	for k := range n.classSlotBase {
-		base := n.classSlotBase[k]
+	for k, base := range n.classSlotBase {
+		lo, hi := int(base), int(base+n.classCnt[k])
 		recs := n.classHot[k]
-		for i := range recs {
-			w := ringSlab[base+int32(i)]
-			if w == 0 {
+		for wi := lo >> 6; wi<<6 < hi; wi++ {
+			m := flitM[wi] & spanMask(wi, lo, hi)
+			if m == 0 {
 				continue
 			}
-			ringSlab[base+int32(i)] = 0
-			rec := &recs[i]
-			if w&evValid != 0 {
-				f, vc := unpackEv(w)
+			flitM[wi] &^= m
+			for ; m != 0; m &= m - 1 {
+				j := wi<<6 | bits.TrailingZeros64(m)
+				f, vc := unpackEv(ringSlab[j])
+				// Zeroing the whole word also drops the slot's credit bit;
+				// the credit pass below delivers from the bitmap.
+				ringSlab[j] = 0
+				rec := &recs[j-lo]
 				in := rec.dstR*maxP + rec.dstP
 				gv := in*V + vc
 				pool := in * n.bufPP
@@ -365,7 +378,17 @@ func (n *Network) arrivals() {
 				}
 				n.routerOcc[rec.dstR]++
 			}
-			if w&evCred != 0 {
+		}
+		for wi := lo >> 6; wi<<6 < hi; wi++ {
+			m := credM[wi] & spanMask(wi, lo, hi)
+			if m == 0 {
+				continue
+			}
+			credM[wi] &^= m
+			for ; m != 0; m &= m - 1 {
+				j := wi<<6 | bits.TrailingZeros64(m)
+				ringSlab[j] = 0
+				rec := &recs[j-lo]
 				if sr := rec.srcR; sr >= 0 {
 					so := sr*maxP + rec.srcP
 					c := n.outCredits[so] + 1
@@ -379,6 +402,19 @@ func (n *Network) arrivals() {
 			}
 		}
 	}
+}
+
+// spanMask returns the bits of bitmap word wi that index [lo, hi). The
+// word must overlap the span.
+func spanMask(wi, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if b := wi << 6; b < lo {
+		m <<= uint(lo - b)
+	}
+	if e := wi<<6 + 64; e > hi {
+		m &= ^uint64(0) >> uint(e-hi)
+	}
+	return m
 }
 
 // routers advances every busy router's pipeline: route computation and
@@ -424,12 +460,6 @@ func (n *Network) routerRCVA(r int) {
 		p := int32(bits.TrailingZeros64(pm))
 		in := base + p
 		m := n.inState[in].pipe
-		if m == 0 {
-			// The summary bit outlived its last pipe VC (possible only if
-			// state was poked from outside the pipeline); drop it.
-			n.portPipeM[r] &^= uint64(1) << uint32(p)
-			continue
-		}
 		vbase := in * V
 		for ; m != 0; m &= m - 1 {
 			v := int32(bits.TrailingZeros64(m))
@@ -484,6 +514,7 @@ func (n *Network) routerRCVA(r int) {
 					} else {
 						ps.pipe = pmNew
 					}
+					n.portReadyM[r] |= uint64(1) << uint32(p)
 					if n.at != nil {
 						n.atVADone(n.frontVC(in, gv).pkt, r)
 						n.vcAttribHead[gv] = true
@@ -639,23 +670,20 @@ func (n *Network) routerSA(r int) {
 	// always the cycle number; deriving the start port from the clock
 	// (now % nP, computed once per cycle per distinct port count) keeps
 	// the arbitration sequence bit-identical while letting idle routers
-	// be skipped without desynchronizing the rotation.
+	// be skipped without desynchronizing the rotation. The ready-port
+	// mask holds bits below nP <= 64 only, so rotating it right by start
+	// puts ports start..nP-1 at the bottom and the wrapped ports
+	// 0..start-1 at the top: one ascending bit scan visits exactly the
+	// ports with a grantable VC, in the dense loop's order.
 	start := int(n.npRot[n.npIdx[r]])
-	for i := 0; i < nP; i++ {
-		p := start + i
-		if p >= nP {
-			p -= nP
-		}
-		in := base + p
+	for pm := bits.RotateLeft64(n.portReadyM[r], -start); pm != 0; pm &= pm - 1 {
+		in := base + (bits.TrailingZeros64(pm)+start)&63
 		// Request mask: non-empty VCs in vcActive. Scanned in the
 		// round-robin order the dense loop used — bits at or after the
 		// rotating pointer first, then the wrapped remainder — so the
 		// grant sequence is bit-identical.
 		ps := &inState[in]
 		ready := ps.busy &^ ps.pipe
-		if ready == 0 {
-			continue
-		}
 		rr := ps.rr
 		gvBase := int32(in * V)
 		// Rotating ready right by rr makes one ascending bit scan visit
@@ -816,7 +844,7 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 		// The credit shares the slot word with any flit written onto the
 		// same channel this cycle (the slot itself was drained by this
 		// cycle's arrivals, so only this cycle's producers are present).
-		n.ringSlab[n.classSlotBase[lp&0x7fffffff]+int32(lp>>31)] |= evCred
+		n.postCred(n.classSlotBase[lp&0x7fffffff] + int32(lp>>31))
 	} else if lp < -1 {
 		// The feeding channel crosses a shard cut: the credit belongs to
 		// the source shard's credit ring — buffer it for the next epoch
@@ -832,9 +860,7 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 		n.atHeadForward(f.pkt, r, o)
 	}
 	if lp := n.outLP[o]; lp >= 0 {
-		// OR, not assign: the slot word may already carry this cycle's
-		// returning credit for the same channel.
-		n.ringSlab[n.classSlotBase[lp&0x7fffffff]+int32(lp>>31)] |= packEv(f.pkt, f.last, n.vcOutVC[gv])
+		n.postFlit(n.classSlotBase[lp&0x7fffffff]+int32(lp>>31), packEv(f.pkt, f.last, n.vcOutVC[gv]))
 		c := n.outCredits[o] - 1
 		n.outCredits[o] = c
 		if c == 0 {
@@ -905,6 +931,29 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 			n.portPipeM[r] |= uint64(1) << uint32(inPort-r*n.maxP)
 		}
 	}
+	if left == 0 || f.last {
+		// The VC stopped being ready for switch allocation (it emptied,
+		// or its next packet's head now owes RC/VA): drop the port from
+		// the ready mask unless another of its VCs is still ready.
+		if ps := &n.inState[inPort]; ps.busy&^ps.pipe == 0 {
+			n.portReadyM[r] &^= uint64(1) << uint32(inPort-r*n.maxP)
+		}
+	}
+}
+
+// postFlit ORs the packed flit event w into ring slot j and flags the
+// slot in the flit occupancy bitmap. OR, not assign: the slot word may
+// already carry this cycle's returning credit for the same channel.
+func (n *Network) postFlit(j int32, w uint64) {
+	n.ringSlab[j] |= w
+	n.ringFlitM[j>>6] |= uint64(1) << (j & 63)
+}
+
+// postCred sets the credit bit of ring slot j and flags the slot in the
+// credit occupancy bitmap.
+func (n *Network) postCred(j int32) {
+	n.ringSlab[j] |= evCred
+	n.ringCredM[j>>6] |= uint64(1) << (j & 63)
 }
 
 // completePacket records the packet's latency (including the egress
@@ -946,80 +995,129 @@ func (n *Network) completePacket(pkt int32, r int) {
 	}
 }
 
-// inject generates new packets and pushes source flits into the terminal
-// channels, one flit per terminal per cycle, credit permitting.
+// inject generates new packets, then pushes source flits into the
+// terminal channels, one flit per terminal per cycle, credit
+// permitting. Running all births before all sends is exact: a birth
+// touches only its terminal's RNG stream, source queue and injector
+// state, a send only the packet table, rings and counters, and each
+// pass runs in ascending terminal order — so RNG streams, packet ids and
+// trace events are those of one loop doing both per terminal.
 func (n *Network) inject(inj Injector) {
-	srcQ := n.srcQ
+	n.births(inj)
+	n.sends()
+}
+
+// births gives every terminal below maxPendingPerTerm its chance of a
+// new packet. RateInjector's Bernoulli trial is drawn inline from the
+// terminal's stream (see bernoulli), which saves an interface call per
+// terminal-cycle; any other injector gets its Generate call. Packets
+// born in the measurement window count as measured immediately —
+// source-queue time is part of their latency, and a saturated network
+// whose backlog never injects must not report a clean drain.
+func (n *Network) births(inj Injector) {
+	measured := n.now >= n.measStart && n.now < n.measEnd
+	ri, inline := inj.(RateInjector)
+	p := ri.Load / float64(ri.PacketFlits)
 	for t := n.tLo; t < n.tHi; t++ {
-		q := srcQ[t]
-		head := n.srcQHead[t]
-		// Compact the source queue before it would reallocate: a backlog
-		// that never fully drains (any run at or past saturation) keeps
-		// its head moving without ever hitting the len==head reset below,
-		// so append would otherwise grow the slice without bound. Only
-		// compact when at least half the slots are dead — each copy then
-		// frees cap/2 appends' worth of room, keeping the amortized cost
-		// O(1) per packet while bounding capacity at ~2x the pending cap.
-		if len(q) == cap(q) && int(head) >= cap(q)/2 {
-			q = q[:copy(q, q[head:])]
-			srcQ[t] = q
-			head = 0
-			n.srcQHead[t] = 0
-		}
-		// Generate at most one new packet. Packets born in the
-		// measurement window count as measured immediately — source-queue
-		// time is part of their latency, and a saturated network whose
-		// backlog never injects must not report a clean drain.
-		if len(q)-int(head) < maxPendingPerTerm {
-			if dst, flits, ok := inj.Generate(t, n.now, n.termRng[t]); ok {
-				measured := n.now >= n.measStart && n.now < n.measEnd
-				if measured {
-					n.measuredBorn++
-				}
-				q = append(q, pendingPkt{
-					dst: int32(dst), size: int32(flits), born: n.now, measured: measured,
-				})
-				srcQ[t] = q
-			}
-		}
-		// Inject one flit of the front packet.
-		if int(head) >= len(q) || n.srcCredit[t] <= 0 {
+		// Only a pending terminal can have reached the cap.
+		if n.srcPendM[t>>6]>>(t&63)&1 != 0 && len(n.srcQ[t])-int(n.srcQHead[t]) >= maxPendingPerTerm {
 			continue
 		}
-		pp := &q[head]
-		sent := n.srcSent[t]
-		if sent == 0 {
-			n.curPkt[t] = n.allocPacket(t, pp)
-			n.curVC[t] = int32(int(n.pktSalt[n.curPkt[t]]) % n.V)
+		if inline {
+			if bernoulli(&n.termSrc[t], p) {
+				n.enqueue(t, ri.Pattern.Dest(t, n.termRng[t]), ri.PacketFlits, measured)
+			}
+		} else if dst, flits, ok := inj.Generate(t, n.now, n.termRng[t]); ok {
+			n.enqueue(t, dst, flits, measured)
 		}
-		pkt := n.curPkt[t]
-		lp := n.termLP[t]
-		last := sent+1 == pp.size
-		n.ringSlab[n.classSlotBase[lp&0x7fffffff]+int32(lp>>31)] |= packEv(pkt, last, n.curVC[t])
-		if n.probe != nil {
-			n.probe.Injected++
-			n.probe.Channels[n.termChIn[t]].Flits++
+	}
+}
+
+// bernoulli reports whether the next rand.Float64 drawn from src falls
+// below p, consuming src exactly as rand.New(src).Float64 does —
+// float64(Int63()) / 2^63, drawn again while that rounds to 1 — so an
+// inline RateInjector trial leaves the stream where Generate would.
+func bernoulli(src *splitmix64, p float64) bool {
+	for {
+		if f := float64(src.Int63()) / (1 << 63); f != 1 {
+			// Generate skips the packet when the draw is >= p, so a NaN p
+			// never skips: the negation, not f < p, is the exact mirror.
+			return !(f >= p)
 		}
-		if n.tline != nil {
-			n.tline.NoteInject()
-			n.tlChanFlits[n.termChIn[t]]++
-		}
-		if n.tr != nil && sent == 0 {
-			n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: pkt,
-				Router: -1, Kind: obs.TraceInject, Arg: int32(t)})
-		}
-		if n.chk != nil {
-			n.chk.noteInject(n.now)
-		}
-		n.srcCredit[t]--
-		n.srcSent[t]++
-		if last {
-			n.srcSent[t] = 0
-			if int(head)+1 == len(q) {
-				srcQ[t] = q[:0]
-				n.srcQHead[t] = 0
-			} else {
-				n.srcQHead[t] = head + 1
+	}
+}
+
+// enqueue appends a new packet to terminal t's source queue and marks
+// the terminal pending. A backlog that never fully drains (any run at or
+// past saturation) keeps its head moving without ever hitting the
+// reset-to-empty in sends, so append alone would grow the queue without
+// bound: a full queue at least half dead is compacted first — each copy
+// frees cap/2 appends' worth of room, keeping the amortized cost O(1)
+// per packet while bounding capacity at ~2x the pending cap.
+func (n *Network) enqueue(t, dst, flits int, measured bool) {
+	q := n.srcQ[t]
+	if head := int(n.srcQHead[t]); len(q) == cap(q) && head >= cap(q)/2 {
+		q = q[:copy(q, q[head:])]
+		n.srcQHead[t] = 0
+	}
+	if measured {
+		n.measuredBorn++
+	}
+	n.srcQ[t] = append(q, pendingPkt{
+		dst: int32(dst), size: int32(flits), born: n.now, measured: measured,
+	})
+	n.srcPendM[t>>6] |= uint64(1) << (t & 63)
+}
+
+// sends injects one flit of the front packet of every pending terminal
+// whose injection channel has a credit, in ascending terminal order.
+func (n *Network) sends() {
+	srcQ := n.srcQ
+	lo, hi := n.tLo, n.tHi
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		for m := n.srcPendM[wi] & spanMask(wi, lo, hi); m != 0; m &= m - 1 {
+			t := wi<<6 | bits.TrailingZeros64(m)
+			if n.srcCredit[t] <= 0 {
+				continue
+			}
+			q := srcQ[t]
+			head := n.srcQHead[t]
+			pp := &q[head]
+			sent := n.srcSent[t]
+			if sent == 0 {
+				n.curPkt[t] = n.allocPacket(t, pp)
+				n.curVC[t] = int32(int(n.pktSalt[n.curPkt[t]]) % n.V)
+			}
+			pkt := n.curPkt[t]
+			lp := n.termLP[t]
+			last := sent+1 == pp.size
+			n.postFlit(n.classSlotBase[lp&0x7fffffff]+int32(lp>>31), packEv(pkt, last, n.curVC[t]))
+			if n.probe != nil {
+				n.probe.Injected++
+				n.probe.Channels[n.termChIn[t]].Flits++
+			}
+			if n.tline != nil {
+				n.tline.NoteInject()
+				n.tlChanFlits[n.termChIn[t]]++
+			}
+			if n.tr != nil && sent == 0 {
+				n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: pkt,
+					Router: -1, Kind: obs.TraceInject, Arg: int32(t)})
+			}
+			if n.chk != nil {
+				n.chk.noteInject(n.now)
+			}
+			n.srcCredit[t]--
+			n.srcSent[t]++
+			if last {
+				n.srcSent[t] = 0
+				if int(head)+1 == len(q) {
+					srcQ[t] = q[:0]
+					n.srcQHead[t] = 0
+					n.srcPendM[wi] &^= uint64(1) << (t & 63)
+				} else {
+					n.srcQHead[t] = head + 1
+				}
 			}
 		}
 	}

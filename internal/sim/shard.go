@@ -142,6 +142,9 @@ type shardLocal struct {
 	classHot           [][]chanHot
 	classSlotBase      []int32
 	ringSlab           []uint64
+	ringFlitM          []uint64
+	ringCredM          []uint64
+	srcPendM           []uint64
 	npRot              []int32
 	saWinner           []int32
 	saWinnerIn         []int32
@@ -284,6 +287,12 @@ func (n *Network) buildShardPlan(S int) *shardPlan {
 		loc.classHot = hotS[s]
 		loc.classSlotBase = make([]int32, len(latValsS[s]))
 		loc.ringSlab = make([]uint64, slabLen[s])
+		loc.ringFlitM = make([]uint64, bitWords(int(slabLen[s])))
+		loc.ringCredM = make([]uint64, bitWords(int(slabLen[s])))
+		// A private pending bitmap per shard, indexed like the master's:
+		// a shard's terminal range can start or end mid-word, and two
+		// shards must never write the same word.
+		loc.srcPendM = make([]uint64, len(n.srcPendM))
 		loc.npRot = make([]int32, len(n.npVals))
 		loc.saWinner = make([]int32, n.maxP)
 		loc.saWinnerIn = make([]int32, n.maxP)
@@ -451,6 +460,12 @@ func (n *Network) RunSharded(inj Injector, offered float64, shards int) (Stats, 
 		clear(sh.classSlotBase)
 		sh.ringSlab = loc.ringSlab
 		clear(sh.ringSlab)
+		sh.ringFlitM = loc.ringFlitM
+		clear(sh.ringFlitM)
+		sh.ringCredM = loc.ringCredM
+		clear(sh.ringCredM)
+		sh.srcPendM = loc.srcPendM
+		copy(sh.srcPendM, n.srcPendM)
 		sh.npRot = loc.npRot
 		clear(sh.npRot)
 		sh.saWinner = loc.saWinner
@@ -592,13 +607,18 @@ func (n *Network) RunSharded(inj Injector, offered float64, shards int) (Stats, 
 		// Each entry lands in a distinct slot (one event per channel per
 		// cycle, epoch <= every boundary latency), and the slot is
 		// provably zero — the consumer drained it at least a full lap
-		// ago — so the OR is exact.
+		// ago — so the OR is exact. A boundary event is a lone flit or a
+		// lone credit, posted like a local producer's.
 		for ds := 0; ds < S; ds++ {
-			slab := nets[ds].ringSlab
+			sh := nets[ds]
 			for ss := 0; ss < S; ss++ {
 				box := &boxes[ss][ds]
 				for _, e := range box.ents {
-					slab[e.idx] |= e.w
+					if e.w&evValid != 0 {
+						sh.postFlit(e.idx, e.w)
+					} else {
+						sh.postCred(e.idx)
+					}
 				}
 				box.ents = box.ents[:0]
 			}
@@ -774,6 +794,10 @@ func (n *Network) RunSharded(inj Injector, offered float64, shards int) (Stats, 
 			n.chk.checkConservationAt(b-1, injected, delivered, shardedBufferedFlits(n, nets))
 			checkCreditsSharded()
 			n.chk.checkPools(n)
+			n.chk.checkMasks(n)
+			for _, sh := range nets {
+				n.chk.checkOccupancy(b-1, sh)
+			}
 		}
 		if n.chk.opt.Watchdog >= 0 && !n.chk.deadlocked {
 			glp := globalProgress()

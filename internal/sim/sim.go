@@ -151,9 +151,10 @@ func unpackFlit(w uint32) flit {
 // (vcStatus), the RC countdown (vcRCLeft) and the routing decision
 // (vcOutPort/vcOutVC). Per input port, two 64-bit masks index the VCs
 // worth visiting — inState.busy (non-empty) and inState.pipe (non-empty
-// and not yet vcActive, i.e. owed RC or VA work), with portPipeM
-// summarizing the pipe masks per router — so the pipeline loops scan
-// set bits instead of iterating and re-testing every VC. Output-port
+// and not yet vcActive, i.e. owed RC or VA work), with portPipeM and
+// portReadyM summarizing per router the ports owed RC/VA work and the
+// ports with a VC ready for switch allocation — so the pipeline loops
+// scan set bits instead of iterating and re-testing every VC. Output-port
 // state is flattened the same way (outCredits/outCh/outRRVA plus the
 // outFreeVC free-output-VC mask), turning VC allocation into a single
 // mask-and-rotate bit scan.

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -305,6 +307,16 @@ func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOption
 		if parent == nil {
 			parent = context.Background()
 		}
+		// Longest first: a point's run time grows with its offered load,
+		// so workers take points in descending load order (ties in index
+		// order). Handing out the highest loads last would leave the other
+		// workers idle while one finishes the sweep's longest point.
+		// Results stay slotted by index, so the order is unobservable.
+		order := make([]int, len(loads))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(loads[b], loads[a]) })
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -316,10 +328,11 @@ func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOption
 					func(ctx context.Context) {
 						var wn workerNet
 						for {
-							i := int(next.Add(1)) - 1
-							if i >= len(loads) {
+							k := int(next.Add(1)) - 1
+							if k >= len(order) {
 								return
 							}
+							i := order[k]
 							pprof.Do(ctx,
 								pprof.Labels("sweep_point", strconv.Itoa(i)),
 								func(context.Context) { errs[i] = runPoint(&wn, i) })

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"waferswitch/internal/obs"
@@ -20,8 +21,14 @@ func sweepTestConfig() Config {
 // network is seeded by PointSeed(base, i) regardless of which worker
 // runs it, and the aggregate is merged in point order after the barrier.
 // Table-driven over an indirect (Clos) and a direct (mesh, DOR-routed)
-// topology since they exercise different routing and channel shapes.
+// topology since they exercise different routing and channel shapes,
+// plus shuffled, non-monotone loads with a tie: parallel sweeps hand
+// points out in descending load, and that order must stay unobservable.
+// GOMAXPROCS is raised for the test so the worker pool runs even on a
+// one-core host, where Sweep would otherwise collapse it to the serial
+// path.
 func TestSweepParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	chip, err := ssc.MustTH5(200).Deradix(8)
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +46,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		// so its loads stay below the knee to keep drains fast.
 		{"clos128", testClos(t), []float64{0.05, 0.15, 0.25, 0.35, 0.45, 0.55}},
 		{"mesh3x3", mesh, []float64{0.02, 0.05, 0.08, 0.11}},
+		{"clos128-shuffled", testClos(t), []float64{0.3, 0.05, 0.45, 0.15, 0.3, 0.6, 0.1, 0.25}},
 	}
 	for _, tc := range cases {
 		loads := tc.loads
@@ -51,7 +59,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{4, 0} {
+			for _, workers := range []int{2, 4, 0} {
 				par, err := Sweep(build, injf, loads, SweepOptions{Workers: workers, Probe: true})
 				if err != nil {
 					t.Fatal(err)
