@@ -57,8 +57,8 @@ fmt:
 # shard_equiv_test), whose worker goroutines, boundary outboxes and
 # shared packet pool are exactly what the race detector exists to vet,
 # and the sharded-observer suite (timeline/attribution/checker byte-
-# identity, sharded deadlock dump, ShardStats), which adds per-shard
-# observer state and coordinator merges to that surface.
+# identity, sharded deadlock dump), which adds per-shard observer state
+# and coordinator merges to that surface.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/obs/...
 	$(GO) test -race -short ./internal/expt/...
@@ -112,10 +112,8 @@ bench-test:
 # regressions, any allocation or beyond-tolerance B/op growth on a
 # zero-alloc guard, or a silently dropped benchmark fail the target
 # before the snapshot is overwritten (a geomean ns/op delta line prints
-# either way). Independently of the baseline, benchjson gates the
-# sharded guard's serial/4-shard ratio at >= 2x whenever the run had
-# GOMAXPROCS >= 4 (skipped with a notice on fewer cores). To
-# intentionally re-pin after a known change: make bench-json DIFF_FLAGS=
+# either way). To intentionally re-pin after a known change:
+# make bench-json DIFF_FLAGS=
 DIFF_FLAGS ?= -diff BENCH_sim.json
 bench-json:
 	{ $(GO) test -run NONE -short -bench 'BenchmarkSimCycle$$|BenchmarkSimTimeline|BenchmarkSimTracer|BenchmarkSweepSerial$$|BenchmarkSweepParallel$$|BenchmarkSweepReuse$$|BenchmarkSweepExhaustive$$|BenchmarkSweepAdaptive$$|BenchmarkNetworkResetVsBuild$$' -benchmem . ; \

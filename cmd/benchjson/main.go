@@ -15,13 +15,6 @@
 // the benchmarks common to both runs is printed to stderr either way,
 // so improvements are visible in CI logs, not only regressions.
 //
-// Independently of -diff, when the run contains the sharded-engine
-// guard pair (BenchmarkSimShardedSaturated at 1 and 4 shards) and ran
-// with GOMAXPROCS >= 4, -shard-speedup gates the serial/4-shard ns/op
-// ratio — the "sharding actually buys wall-clock" contract. On fewer
-// cores the gate prints a skip notice instead (the ratio would measure
-// barrier overhead, not parallelism).
-//
 // Input lines it understands (all others pass through to the Ignored
 // count):
 //
@@ -208,50 +201,6 @@ const bopSlack = 512
 // jitter.
 const allocSlack = 2048
 
-// shardBenchSerial and shardBenchSharded name the benchmark pair the
-// sharded-engine speedup gate reads: the same whole-run guard executed
-// serially and split four ways (internal/sim BenchmarkSimShardedSaturated).
-const (
-	shardBenchSerial  = "SimShardedSaturated/clos/shards=1"
-	shardBenchSharded = "SimShardedSaturated/clos/shards=4"
-)
-
-// shardSpeedup gates the sharded engine's parallel speedup from a fresh
-// run: serial ns/op over 4-shard ns/op must reach minX. Unlike compare
-// it needs no baseline — both numbers come from the same run, so the
-// ratio is machine-relative by construction. The gate arms only when
-// both benchmarks are present and the sharded one ran with GOMAXPROCS
-// >= 4; with fewer cores there is nothing to parallelize onto and the
-// ratio measures barrier overhead, so the gate reports itself skipped
-// instead of failing. note is a human-readable stderr line (empty when
-// the pair is absent); violation is non-empty when the armed gate fails.
-func shardSpeedup(fresh *Output, minX float64) (note, violation string) {
-	byName := make(map[string]Benchmark, len(fresh.Benchmarks))
-	for _, b := range fresh.Benchmarks {
-		byName[b.Name] = b
-	}
-	ser, okSer := byName[shardBenchSerial]
-	sh, okSh := byName[shardBenchSharded]
-	if !okSer || !okSh {
-		return "", ""
-	}
-	if sh.Procs < 4 {
-		return fmt.Sprintf("shard speedup gate skipped: %s ran with GOMAXPROCS=%d < 4",
-			shardBenchSharded, sh.Procs), ""
-	}
-	serNs, shNs := ser.Metrics["ns/op"], sh.Metrics["ns/op"]
-	if serNs <= 0 || shNs <= 0 {
-		return "", ""
-	}
-	x := serNs / shNs
-	note = fmt.Sprintf("sharded speedup at 4 shards: %.2fx (%.0f -> %.0f ns/op)", x, serNs, shNs)
-	if x < minX {
-		violation = fmt.Sprintf("%s: speedup %.2fx below required %.2fx vs %s",
-			shardBenchSharded, x, minX, shardBenchSerial)
-	}
-	return note, violation
-}
-
 // geomeanDelta returns the geometric-mean ns/op ratio (fresh over
 // baseline) across the benchmarks present in both documents, and how
 // many benchmarks that covered. A ratio below 1 is an improvement. ok is
@@ -297,7 +246,6 @@ func loadBaseline(path string) (*Output, error) {
 func main() {
 	diff := flag.String("diff", "", "baseline JSON `file` (a previous benchjson output) to gate against: exit 1 on ns/op regressions beyond -diff-tolerance, any allocations on zero-alloc baselines, or missing benchmarks")
 	diffTol := flag.Float64("diff-tolerance", 15, "ns/op regression tolerance in `percent` for -diff")
-	shardX := flag.Float64("shard-speedup", 2, "minimum serial/4-shard ns/op `ratio` for the sharded-engine guard benchmarks; arms only when the run had GOMAXPROCS >= 4 (0 disables)")
 	flag.Parse()
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -323,15 +271,6 @@ func main() {
 				(ratio-1)*100, *diff, count)
 		}
 	}
-	if *shardX > 0 {
-		note, v := shardSpeedup(out, *shardX)
-		if note != "" {
-			fmt.Fprintf(os.Stderr, "benchjson: %s\n", note)
-		}
-		if v != "" {
-			violations = append(violations, v)
-		}
-	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(out); err != nil {
@@ -342,11 +281,7 @@ func main() {
 		for _, v := range violations {
 			fmt.Fprintf(os.Stderr, "benchjson: regression: %s\n", v)
 		}
-		against := *diff
-		if against == "" {
-			against = "this run's own guards"
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: %d regression(s) vs %s\n", len(violations), against)
+		fmt.Fprintf(os.Stderr, "benchjson: %d regression(s) vs %s\n", len(violations), *diff)
 		os.Exit(1)
 	}
 }

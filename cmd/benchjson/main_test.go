@@ -153,47 +153,6 @@ func TestCompareBytesOnZeroAllocBaseline(t *testing.T) {
 	}
 }
 
-// shardPair builds a fresh Output holding the sharded guard pair with
-// the given serial/sharded timings and the sharded run's GOMAXPROCS.
-func shardPair(serNs, shNs float64, procs int) *Output {
-	sh := bench(shardBenchSharded, shNs, 100)
-	sh.Procs = procs
-	return &Output{Benchmarks: []Benchmark{
-		bench(shardBenchSerial, serNs, 100),
-		sh,
-	}}
-}
-
-func TestShardSpeedup(t *testing.T) {
-	cases := []struct {
-		name     string
-		fresh    *Output
-		wantNote bool
-		wantViol bool
-		wantSkip bool
-	}{
-		{"pair absent", &Output{Benchmarks: []Benchmark{bench("SimCycle", 100, 0)}}, false, false, false},
-		{"skipped below 4 procs", shardPair(1000, 1000, 1), true, false, true},
-		{"passes at 2.5x", shardPair(2500, 1000, 8), true, false, false},
-		{"passes at exactly 2x", shardPair(2000, 1000, 4), true, false, false},
-		{"fails at 1.3x", shardPair(1300, 1000, 8), true, true, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			note, viol := shardSpeedup(tc.fresh, 2)
-			if (note != "") != tc.wantNote {
-				t.Errorf("note = %q, want present=%v", note, tc.wantNote)
-			}
-			if (viol != "") != tc.wantViol {
-				t.Errorf("violation = %q, want present=%v", viol, tc.wantViol)
-			}
-			if tc.wantSkip != strings.Contains(note, "skipped") {
-				t.Errorf("note = %q, want skip notice=%v", note, tc.wantSkip)
-			}
-		})
-	}
-}
-
 func TestGeomeanDelta(t *testing.T) {
 	base := &Output{Benchmarks: []Benchmark{
 		bench("A", 1000, 0),

@@ -14,12 +14,6 @@
 //	wsswitch -workers N <id>   cap the worker goroutines experiments fan
 //	                           sweep points across (0 = one per CPU,
 //	                           1 = serial; results are identical)
-//	wsswitch -shards N <id>    shard each simulation across N goroutines
-//	                           (spatial partition, bit-identical results;
-//	                           composes with -timeline, -attribution and
-//	                           -http — sharded runs also feed a /shards
-//	                           endpoint with shard-runtime introspection
-//	                           and a shard_stats block in -json)
 //	wsswitch -cpuprofile f ... write a pprof CPU profile of the run
 //	                           (samples carry experiment/worker/point
 //	                           pprof labels)
@@ -35,8 +29,7 @@
 //	wsswitch -http :8080 ...   serve live introspection while running:
 //	                           /metrics (Prometheus text), /timeline
 //	                           (sampler series JSON), /attribution and
-//	                           /heatmap (congestion attribution), /shards
-//	                           (shard-runtime stats under -shards),
+//	                           /heatmap (congestion attribution),
 //	                           /debug/pprof, /debug/vars (expvar);
 //	                           SIGINT/SIGTERM drain the server and exit 0
 //	wsswitch -timeline N ...   attach time-resolved samplers (N-cycle
@@ -80,12 +73,6 @@ import (
 type jsonOutput struct {
 	Options     jsonOptions  `json:"options"`
 	Experiments []jsonResult `json:"experiments"`
-	// ShardStats is the shard-runtime introspection aggregated over every
-	// sharded simulation of the run (omitted when serial): per-shard
-	// busy/barrier-wait wall-clock, outbox high-water marks, epoch and
-	// partition shape. Wall-clock numbers vary run to run; the simulation
-	// results above them do not.
-	ShardStats *obs.ShardStatsSnapshot `json:"shard_stats,omitempty"`
 }
 
 type jsonOptions struct {
@@ -97,10 +84,6 @@ type jsonOptions struct {
 	Adaptive bool `json:"adaptive,omitempty"`
 	// Attribution is likewise omitted when congestion attribution is off.
 	Attribution bool `json:"attribution,omitempty"`
-	// Shards records the sharded-engine width (omitted when serial), so a
-	// -json artifact names the execution mode that produced it — even
-	// though sharded results are bit-identical to serial ones.
-	Shards int `json:"shards,omitempty"`
 }
 
 type jsonResult struct {
@@ -119,7 +102,6 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "emit results as JSON (tables, raw stats, probe snapshots)")
 	verbose := flag.Bool("v", false, "structured progress logs (slog) on stderr")
 	workers := flag.Int("workers", 0, "worker goroutines for parallel sweeps (0 = GOMAXPROCS, 1 = serial)")
-	shards := flag.Int("shards", 0, "shard each simulation across `N` goroutines (spatial partition; <=1 = serial, results bit-identical)")
 	cpuprofile := flag.String("cpuprofile", "", "write CPU profile to `file`")
 	memprofile := flag.String("memprofile", "", "write heap profile to `file`")
 	replay := flag.String("replay", "", "re-run a differential-test `spec` (as printed by a failing equivalence test or fuzz run) through both simulators and report")
@@ -143,12 +125,7 @@ func run() int {
 		return 2
 	}
 	opts := expt.Options{Quick: *quick, Seed: *seed, Probe: *jsonOut, Workers: *workers,
-		Shards: *shards, TimelineInterval: *timeline, Adaptive: *adaptive, Attribution: *attribution}
-	var shardStats *obs.ShardStats
-	if *shards > 1 {
-		shardStats = &obs.ShardStats{}
-		opts.ShardStats = shardStats
-	}
+		TimelineInterval: *timeline, Adaptive: *adaptive, Attribution: *attribution}
 	if *verbose {
 		opts.Logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{
 			Level: slog.LevelDebug,
@@ -162,13 +139,13 @@ func run() int {
 		opts.Live = &obs.LiveTimelines{}
 		opts.Attribution = true // live /attribution and /heatmap need collectors
 		opts.LiveAttrib = &obs.LiveAttribution{}
-		srv, err := startServer(*httpAddr, opts.Progress, opts.Live, opts.LiveAttrib, shardStats)
+		srv, err := startServer(*httpAddr, opts.Progress, opts.Live, opts.LiveAttrib)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wsswitch: %v\n", err)
 			return 1
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "wsswitch: introspection server on http://%s (/metrics /timeline /attribution /heatmap /shards /debug/pprof /debug/vars)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "wsswitch: introspection server on http://%s (/metrics /timeline /attribution /heatmap /debug/pprof /debug/vars)\n", srv.Addr())
 		// Graceful shutdown: SIGINT/SIGTERM stop the listener, let
 		// in-flight scrapes finish (bounded), and exit 0 — so supervisors
 		// that TERM a monitored run don't lose the final scrape or see a
@@ -217,7 +194,7 @@ func run() int {
 
 	failed := false
 	out := jsonOutput{Options: jsonOptions{Quick: *quick, Seed: *seed, Workers: *workers,
-		Adaptive: *adaptive, Attribution: opts.Attribution, Shards: *shards}}
+		Adaptive: *adaptive, Attribution: opts.Attribution}}
 	for _, id := range ids {
 		t, err := expt.Run(id, opts)
 		if err != nil {
@@ -230,9 +207,6 @@ func run() int {
 		if !*jsonOut {
 			fmt.Println(t.Render())
 		}
-	}
-	if shardStats != nil {
-		out.ShardStats = shardStats.Snapshot()
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -357,9 +331,6 @@ examples:
   wsswitch -json fig22 > fig22.json # tables + stats + probe counters
   wsswitch -v -quick fig23          # watch simulation progress
   wsswitch -workers 1 fig22         # force serial execution (same results)
-  wsswitch -shards 4 fig22          # shard each simulation 4 ways (same results)
-  wsswitch -shards 4 -json fig22    # ...plus shard-runtime stats (shard_stats)
-  wsswitch -shards 4 -http :8080 fig21     # sharded run with live /shards + /heatmap
   wsswitch -cpuprofile cpu.out fig24
   wsswitch -replay "family=clos size=0 pattern=uniform link=1 vcs=2 buf=8 pkt=2 rci=1 rco=1 pipe=1 term=1 warmup=50 measure=150 drain=0 seed=42 load=0.25"
   wsswitch -replay "..." -trace out.json   # packet-lifecycle trace for Perfetto

@@ -24,12 +24,11 @@ import (
 // own mux (not http.DefaultServeMux), so a process can start servers
 // repeatedly (tests do) without handler-collision panics.
 type server struct {
-	ln     net.Listener
-	srv    *http.Server
-	prog   *obs.Progress
-	live   *obs.LiveTimelines
-	attr   *obs.LiveAttribution
-	shards *obs.ShardStats
+	ln   net.Listener
+	srv  *http.Server
+	prog *obs.Progress
+	live *obs.LiveTimelines
+	attr *obs.LiveAttribution
 }
 
 // expvar.Publish panics on duplicate names, so the progress/timeline
@@ -40,9 +39,8 @@ var publishVars sync.Once
 // startServer listens on addr and serves in a background goroutine.
 // The returned server reports the bound address (Addr), so addr may use
 // port 0. attr may be nil; /attribution and /heatmap then report 404.
-// shards may be nil (serial run); /shards then reports 404.
-func startServer(addr string, prog *obs.Progress, live *obs.LiveTimelines, attr *obs.LiveAttribution, shards *obs.ShardStats) (*server, error) {
-	s := &server{prog: prog, live: live, attr: attr, shards: shards}
+func startServer(addr string, prog *obs.Progress, live *obs.LiveTimelines, attr *obs.LiveAttribution) (*server, error) {
+	s := &server{prog: prog, live: live, attr: attr}
 	publishVars.Do(func() {
 		expvar.Publish("wsswitch.progress", expvar.Func(func() any { return s.prog.Snapshot() }))
 		expvar.Publish("wsswitch.timelines", expvar.Func(func() any { return s.live.Names() }))
@@ -52,7 +50,6 @@ func startServer(addr string, prog *obs.Progress, live *obs.LiveTimelines, attr 
 	mux.HandleFunc("/timeline", s.timeline)
 	mux.HandleFunc("/attribution", s.attribution)
 	mux.HandleFunc("/heatmap", s.heatmap)
-	mux.HandleFunc("/shards", s.shardstats)
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", httppprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
@@ -109,32 +106,6 @@ func (s *server) metrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# HELP wsswitch_timelines Registered live timeline series.\n")
 	fmt.Fprintf(w, "# TYPE wsswitch_timelines gauge\n")
 	fmt.Fprintf(w, "wsswitch_timelines %d\n", len(s.live.Names()))
-	if s.shards != nil {
-		if ss := s.shards.Snapshot(); ss != nil {
-			fmt.Fprintf(w, "# HELP wsswitch_shard_runs Sharded simulations recorded so far.\n")
-			fmt.Fprintf(w, "# TYPE wsswitch_shard_runs counter\n")
-			fmt.Fprintf(w, "wsswitch_shard_runs %d\n", ss.Runs)
-			fmt.Fprintf(w, "# HELP wsswitch_shard_barriers_total Epoch barriers executed across sharded runs.\n")
-			fmt.Fprintf(w, "# TYPE wsswitch_shard_barriers_total counter\n")
-			fmt.Fprintf(w, "wsswitch_shard_barriers_total %d\n", ss.Barriers)
-			fmt.Fprintf(w, "# HELP wsswitch_shard_epoch_cycles Conservative-lookahead epoch of the latest partition.\n")
-			fmt.Fprintf(w, "# TYPE wsswitch_shard_epoch_cycles gauge\n")
-			fmt.Fprintf(w, "wsswitch_shard_epoch_cycles %d\n", ss.Epoch)
-			fmt.Fprintf(w, "# HELP wsswitch_shard_imbalance Largest shard's router share relative to a perfect split.\n")
-			fmt.Fprintf(w, "# TYPE wsswitch_shard_imbalance gauge\n")
-			fmt.Fprintf(w, "wsswitch_shard_imbalance %g\n", ss.Imbalance)
-			fmt.Fprintf(w, "# HELP wsswitch_shard_busy_ratio Fraction of each shard worker's wall-clock spent stepping cycles (vs waiting at barriers).\n")
-			fmt.Fprintf(w, "# TYPE wsswitch_shard_busy_ratio gauge\n")
-			for _, row := range ss.PerShard {
-				fmt.Fprintf(w, "wsswitch_shard_busy_ratio{shard=\"%d\"} %g\n", row.Shard, row.BusyRatio)
-			}
-			fmt.Fprintf(w, "# HELP wsswitch_shard_outbox_peak High-water mark of boundary events a shard buffered at one barrier.\n")
-			fmt.Fprintf(w, "# TYPE wsswitch_shard_outbox_peak gauge\n")
-			for _, row := range ss.PerShard {
-				fmt.Fprintf(w, "wsswitch_shard_outbox_peak{shard=\"%d\"} %d\n", row.Shard, row.OutboxPeak)
-			}
-		}
-	}
 	if s.attr == nil {
 		return
 	}
@@ -207,28 +178,6 @@ func (s *server) attribution(w http.ResponseWriter, _ *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(out) //nolint:errcheck // client gone
-}
-
-// shardstats serves the shard-runtime introspection of the sharded
-// engine: partition shape (routers/terminals per shard, epoch, boundary
-// channels, imbalance), barrier counts, and per-shard busy/wait
-// wall-clock with outbox high-water marks — aggregated over every
-// sharded simulation completed so far. 404 when the run is serial or no
-// sharded run has finished yet.
-func (s *server) shardstats(w http.ResponseWriter, _ *http.Request) {
-	if s.shards == nil {
-		http.Error(w, "shard stats disabled (run with -shards N, N > 1)", http.StatusNotFound)
-		return
-	}
-	snap := s.shards.Snapshot()
-	if snap == nil {
-		http.Error(w, "no sharded run completed yet", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(snap) //nolint:errcheck // client gone
 }
 
 // heatmap serves just the per-router stall matrix of the live

@@ -36,39 +36,35 @@ func get(t *testing.T, srv *server, path string) (int, string) {
 }
 
 // The introspection server must expose /metrics (Prometheus text),
-// /timeline (series JSON), /attribution, /heatmap, /shards, expvar and
-// pprof — while a *sharded* experiment runs and reports into the shared
-// Progress/LiveTimelines/LiveAttribution/ShardStats, without changing
-// its results relative to a plain serial run.
+// /timeline (series JSON), /attribution, /heatmap, expvar and pprof —
+// while an experiment runs and reports into the shared
+// Progress/LiveTimelines/LiveAttribution, without changing its results
+// relative to a plain run.
 func TestServerEndpointsDuringRun(t *testing.T) {
 	prog := &obs.Progress{}
 	live := &obs.LiveTimelines{}
 	attr := &obs.LiveAttribution{}
-	shardStats := &obs.ShardStats{}
-	srv, err := startServer("127.0.0.1:0", prog, live, attr, shardStats)
+	srv, err := startServer("127.0.0.1:0", prog, live, attr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	// Before any point completes, the attribution and shard endpoints 404.
+	// Before any point completes, the attribution endpoints 404.
 	if code, _ := get(t, srv, "/attribution"); code != http.StatusNotFound {
 		t.Errorf("/attribution before any point: status %d, want 404", code)
 	}
 	if code, _ := get(t, srv, "/heatmap"); code != http.StatusNotFound {
 		t.Errorf("/heatmap before any point: status %d, want 404", code)
 	}
-	if code, _ := get(t, srv, "/shards"); code != http.StatusNotFound {
-		t.Errorf("/shards before any sharded run: status %d, want 404", code)
-	}
 
-	// Baseline: the experiment without any introspection attached, serial.
+	// Baseline: the experiment without any introspection attached.
 	plain, err := expt.Run("fig21", expt.Options{Quick: true, Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Poll the endpoints concurrently with the instrumented sharded run.
+	// Poll the endpoints concurrently with the instrumented run.
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -84,11 +80,9 @@ func TestServerEndpointsDuringRun(t *testing.T) {
 			get(t, srv, "/timeline")
 			get(t, srv, "/attribution")
 			get(t, srv, "/heatmap")
-			get(t, srv, "/shards")
 		}
 	}()
 	served, err := expt.Run("fig21", expt.Options{Quick: true, Seed: 3, Workers: 2,
-		Shards: 2, ShardStats: shardStats,
 		Progress: prog, Live: live, TimelineInterval: 100,
 		Attribution: true, LiveAttrib: attr})
 	close(done)
@@ -97,7 +91,7 @@ func TestServerEndpointsDuringRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(plain.Rows) != fmt.Sprint(served.Rows) {
-		t.Errorf("live sharded serving perturbed results:\nplain serial   %v\nserved sharded %v", plain.Rows, served.Rows)
+		t.Errorf("live serving perturbed results:\nplain  %v\nserved %v", plain.Rows, served.Rows)
 	}
 
 	code, body := get(t, srv, "/metrics")
@@ -111,10 +105,6 @@ func TestServerEndpointsDuringRun(t *testing.T) {
 		"wsswitch_attributed_packets", "wsswitch_stage_cycles_total",
 		`wsswitch_stage_latency_mean_cycles{stage="credit_stall"}`,
 		`wsswitch_stage_latency_p99_cycles{stage="serialization"}`,
-		"wsswitch_shard_runs", "wsswitch_shard_barriers_total",
-		"wsswitch_shard_epoch_cycles", "wsswitch_shard_imbalance",
-		`wsswitch_shard_busy_ratio{shard="0"}`,
-		`wsswitch_shard_outbox_peak{shard="1"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
@@ -201,27 +191,6 @@ func TestServerEndpointsDuringRun(t *testing.T) {
 		}
 	}
 
-	// /shards: shard-runtime introspection of the sharded engine.
-	code, body = get(t, srv, "/shards")
-	if code != http.StatusOK {
-		t.Fatalf("/shards: status %d\n%s", code, body)
-	}
-	var shSnap obs.ShardStatsSnapshot
-	if err := json.Unmarshal([]byte(body), &shSnap); err != nil {
-		t.Fatalf("/shards not valid JSON: %v", err)
-	}
-	if shSnap.Runs == 0 || shSnap.Shards != 2 {
-		t.Errorf("/shards records %d runs on %d shards, want >0 runs on 2 shards", shSnap.Runs, shSnap.Shards)
-	}
-	if len(shSnap.PerShard) != 2 {
-		t.Errorf("/shards has %d per-shard rows, want 2", len(shSnap.PerShard))
-	}
-	for i, row := range shSnap.PerShard {
-		if row.Routers == 0 || row.Segments == 0 {
-			t.Errorf("/shards row %d empty: %+v", i, row)
-		}
-	}
-
 	// expvar and pprof ride on the server's own mux.
 	code, body = get(t, srv, "/debug/vars")
 	if code != http.StatusOK || !strings.Contains(body, "wsswitch.progress") {
@@ -236,18 +205,15 @@ func TestServerEndpointsDuringRun(t *testing.T) {
 // in-flight request run to completion with a full response — the
 // SIGINT/SIGTERM drain path.
 func TestServerGracefulShutdown(t *testing.T) {
-	srv, err := startServer("127.0.0.1:0", &obs.Progress{}, &obs.LiveTimelines{}, nil, nil)
+	srv, err := startServer("127.0.0.1:0", &obs.Progress{}, &obs.LiveTimelines{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	// With no LiveAttribution or ShardStats wired, the endpoints say so.
+	// With no LiveAttribution wired, the endpoint says so.
 	if code, body := get(t, srv, "/attribution"); code != http.StatusNotFound || !strings.Contains(body, "disabled") {
 		t.Errorf("/attribution with nil attr: status %d body %q", code, body)
-	}
-	if code, body := get(t, srv, "/shards"); code != http.StatusNotFound || !strings.Contains(body, "disabled") {
-		t.Errorf("/shards with nil shard stats: status %d body %q", code, body)
 	}
 
 	// Put a request in flight: send the headers but hold back the final

@@ -104,22 +104,37 @@ func TestParallelSweepDeterministic(t *testing.T) {
 	}
 }
 
-// A parallelized design-space experiment must produce the identical
-// table serially and in parallel (and exercises core.MaxPorts / the
-// mapping optimizer across pool goroutines under -race).
+// A parallelized experiment must produce the identical table serially
+// and in parallel (and exercises core.MaxPorts / the mapping optimizer
+// across pool goroutines under -race). Outside -short, fig22 adds the
+// observer attachments — probe snapshots, timelines and attribution,
+// everything wsswitch -json serializes — to the comparison.
 func TestParallelExperimentDeterministic(t *testing.T) {
-	for _, id := range []string{"fig7", "fig21"} {
-		serial, err := Run(id, Options{Quick: true, Seed: 5, Workers: 1})
+	cases := []struct {
+		id string
+		o  Options
+	}{
+		{"fig7", Options{Quick: true, Seed: 5}},
+		{"fig21", Options{Quick: true, Seed: 5}},
+		{"fig22", Options{Quick: true, Seed: 1, Probe: true, TimelineInterval: 100, Attribution: true}},
+	}
+	for _, c := range cases {
+		if c.id == "fig22" && testing.Short() {
+			continue // two observed fig22 runs
+		}
+		c.o.Workers = 1
+		serial, err := Run(c.id, c.o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Run(id, Options{Quick: true, Seed: 5, Workers: 4})
+		c.o.Workers = 4
+		par, err := Run(c.id, c.o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(serial, par) {
 			t.Errorf("%s: parallel table diverges from serial\nserial:\n%s\npar:\n%s",
-				id, serial.Render(), par.Render())
+				c.id, serial.Render(), par.Render())
 		}
 	}
 }

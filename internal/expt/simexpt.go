@@ -111,8 +111,7 @@ func sweepAttach(t *Table, o Options, series string, res *sim.SweepResult) {
 // append "/load=<load>").
 func runSweep(o Options, name string, build sim.Builder, injf sim.InjectorFactory, loads []float64) (*sim.SweepResult, error) {
 	return sim.Sweep(build, injf, loads, sim.SweepOptions{
-		Workers: o.Workers, Shards: o.Shards, ShardStats: o.ShardStats,
-		Probe: o.Probe, Ctx: o.context(),
+		Workers: o.Workers, Probe: o.Probe, Ctx: o.context(),
 		TimelineInterval: o.TimelineInterval,
 		Live:             o.Live, LiveName: name,
 		Progress:    o.Progress,
@@ -176,8 +175,7 @@ func fig21(o Options) (*Table, error) {
 			cfg := o.waferscaleConfig(warm, measure, 8, buf, 4)
 			build := func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(lat), cfg) }
 			res, err := sim.FindSaturation(build, sim.SyntheticInjector(traffic.Uniform(ports), 4),
-				sim.SaturationSearchOptions{Hi: loads[len(loads)-1], Tol: 0.05, Abort: o.abort(),
-					Shards: o.Shards, ShardStats: o.ShardStats})
+				sim.SaturationSearchOptions{Hi: loads[len(loads)-1], Tol: 0.05, Abort: o.abort()})
 			if err != nil {
 				return err
 			}
@@ -212,7 +210,7 @@ func fig21(o Options) (*Table, error) {
 			cfg := o.waferscaleConfig(warm, measure, 8, buf, 4)
 			build := func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(lat), cfg) }
 			res, err := sim.Sweep(build, sim.SyntheticInjector(traffic.Uniform(ports), 4), loads, sim.SweepOptions{
-				Workers: 1, Shards: o.Shards, ShardStats: o.ShardStats, Ctx: o.context(),
+				Workers: 1, Ctx: o.context(),
 				TimelineInterval: o.TimelineInterval,
 				Live:             o.Live,
 				LiveName:         fmt.Sprintf("fig21/buf=%d/lat=%d", buf, lat),

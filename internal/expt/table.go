@@ -163,20 +163,6 @@ type Options struct {
 	// the latency reported for non-drained points change.
 	Adaptive bool
 
-	// Shards, when > 1, runs every simulator point through the sharded
-	// single-sim engine (sim.Network.RunSharded) on that many shards
-	// (wsswitch -shards). Results are bit-identical to serial runs, and
-	// the shard-aware observers (TimelineInterval, Attribution, the
-	// live introspection feeds) compose with it; only the flight
-	// recorder remains serial-only.
-	Shards int
-	// ShardStats, when non-nil (and Shards > 1), collects shard-runtime
-	// introspection — per-shard busy/barrier-wait wall-clock, outbox
-	// high-water marks, epoch and partition shape — from every sharded
-	// simulator point, the feed behind `wsswitch -json`'s shard_stats
-	// block and the introspection server's /shards endpoint.
-	ShardStats *obs.ShardStats
-
 	// ctx carries the experiment's pprof label context, set by Run, so
 	// worker goroutines add their worker/point labels to the experiment
 	// label instead of replacing it.

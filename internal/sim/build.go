@@ -319,13 +319,6 @@ type Network struct {
 	// decomposition and blame counters, nil-checked on every event site
 	// like the probe.
 	at *attribState
-
-	// shardStats, when non-nil, receives one shard-runtime record per
-	// RunSharded (epoch counts, barrier-wait vs busy wall-clock, outbox
-	// high-water marks, partition imbalance — see obs.ShardStats). The
-	// record is wall-clock instrumentation collected outside the
-	// deterministic simulation state; serial runs ignore it.
-	shardStats *obs.ShardStats
 }
 
 // Build instantiates a simulable network from a logical topology. Every

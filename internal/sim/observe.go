@@ -85,14 +85,6 @@ func (n *Network) takeWindowLatSum() float64 {
 	return sum
 }
 
-// SetShardStats attaches a shard-runtime collector: every RunSharded
-// records one obs.ShardRun into it (per-shard busy/barrier-wait time,
-// outbox high-water marks, epoch and partition shape); serial Run
-// ignores it. The record is wall-clock instrumentation collected outside
-// the deterministic simulation state, so attaching it never perturbs
-// results. Attaching nil detaches.
-func (n *Network) SetShardStats(s *obs.ShardStats) { n.shardStats = s }
-
 // Trace starts recording packet-lifecycle events into rec: head-of-
 // packet inject, per-router RC/VA/ST pipeline entries, and tail eject.
 // The recorder is a bounded ring (a flight recorder), so tracing never

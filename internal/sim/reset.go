@@ -37,8 +37,8 @@ import "waferswitch/internal/obs"
 // Reset rewinds the network to the pristine just-built state, reseeded
 // with seed, reusing every backing array. All observers (probe,
 // timeline, tracer, attribution, checker, abort detector, delivery
-// recording, shard stats) are detached, as on a fresh Build — reattach
-// what the next run needs. The cached shard plan survives, so a
+// recording) are detached, as on a fresh Build — reattach what the
+// next run needs. The cached shard plan survives, so a
 // following RunSharded reuses its shard copies and outboxes.
 func (n *Network) Reset(seed int64) {
 	clear(n.vcQ)
@@ -144,7 +144,6 @@ func (n *Network) Reset(seed int64) {
 	clear(n.tlLatSumR)
 	n.tr = nil
 	n.at = nil
-	n.shardStats = nil
 
 	// Random streams, reseeded in place (see initTermRng).
 	n.cfg.Seed = seed

@@ -79,7 +79,8 @@ func (ti *TraceInjector) Generate(term int, now int64, _ *rand.Rand) (int, int, 
 const maxPendingPerTerm = 4096
 
 // Run simulates warmup + measurement, then drains measured packets. A
-// Network can only be run once; build a fresh one per run.
+// Network runs once per build or Reset: call Reset (or build a fresh
+// one) before running it again.
 func (n *Network) Run(inj Injector, offered float64) Stats {
 	cfg := n.cfg
 	n.measStart = int64(cfg.WarmupCycles)

@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-
-	"waferswitch/internal/obs"
 )
 
 // SaturationSearchOptions configures FindSaturation.
@@ -24,14 +22,6 @@ type SaturationSearchOptions struct {
 	// every probed point, so the saturated half of the bracket costs a
 	// fraction of its drain budget (see AbortOptions).
 	Abort *AbortOptions
-	// Shards, when > 1, runs every probed point through the sharded
-	// engine (Network.RunSharded). Per-point results — and therefore the
-	// bisection path and the returned bracket — are bit-identical to the
-	// serial search.
-	Shards int
-	// ShardStats, when non-nil (and Shards > 1), collects shard-runtime
-	// introspection from every probed point (see obs.ShardStats).
-	ShardStats *obs.ShardStats
 }
 
 // SaturationResult is the outcome of a bisection saturation search.
@@ -94,8 +84,8 @@ func FindSaturation(build Builder, injf InjectorFactory, opt SaturationSearchOpt
 	// The search is strictly sequential, so one network serves every
 	// evaluation: built on the first, Reset between the rest (seeded by
 	// evaluation index, exactly as the fresh-build-per-eval version
-	// was). Reset clears the abort detector and shard-stats hook, so
-	// both are re-armed per evaluation.
+	// was). Reset clears the abort detector, so it is re-armed per
+	// evaluation.
 	var wn workerNet
 	eval := func(load float64) (Stats, error) {
 		n, err := wn.get(build, res.Evaluations)
@@ -109,17 +99,7 @@ func FindSaturation(build Builder, injf InjectorFactory, opt SaturationSearchOpt
 		if err != nil {
 			return Stats{}, err
 		}
-		var st Stats
-		if opt.Shards > 1 {
-			if opt.ShardStats != nil {
-				n.SetShardStats(opt.ShardStats)
-			}
-			if st, err = n.RunSharded(inj, load, opt.Shards); err != nil {
-				return Stats{}, err
-			}
-		} else {
-			st = n.Run(inj, load)
-		}
+		st := n.Run(inj, load)
 		res.Evaluations++
 		res.Points = append(res.Points, SweepPoint{Stats: st})
 		if st.Accepted > res.SaturationThroughput {

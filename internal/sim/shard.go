@@ -6,7 +6,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"sync"
-	"time"
 
 	"waferswitch/internal/obs"
 )
@@ -391,7 +390,6 @@ func (n *Network) RunSharded(inj Injector, offered float64, shards int) (Stats, 
 		n.plan = n.buildShardPlan(S)
 	}
 	p := n.plan
-	cuts, ts := p.cuts, p.ts
 	flitRef, credRef := p.flitRef, p.credRef
 	offS, cntS := p.offS, p.cntS
 	boxes, nets := p.boxes, p.nets
@@ -532,18 +530,7 @@ func (n *Network) RunSharded(inj Injector, offered float64, shards int) (Stats, 
 
 	// Persistent workers driven by per-segment channel sends; the
 	// send/Wait pair is the two-phase barrier (workers quiesce, then the
-	// coordinator owns all state until the next send). With a ShardStats
-	// collector attached, each worker splits its wall-clock into stepping
-	// (busy) and blocked-at-barrier (wait) time — nondeterministic data
-	// that lives outside every byte-compared structure, gated so untimed
-	// runs pay nothing.
-	type shardClock struct {
-		busyNs, waitNs int64
-		segs           int64
-	}
-	clocks := make([]shardClock, S)
-	outboxPeak := make([]int, S)
-	var barriers int64
+	// coordinator owns all state until the next send).
 	type segment struct{ from, to int64 }
 	starts := make([]chan segment, S)
 	var wg sync.WaitGroup
@@ -552,25 +539,9 @@ func (n *Network) RunSharded(inj Injector, offered float64, shards int) (Stats, 
 		go func(s int) {
 			pprof.Do(context.Background(), pprof.Labels("sim_shard", strconv.Itoa(s)), func(context.Context) {
 				sh := nets[s]
-				timed := n.shardStats != nil
-				var waitFrom time.Time
-				if timed {
-					waitFrom = time.Now()
-				}
 				for seg := range starts[s] {
-					var t0 time.Time
-					if timed {
-						t0 = time.Now()
-						clocks[s].waitNs += t0.Sub(waitFrom).Nanoseconds()
-					}
 					for sh.now = seg.from; sh.now < seg.to; sh.now++ {
 						sh.step(inj)
-					}
-					if timed {
-						t1 := time.Now()
-						clocks[s].busyNs += t1.Sub(t0).Nanoseconds()
-						clocks[s].segs++
-						waitFrom = t1
 					}
 					wg.Done()
 				}
@@ -588,20 +559,6 @@ func (n *Network) RunSharded(inj Injector, offered float64, shards int) (Stats, 
 			starts[s] <- segment{from, to}
 		}
 		wg.Wait()
-		barriers++
-		if n.shardStats != nil {
-			// Outbox depth high-water mark per producer shard, sampled at
-			// the barrier before the commit drains the boxes.
-			for ss := 0; ss < S; ss++ {
-				depth := 0
-				for ds := 0; ds < S; ds++ {
-					depth += len(boxes[ss][ds].ents)
-				}
-				if depth > outboxPeak[ss] {
-					outboxPeak[ss] = depth
-				}
-			}
-		}
 		// Boundary commit: drain every outbox into the owning shard's
 		// ring slab in fixed (consumer, producer, production) order.
 		// Each entry lands in a distinct slot (one event per channel per
@@ -1012,31 +969,6 @@ func (n *Network) RunSharded(inj Injector, offered float64, shards int) (Stats, 
 				"stranded", n.measuredBorn-st.Completed, "cycles", st.Cycles,
 				"aborted", st.Aborted)
 		}
-	}
-	if n.shardStats != nil {
-		run := obs.ShardRun{
-			Shards: S, Epoch: epoch, BoundaryChannels: nBoundary,
-			Barriers: barriers, Cycles: n.now,
-		}
-		maxR := 0
-		for s := 0; s < S; s++ {
-			nr := cuts[s+1] - cuts[s]
-			if nr > maxR {
-				maxR = nr
-			}
-			run.PerShard = append(run.PerShard, obs.ShardSeg{
-				Routers:    nr,
-				Terminals:  ts[cuts[s+1]] - ts[cuts[s]],
-				Segments:   clocks[s].segs,
-				BusyNs:     clocks[s].busyNs,
-				WaitNs:     clocks[s].waitNs,
-				OutboxPeak: outboxPeak[s],
-			})
-		}
-		// Imbalance 1.0 means a perfectly even router split; the largest
-		// shard bounds the critical path between barriers.
-		run.Imbalance = float64(maxR) * float64(S) / float64(n.R)
-		n.shardStats.Record(run)
 	}
 	return st, nil
 }

@@ -393,115 +393,6 @@ func TestRunShardedProbeMerge(t *testing.T) {
 	}
 }
 
-// TestFindSaturationShardedByteIdentical: the bisection saturation
-// search with every probed point sharded four ways must return a
-// byte-identical result (same bracket, same evaluation path, same
-// per-point stats) as the serial search — with and without the
-// early-abort detector, i.e. against both the adaptive and the
-// exhaustive-drain configurations.
-func TestFindSaturationShardedByteIdentical(t *testing.T) {
-	build, injf := satMesh(t)
-	for _, abort := range []*AbortOptions{nil, {}} {
-		serial, err := FindSaturation(build, injf, SaturationSearchOptions{Hi: 0.4, Tol: 0.02, Abort: abort})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded, err := FindSaturation(build, injf, SaturationSearchOptions{Hi: 0.4, Tol: 0.02, Abort: abort, Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := json.Marshal(serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := json.Marshal(sharded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("abort=%v: sharded search diverged from serial\nserial  %s\nsharded %s", abort != nil, want, got)
-		}
-		if !serial.Saturated {
-			t.Fatalf("abort=%v: search did not saturate; test is vacuous", abort != nil)
-		}
-	}
-}
-
-// TestSweepShardedMatchesSerial: the sweep engine's Shards option must
-// not change any per-point stats or the aggregate histogram, and must
-// compose with parallel workers.
-func TestSweepShardedMatchesSerial(t *testing.T) {
-	top := testClos(t)
-	cfg := shardTestConfig()
-	build := func() (*Network, error) { return Build(top, ConstantLatency(1), cfg) }
-	injf := SyntheticInjector(traffic.Uniform(top.ExternalPorts()), cfg.PacketFlits)
-	loads := []float64{0.1, 0.4, 0.7}
-
-	serial, err := Sweep(build, injf, loads, SweepOptions{Workers: 1, Probe: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := Sweep(build, injf, loads, SweepOptions{Workers: 2, Shards: 3, Probe: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, hs := serial.Stats(), sharded.Stats()
-	for i := range ss {
-		if ss[i] != hs[i] {
-			t.Errorf("point %d diverges:\n  serial  %+v\n  sharded %+v", i, ss[i], hs[i])
-		}
-	}
-	want, err := json.Marshal(serial.Aggregate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := json.Marshal(sharded.Aggregate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("aggregate snapshots diverge:\n  serial  %s\n  sharded %s", want, got)
-	}
-}
-
-// TestSweepShardedGlobalObserversMatchSerial: timeline sampling and
-// congestion attribution now ride through the sharded sweep engine; the
-// whole sweep result — per-point stats, backpressure reports, merged
-// timeline and merged attribution — must render to the same JSON bytes
-// as a serial sweep, and compose with parallel workers.
-func TestSweepShardedGlobalObserversMatchSerial(t *testing.T) {
-	top := testClos(t)
-	cfg := shardTestConfig()
-	build := func() (*Network, error) { return Build(top, ConstantLatency(1), cfg) }
-	injf := SyntheticInjector(traffic.Uniform(top.ExternalPorts()), cfg.PacketFlits)
-	loads := []float64{0.2, 0.5}
-
-	serial, err := Sweep(build, injf, loads, SweepOptions{
-		Workers: 1, TimelineInterval: 25, Attribution: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := Sweep(build, injf, loads, SweepOptions{
-		Workers: 2, Shards: 3, TimelineInterval: 25, Attribution: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := json.Marshal(sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("observer-on sweep results diverge:\n  serial  %s\n  sharded %s", want, got)
-	}
-	if serial.Timeline == nil || serial.Attribution == nil {
-		t.Fatal("serial sweep produced no timeline or attribution; test is vacuous")
-	}
-}
-
 // TestRunShardedSteadyStateAllocs gates the sharded steady state's
 // zero-alloc contract. A whole-run benchmark cannot see it — setup
 // legitimately allocates the per-shard layouts, ring slabs and
@@ -570,69 +461,6 @@ func TestRunShardedObserverAllocs(t *testing.T) {
 	if extra := int64(long) - int64(base); extra > 128 {
 		t.Errorf("2400 extra observer-on steady-state cycles cost %d allocations (base run %d, long run %d); observers must not allocate per cycle",
 			extra, base, long)
-	}
-}
-
-// TestRunShardedShardStats: the shard-runtime introspection collector
-// must record one run with the partition's true shape — shard count,
-// epoch, per-shard router/terminal ranges tiling the network, barrier
-// and cycle counts consistent with the run — without perturbing results.
-func TestRunShardedShardStats(t *testing.T) {
-	top := testClos(t)
-	cfg := shardTestConfig()
-	inj := RateInjector{Load: 0.4, Pattern: traffic.Uniform(top.ExternalPorts()), PacketFlits: 2}
-
-	ser, err := Build(top, ConstantLatency(1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serSt := ser.Run(inj, 0.4)
-
-	shn, err := Build(top, ConstantLatency(1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := &obs.ShardStats{}
-	shn.SetShardStats(ss)
-	shSt, err := shn.RunSharded(inj, 0.4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shSt != serSt {
-		t.Fatalf("shard-stats collection perturbed stats:\n  serial  %+v\n  sharded %+v", serSt, shSt)
-	}
-	snap := ss.Snapshot()
-	if snap == nil {
-		t.Fatal("ShardStats recorded nothing")
-	}
-	if snap.Runs != 1 || snap.Shards != 3 {
-		t.Fatalf("snapshot runs=%d shards=%d, want 1 run on 3 shards", snap.Runs, snap.Shards)
-	}
-	if snap.Epoch < 1 {
-		t.Fatalf("epoch %d < 1", snap.Epoch)
-	}
-	if snap.Barriers <= 0 || snap.Cycles <= 0 {
-		t.Fatalf("barriers=%d cycles=%d, want both positive", snap.Barriers, snap.Cycles)
-	}
-	if len(snap.PerShard) != 3 {
-		t.Fatalf("per-shard rows %d, want 3", len(snap.PerShard))
-	}
-	var routers, terms int
-	for i, row := range snap.PerShard {
-		if row.Routers <= 0 {
-			t.Fatalf("shard %d owns %d routers", i, row.Routers)
-		}
-		routers += row.Routers
-		terms += row.Terminals
-		if row.Segments <= 0 {
-			t.Fatalf("shard %d ran %d segments", i, row.Segments)
-		}
-	}
-	if routers != shn.R || terms != shn.T {
-		t.Fatalf("shard rows cover %d routers / %d terminals, want %d / %d", routers, terms, shn.R, shn.T)
-	}
-	if snap.Imbalance < 1 {
-		t.Fatalf("imbalance %g < 1", snap.Imbalance)
 	}
 }
 

@@ -100,18 +100,6 @@ type SweepOptions struct {
 	// Results are identical for every value — each point's network is
 	// seeded by PointSeed and merged in point order after the barrier.
 	Workers int
-	// Shards, when > 1, runs every point through the sharded engine
-	// (Network.RunSharded) on that many shards instead of the serial
-	// loop. Results are bit-identical to Shards <= 1; it composes with
-	// Workers (points in parallel, each point itself sharded) and with
-	// the shard-aware observers (TimelineInterval, Attribution, Abort),
-	// whose merged output stays byte-identical to a serial sweep.
-	Shards int
-	// ShardStats, when non-nil (and Shards > 1), collects shard-runtime
-	// introspection from every sharded point: per-shard busy/barrier-wait
-	// wall-clock, outbox high-water marks, epoch and partition shape.
-	// Wall-clock instrumentation only — results are unchanged.
-	ShardStats *obs.ShardStats
 	// Probe attaches a fresh collector to every point, filling
 	// SweepPoint.Probe and SweepResult.Aggregate's counters.
 	Probe bool
@@ -258,17 +246,7 @@ func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOption
 				return err
 			}
 		}
-		var st Stats
-		if opt.Shards > 1 {
-			if opt.ShardStats != nil {
-				n.SetShardStats(opt.ShardStats)
-			}
-			if st, err = n.RunSharded(inj, loads[i], opt.Shards); err != nil {
-				return err
-			}
-		} else {
-			st = n.Run(inj, loads[i])
-		}
+		st := n.Run(inj, loads[i])
 		points[i] = SweepPoint{Stats: st}
 		if opt.Probe {
 			points[i].Probe = n.Snapshot()
