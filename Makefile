@@ -103,20 +103,23 @@ bench-test:
 # bench-json snapshots the guard benchmarks (simulator inner loop with
 # the timeline/tracer/attribution on and off, the saturated/knee/
 # low-load hot-loop guards, the sharded whole-run guards at 1/2/4/8 shards and
-# with the timeline/attribution observers attached, and the sweep
+# with the timeline/attribution observers attached, the sweep
 # engine serial/parallel plus exhaustive/adaptive saturation
-# pairs: ns/op, allocs/op, cycles/op) into BENCH_sim.json so the perf
-# trajectory is machine-readable across commits. The *Off cases pin the
-# disabled observability paths at 0 allocs/op. benchjson -diff gates
-# the fresh numbers against the committed baseline — >15% ns/op
-# regressions, any allocation or beyond-tolerance B/op growth on a
-# zero-alloc guard, or a silently dropped benchmark fail the target
-# before the snapshot is overwritten (a geomean ns/op delta line prints
-# either way). To intentionally re-pin after a known change:
+# pairs, and the mapping kernel's Algorithm 1 optimization of the
+# 8192-port Clos and converged pass: ns/op, allocs/op, cycles/op) into
+# BENCH_sim.json so the perf trajectory is machine-readable across
+# commits. The *Off cases pin the disabled observability paths at 0
+# allocs/op, and MappingConvergedPass pins Optimize at 0 allocs/op.
+# benchjson -diff gates the fresh numbers against the committed
+# baseline — >15% ns/op regressions, any allocation or beyond-tolerance
+# B/op growth on a zero-alloc guard, or a silently dropped benchmark
+# fail the target before the snapshot is overwritten (a geomean ns/op
+# delta line prints either way). To intentionally re-pin after a known
+# change:
 # make bench-json DIFF_FLAGS=
 DIFF_FLAGS ?= -diff BENCH_sim.json
 bench-json:
-	{ $(GO) test -run NONE -short -bench 'BenchmarkSimCycle$$|BenchmarkSimTimeline|BenchmarkSimTracer|BenchmarkSweepSerial$$|BenchmarkSweepParallel$$|BenchmarkSweepReuse$$|BenchmarkSweepExhaustive$$|BenchmarkSweepAdaptive$$|BenchmarkNetworkResetVsBuild$$' -benchmem . ; \
+	{ $(GO) test -run NONE -short -bench 'BenchmarkSimCycle$$|BenchmarkSimTimeline|BenchmarkSimTracer|BenchmarkSweepSerial$$|BenchmarkSweepParallel$$|BenchmarkSweepReuse$$|BenchmarkSweepExhaustive$$|BenchmarkSweepAdaptive$$|BenchmarkNetworkResetVsBuild$$|BenchmarkMappingOptimize$$|BenchmarkMappingConvergedPass$$' -benchmem . ; \
 	  $(GO) test -run NONE -short -bench 'BenchmarkSimSteadyState|BenchmarkSimAttribution|BenchmarkSimCycleSaturated|BenchmarkSimCycleKnee$$|BenchmarkSimCycleLowLoad$$|BenchmarkSimSharded' -benchmem ./internal/sim ; } \
 	| $(GO) run ./cmd/benchjson $(DIFF_FLAGS) > BENCH_sim.json.tmp
 	mv BENCH_sim.json.tmp BENCH_sim.json

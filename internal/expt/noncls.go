@@ -78,62 +78,56 @@ func fig25(o Options) (*Table, error) {
 	chip := ssc.MustTH5(200)
 	sites := sub.MaxSites(chip.AreaMM2)
 
-	// Clos row via the core solver.
-	closIdeal, err := core.MaxPorts(baseParams(side, tech.SiIF, tech.OpticalIO, o), core.AreaOnly)
+	// Each row, Clos via the core solver or a direct family, needs four
+	// independent searches: ideal, constrained, and optimized at deradix
+	// 1 and 2. The 5x4 searches fan across the pool into index slots;
+	// rows are emitted serially afterwards.
+	const searches = 4
+	ports := make([]int, (1+len(directFamilies))*searches)
+	err := o.pool().Each("fig25", len(ports), func(idx int) error {
+		row, search := idx/searches, idx%searches
+		// Search 0 is area-only. Search 1 applies every constraint with
+		// water cooling. Searches 2 and 3 add Vdd-scaled links and
+		// deradix by 1 and 2.
+		c, w, cons, cooling := chip, tech.SiIF, core.AllConstraints, tech.WaterCooling
+		if search == 0 {
+			cons, cooling = core.AreaOnly, tech.NoCoolingLimit
+		}
+		if search >= 2 {
+			var err error
+			if c, err = chip.Deradix(search - 1); err != nil {
+				return err
+			}
+			w = tech.SiIF.Scaled(2)
+		}
+		if row > 0 {
+			v, err := directMaxPorts(directFamilies[row-1], c, sites, side, w, cons, cooling, o)
+			ports[idx] = v
+			return err
+		}
+		// The Clos row uses heterogeneous leaves when optimized.
+		p := baseParams(side, w, tech.OpticalIO, o)
+		p.Chiplet, p.Cooling = c, cooling
+		if search >= 2 {
+			p.HeteroLeafRadix = c.Radix / 4
+		}
+		r, err := core.MaxPorts(p, cons)
+		if err != nil {
+			return err
+		}
+		ports[idx] = r.Best.Ports
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	pb := baseParams(side, tech.SiIF, tech.OpticalIO, o)
-	pb.Cooling = tech.WaterCooling
-	closCons, err := core.MaxPorts(pb, core.AllConstraints)
-	if err != nil {
-		return nil, err
-	}
-	closOpt := 0
-	for _, deradix := range []int{1, 2} {
-		c, err := chip.Deradix(deradix)
-		if err != nil {
-			return nil, err
+	for row := 0; row <= len(directFamilies); row++ {
+		name := "clos"
+		if row > 0 {
+			name = directFamilies[row-1].name
 		}
-		po := baseParams(side, tech.SiIF.Scaled(2), tech.OpticalIO, o)
-		po.Chiplet = c
-		po.HeteroLeafRadix = c.Radix / 4
-		po.Cooling = tech.WaterCooling
-		r, err := core.MaxPorts(po, core.AllConstraints)
-		if err != nil {
-			return nil, err
-		}
-		if r.Best.Ports > closOpt {
-			closOpt = r.Best.Ports
-		}
-	}
-	t.AddRow("clos", closIdeal.Best.Ports, closCons.Best.Ports, closOpt,
-		fmt.Sprintf("%.0fx", float64(closIdeal.Best.Ports)/256))
-
-	for _, fam := range directFamilies {
-		ideal, err := directMaxPorts(fam, chip, sites, side, tech.SiIF, core.AreaOnly, tech.NoCoolingLimit, o)
-		if err != nil {
-			return nil, err
-		}
-		cons, err := directMaxPorts(fam, chip, sites, side, tech.SiIF, core.AllConstraints, tech.WaterCooling, o)
-		if err != nil {
-			return nil, err
-		}
-		opt := 0
-		for _, deradix := range []int{1, 2} {
-			c, err := chip.Deradix(deradix)
-			if err != nil {
-				return nil, err
-			}
-			v, err := directMaxPorts(fam, c, sites, side, tech.SiIF.Scaled(2), core.AllConstraints, tech.WaterCooling, o)
-			if err != nil {
-				return nil, err
-			}
-			if v > opt {
-				opt = v
-			}
-		}
-		t.AddRow(fam.name, ideal, cons, opt, fmt.Sprintf("%.0fx", float64(ideal)/256))
+		v := ports[row*searches : (row+1)*searches]
+		t.AddRow(name, v[0], v[1], max(v[2], v[3]), fmt.Sprintf("%.0fx", float64(v[0])/256))
 	}
 	t.Notes = append(t.Notes,
 		"paper (ideal): butterfly 44x, dragonfly 31x, flattened butterfly 19x, mesh 44x vs TH-5; our sizing conventions differ (see DESIGN.md) but preserve the ordering",

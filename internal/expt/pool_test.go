@@ -115,6 +115,7 @@ func TestParallelExperimentDeterministic(t *testing.T) {
 		o  Options
 	}{
 		{"fig7", Options{Quick: true, Seed: 5}},
+		{"fig25", Options{Quick: true, Seed: 5}},
 		{"fig21", Options{Quick: true, Seed: 5}},
 		{"fig22", Options{Quick: true, Seed: 1, Probe: true, TimelineInterval: 100, Attribution: true}},
 	}

@@ -77,9 +77,7 @@ func (p *Placement) Anneal(sweeps int, rng *rand.Rand) {
 
 // restorePositions rebuilds the placement at the given node positions.
 func (p *Placement) restorePositions(positions []int) {
-	for _, l := range p.Topo.Links {
-		p.route(p.pos[l.A], p.pos[l.B], -l.Lanes)
-	}
+	p.routeLinks(-1)
 	for i := range p.cell {
 		p.cell[i] = -1
 	}
@@ -87,9 +85,7 @@ func (p *Placement) restorePositions(positions []int) {
 	for n, c := range p.pos {
 		p.cell[c] = n
 	}
-	for _, l := range p.Topo.Links {
-		p.route(p.pos[l.A], p.pos[l.B], l.Lanes)
-	}
+	p.routeLinks(1)
 }
 
 // BestAnnealed runs annealing from `restarts` random initial placements

@@ -379,4 +379,27 @@ func TestNewWithPositionsValidation(t *testing.T) {
 	if _, err := NewWithPositions(c, 4, 4, bad2); err == nil {
 		t.Error("out-of-range position did not fail")
 	}
+	// Grids New rejects: negative dimensions whose product still holds
+	// the nodes, and an empty topology on a grid with no rows.
+	ids := make([]int, len(c.Nodes))
+	for i := range ids {
+		ids[i] = i
+	}
+	if _, err := NewWithPositions(c, -3, -4, ids); err == nil {
+		t.Error("-3x-4 grid did not fail")
+	}
+	empty := &topo.Topology{Name: "empty"}
+	if _, err := NewWithPositions(empty, 0, 5, nil); err == nil {
+		t.Error("empty topology on a 0x5 grid did not fail")
+	}
+	if _, err := New(empty, 0, 5, rand.New(rand.NewSource(1))); err == nil {
+		t.Error("New: empty topology on a 0x5 grid did not fail")
+	}
+	// A link to a node the topology does not have is an error, not a
+	// panic.
+	dangling := &topo.Topology{Name: "dangling", Nodes: []topo.Node{{ID: 0}, {ID: 1}},
+		Links: []topo.Link{{A: 0, B: 5, Lanes: 1}}}
+	if _, err := NewWithPositions(dangling, 2, 2, []int{0, 1}); err == nil {
+		t.Error("link to a missing node did not fail")
+	}
 }

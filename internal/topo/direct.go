@@ -194,6 +194,8 @@ func Dragonfly(groups, a, h, p int, chip ssc.Chiplet) (*Topology, error) {
 		Name:     fmt.Sprintf("dragonfly-g%d.a%d.h%d.p%d (x%d lanes)", groups, a, h, p, lanes),
 		Kind:     "dragonfly",
 		PortGbps: chip.PortGbps,
+		Nodes:    make([]Node, 0, n),
+		Links:    make([]Link, 0, groups*a*(a-1)/2+groups*(groups-1)/2),
 	}
 	for i := 0; i < n; i++ {
 		t.Nodes = append(t.Nodes, Node{ID: i, Role: RoleNode, Chiplet: chip, ExternalPorts: p * lanes})
@@ -228,31 +230,28 @@ func Dragonfly(groups, a, h, p int, chip ssc.Chiplet) (*Topology, error) {
 }
 
 // BalancedDragonfly picks the largest balanced dragonfly (h = p,
-// a = 2p) that fits within maxChiplets chiplets, scanning p downward.
+// a = 2p) that fits within maxChiplets chiplets, scanning p upward and
+// keeping the first shape with the most external ports. Only the winner
+// is built: a shape that passes Dragonfly's checks always builds, since
+// groups <= a*h+1 caps each member's global links at h, so each
+// candidate's port count, groups*a*p*lanes, is known without building it.
 func BalancedDragonfly(maxChiplets int, chip ssc.Chiplet) (*Topology, error) {
-	best := (*Topology)(nil)
+	bestP, bestGroups, bestPorts := 0, 0, 0
 	for p := 1; p <= chip.Radix/4; p++ {
 		aa, hh := 2*p, p
-		maxGroups := aa*hh + 1
-		groups := maxChiplets / aa
-		if groups > maxGroups {
-			groups = maxGroups
-		}
-		if groups < 2 {
+		groups := min(maxChiplets/aa, aa*hh+1)
+		lanes := chip.Radix / (p + aa - 1 + hh)
+		if groups < 2 || lanes < 1 {
 			continue
 		}
-		t, err := Dragonfly(groups, aa, hh, p, chip)
-		if err != nil {
-			continue
-		}
-		if best == nil || t.ExternalPorts() > best.ExternalPorts() {
-			best = t
+		if ports := groups * aa * p * lanes; ports > bestPorts {
+			bestP, bestGroups, bestPorts = p, groups, ports
 		}
 	}
-	if best == nil {
+	if bestPorts == 0 {
 		return nil, fmt.Errorf("topo: no balanced dragonfly fits in %d chiplets", maxChiplets)
 	}
-	return best, nil
+	return Dragonfly(bestGroups, 2*bestP, bestP, bestP, chip)
 }
 
 // NearSquare returns rows x cols dimensions for n nodes with rows*cols >= n

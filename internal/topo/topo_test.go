@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -215,6 +216,92 @@ func TestBalancedDragonfly(t *testing.T) {
 	}
 	if df.ExternalPorts() < 2048 {
 		t.Errorf("dragonfly ports = %d, want >= 2048 at 112 chiplets", df.ExternalPorts())
+	}
+}
+
+// builtDragonfly is what the build-every-candidate search keeps of one
+// Dragonfly build.
+type builtDragonfly struct {
+	ports int
+	name  string
+	hash  [32]byte
+	ok    bool
+}
+
+// dragonflyBuilds builds each dragonfly shape once. A build depends on
+// the chiplet only through its lane multiplier radix/(p+a-1+h), so the
+// key holds that instead of the radix.
+type dragonflyBuilds map[[5]int]builtDragonfly
+
+func (m dragonflyBuilds) build(groups, a, h, p int, chip ssc.Chiplet) builtDragonfly {
+	key := [5]int{groups, a, h, p, chip.Radix / (p + a - 1 + h)}
+	if b, ok := m[key]; ok {
+		return b
+	}
+	var b builtDragonfly
+	if t, err := Dragonfly(groups, a, h, p, chip); err == nil {
+		b = builtDragonfly{ports: t.ExternalPorts(), name: t.Name, hash: t.CanonicalHash(), ok: true}
+	}
+	m[key] = b
+	return b
+}
+
+// buildEveryBalancedDragonfly is BalancedDragonfly as it was before it
+// computed port counts in closed form: it builds every candidate shape
+// and keeps the first with the most external ports.
+func buildEveryBalancedDragonfly(maxChiplets int, chip ssc.Chiplet, builds dragonflyBuilds) builtDragonfly {
+	var best builtDragonfly
+	for p := 1; p <= chip.Radix/4; p++ {
+		aa, hh := 2*p, p
+		groups := min(maxChiplets/aa, aa*hh+1)
+		if groups < 2 {
+			continue
+		}
+		t := builds.build(groups, aa, hh, p, chip)
+		if !t.ok {
+			continue
+		}
+		if !best.ok || t.ports > best.ports {
+			best = t
+		}
+	}
+	return best
+}
+
+// TestBalancedDragonflyMatchesBuildEvery: picking the shape by its
+// closed-form port count must choose the dragonfly the build-every-
+// candidate search chose, for every chiplet radix from 16 to 256 and
+// every budget from 0 to 400 chiplets (a sparser grid under -short).
+func TestBalancedDragonflyMatchesBuildEvery(t *testing.T) {
+	radixStep, budgetStep := 1, 1
+	if testing.Short() {
+		radixStep, budgetStep = 7, 3
+	}
+	builds := dragonflyBuilds{}
+	// A name fixes every shape parameter, so each built shape's hash is
+	// compared once.
+	hashed := map[string]bool{}
+	for radix := 16; radix <= 256; radix += radixStep {
+		chip := ssc.Chiplet{Name: fmt.Sprintf("r%d", radix), Radix: radix, PortGbps: 200}
+		for budget := 0; budget <= 400; budget += budgetStep {
+			got, err := BalancedDragonfly(budget, chip)
+			want := buildEveryBalancedDragonfly(budget, chip, builds)
+			if (err == nil) != want.ok {
+				t.Fatalf("radix %d budget %d: error %v, build-every found a dragonfly: %v", radix, budget, err, want.ok)
+			}
+			if err != nil {
+				continue
+			}
+			if got.Name != want.name {
+				t.Fatalf("radix %d budget %d: built %s, build-every %s", radix, budget, got.Name, want.name)
+			}
+			if !hashed[got.Name] {
+				if got.CanonicalHash() != want.hash {
+					t.Fatalf("radix %d budget %d: %s hashes differently from build-every's", radix, budget, got.Name)
+				}
+				hashed[got.Name] = true
+			}
+		}
 	}
 }
 
