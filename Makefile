@@ -50,31 +50,27 @@ fmt:
 
 # expt runs with -short: the full-suite test is redundant under race and
 # the dedicated pool/parallel-sweep tests never skip. The adaptive sweep
-# engine's tests (abort_test, saturation_test, converge_test, and the
-# expt adaptive determinism tests) live inside these packages, so the
-# early-abort detector and bisection search run under the race detector
-# on every check — as does the sharded single-sim engine (shard_test,
-# shard_equiv_test), whose worker goroutines, boundary outboxes and
-# shared packet pool are exactly what the race detector exists to vet,
-# and the sharded-observer suite (timeline/attribution/checker byte-
-# identity, sharded deadlock dump), which adds per-shard observer state
-# and coordinator merges to that surface.
+# engine's tests (abort_test, saturation_test, and the expt adaptive
+# determinism tests) live inside these packages, so the early-abort
+# detector and bisection search run under the race detector on every
+# check, as do the parallel sweep workers, the shared route cache and
+# the expt pool.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/obs/...
 	$(GO) test -race -short ./internal/expt/...
 
 # fuzz-smoke gives each differential fuzz target a short budget on top
 # of the committed seed corpus: FuzzSimEquivalence diffs the optimized
-# simulator against internal/sim/refsim, FuzzShardEquivalence adds the
-# shard-count dimension to the same three-way oracle (its committed
-# seeds include prime shard counts and more shards than routers),
-# FuzzResetEquivalence dirties a network, Resets it and requires the
-# rerun to match both a fresh build and the reference bit for bit,
-# FuzzSweepDeterminism diffs parallel sweeps against serial ones.
-# Failures print a replay spec for `wsswitch -replay`.
+# simulator against internal/sim/refsim, FuzzObservedEquivalence runs
+# the same diff with the timeline and attribution observers attached to
+# the optimized run (they must not perturb it), FuzzResetEquivalence
+# dirties a network, Resets it and requires the rerun to match both a
+# fresh build and the reference bit for bit, FuzzSweepDeterminism diffs
+# parallel sweeps against serial ones. Failures print a replay spec for
+# `wsswitch -replay`.
 fuzz-smoke:
 	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzSimEquivalence$$' -fuzztime 10s
-	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzShardEquivalence$$' -fuzztime 10s
+	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzObservedEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzResetEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzSweepDeterminism$$' -fuzztime 10s
 
@@ -102,9 +98,10 @@ bench-test:
 
 # bench-json snapshots the guard benchmarks (simulator inner loop with
 # the timeline/tracer/attribution on and off, the saturated/knee/
-# low-load hot-loop guards, the sharded whole-run guards at 1/2/4/8 shards and
-# with the timeline/attribution observers attached, the sweep
-# engine serial/parallel plus exhaustive/adaptive saturation
+# low-load hot-loop guards, the whole-run Run guards on the 1024-port
+# Clos and flattened butterfly and with the timeline/attribution
+# observers attached, the sweep engine serial/parallel plus
+# exhaustive/adaptive saturation
 # pairs, and the mapping kernel's Algorithm 1 optimization of the
 # 8192-port Clos and converged pass: ns/op, allocs/op, cycles/op) into
 # BENCH_sim.json so the perf trajectory is machine-readable across
@@ -120,7 +117,7 @@ bench-test:
 DIFF_FLAGS ?= -diff BENCH_sim.json
 bench-json:
 	{ $(GO) test -run NONE -short -bench 'BenchmarkSimCycle$$|BenchmarkSimTimeline|BenchmarkSimTracer|BenchmarkSweepSerial$$|BenchmarkSweepParallel$$|BenchmarkSweepReuse$$|BenchmarkSweepExhaustive$$|BenchmarkSweepAdaptive$$|BenchmarkNetworkResetVsBuild$$|BenchmarkMappingOptimize$$|BenchmarkMappingConvergedPass$$' -benchmem . ; \
-	  $(GO) test -run NONE -short -bench 'BenchmarkSimSteadyState|BenchmarkSimAttribution|BenchmarkSimCycleSaturated|BenchmarkSimCycleKnee$$|BenchmarkSimCycleLowLoad$$|BenchmarkSimSharded' -benchmem ./internal/sim ; } \
+	  $(GO) test -run NONE -short -bench 'BenchmarkSimSteadyState|BenchmarkSimAttribution|BenchmarkSimCycleSaturated|BenchmarkSimCycleKnee$$|BenchmarkSimCycleLowLoad$$|BenchmarkSimRunSaturated' -benchmem ./internal/sim ; } \
 	| $(GO) run ./cmd/benchjson $(DIFF_FLAGS) > BENCH_sim.json.tmp
 	mv BENCH_sim.json.tmp BENCH_sim.json
 	@echo wrote BENCH_sim.json

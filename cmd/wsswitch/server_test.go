@@ -272,8 +272,14 @@ func TestServerGracefulShutdown(t *testing.T) {
 }
 
 // A traced replay must write valid Chrome trace-event JSON for the
-// pinned wedging spec (and still report the wedge on stderr).
+// pinned wedging spec (and still report the wedge on stderr); a spec no
+// run can use must exit 2 before either simulator runs.
 func TestWriteReplayTraceWedgingSpec(t *testing.T) {
+	t.Run("bad-size-exits-2", func(t *testing.T) {
+		if code := runReplay("family=clos size=-1 pattern=uniform link=1 load=0.25", ""); code != 2 {
+			t.Fatalf("runReplay with size=-1 returned %d, want 2", code)
+		}
+	})
 	spec := "family=dfly size=1 pattern=uniform link=1 vcs=1 buf=2 pkt=2 rci=1 rco=1 pipe=0 term=1 warmup=100 measure=1500 drain=4000 seed=2 load=0.95"
 	s, err := refsim.ParseSpec(spec)
 	if err != nil {

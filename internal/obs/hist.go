@@ -145,12 +145,11 @@ func (h *Histogram) Reset() {
 	*h = Histogram{}
 }
 
-// SetSum overrides the accumulated float sum. Merging per-shard
-// histograms adds their sums in shard order, which is a different
-// float-addition order than the serial run's; callers that know the
-// canonical order (e.g. a per-router fold) install it here so Equal —
-// which compares the full struct including the float sum — holds
-// between serial and merged results.
+// SetSum overrides the accumulated float sum. Observe adds samples in
+// arrival order; callers that define a canonical float-addition order
+// (the simulator's ascending per-router fold, which the reference
+// simulator mirrors) install that sum here, so Equal — which compares
+// the full struct including the float sum — holds between the two.
 func (h *Histogram) SetSum(sum float64) {
 	h.sum = sum
 }

@@ -154,8 +154,8 @@ func (t *Timeline) EndInterval(maxChanFlits int64) {
 // EndIntervalSum is EndInterval with the window's latency sum supplied
 // by the caller instead of read from the window histogram. The simulator
 // uses it to install a canonical-order float sum (an ascending
-// per-router fold) so a window closed by the serial loop and the same
-// window merged from per-shard accumulators carry bit-identical sums.
+// per-router fold), so the window's sum does not depend on the order
+// packets retired in.
 func (t *Timeline) EndIntervalSum(maxChanFlits int64, latSum float64) {
 	if t.cur.Cycles == 0 {
 		return
@@ -175,56 +175,6 @@ func (t *Timeline) EndIntervalSum(maxChanFlits int64, latSum float64) {
 	t.mu.Unlock()
 	t.cur = TimelineSample{Start: start}
 	t.curHist.Reset()
-}
-
-// NewTimelineAccumulator returns a Timeline that only ever accumulates
-// its open window: Tick never reports a window boundary, so the caller
-// decides when windows close. The sharded engine attaches one per shard
-// and has the barrier coordinator drain them with TakeWindow at the
-// master sampler's window boundaries, merging shard-local counts into
-// one sample per window (see sim's sharded timeline support).
-func NewTimelineAccumulator() *Timeline {
-	return &Timeline{
-		interval:     1 << 62, // never reached: windows close externally
-		baseInterval: 1 << 62,
-		maxSamples:   2,
-		samples:      make([]TimelineSample, 0, 2),
-	}
-}
-
-// TakeWindow returns the open-window accumulators — the additive sample
-// fields and the window latency histogram — and resets them for the
-// next window. It must only be called while the simulating goroutine is
-// quiescent (the sharded engine calls it from the barrier coordinator);
-// it takes no lock and never allocates.
-func (t *Timeline) TakeWindow() (TimelineSample, Histogram) {
-	s, h := t.cur, t.curHist
-	t.cur = TimelineSample{}
-	t.curHist.Reset()
-	return s, h
-}
-
-// AppendWindow appends a fully materialized closed window to the
-// series, deriving its start cycle from the tail (so consecutive
-// windows tile the run exactly like EndInterval's) and compacting when
-// the store fills. The sharded coordinator uses it to install windows
-// it merged from per-shard accumulators.
-func (t *Timeline) AppendWindow(s TimelineSample) {
-	if s.Cycles == 0 {
-		return
-	}
-	t.mu.Lock()
-	if len(t.samples) > 0 {
-		tail := &t.samples[len(t.samples)-1]
-		s.Start = tail.Start + tail.Cycles
-	} else {
-		s.Start = 0
-	}
-	t.samples = append(t.samples, s)
-	if len(t.samples) == t.maxSamples {
-		t.compact()
-	}
-	t.mu.Unlock()
 }
 
 // compact halves the series in place — adjacent windows coalesce

@@ -195,7 +195,7 @@ func TestAbortDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestDefaultRunJSONUnchanged pins the output-compatibility contract:
-// a default run (no detector, no convergence rule) must serialize with
+// a default run (no detector) must serialize with
 // no trace of the new fields, so pre-existing pinned JSON stays
 // byte-identical.
 func TestDefaultRunJSONUnchanged(t *testing.T) {

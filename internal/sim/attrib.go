@@ -36,10 +36,9 @@ type attribState struct {
 	// stageSumR accumulates the measured per-stage components keyed by
 	// ejecting router (stageSumR[r*NumStages+stage]); the end of the run
 	// folds each stage in ascending router order and installs the result
-	// as the stage histogram's canonical sum — the same float-addition
-	// order no matter how the cycle loop was partitioned, so serial and
-	// sharded runs produce bit-identical stage histograms (the latSumR
-	// pattern).
+	// as the stage histogram's canonical sum — the float-addition order
+	// of the run's latency sum, which the reference simulator mirrors
+	// (the latSumR pattern).
 	stageSumR []float64
 	// sumErrs counts packets whose stage components failed to sum to
 	// their measured latency — always zero unless the decomposition has
@@ -245,7 +244,7 @@ func (n *Network) atComplete(pkt int32, pi *packetInfo, lat float64, r int) {
 // attribution stage histograms: each stage's sum is the ascending-router
 // fold of stageSumR, replacing the completion-order running sum the
 // Observe calls accumulated. All components are integer-valued, so the
-// fold is exact in float64 and serial and sharded runs agree bitwise.
+// fold is exact in float64 and independent of completion order.
 func (n *Network) foldStageSums() {
 	at := n.at
 	for stage := 0; stage < obs.NumStages; stage++ {

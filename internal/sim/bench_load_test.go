@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strconv"
 	"testing"
 
 	"waferswitch/internal/obs"
@@ -105,26 +104,21 @@ func BenchmarkSimCycleLowLoad(b *testing.B) {
 	benchCycleAtLoad(b, cl, 0.15)
 }
 
-// BenchmarkSimShardedSaturated pins whole-run cost of the sharded
-// engine on a 1024-port Clos past saturation — the regime the Section
-// VI sweeps spend their wall-clock in, at the scale sharding targets.
-// One op is one complete RunSharded: shard setup, warmup, measurement
-// and the (bounded) drain; network construction is excluded by timer
-// stops. shards=1 delegates to the serial Run, so the shards=1 /
-// shards=4 pair is the serial-vs-sharded comparison benchjson's
-// -shard-speedup gate reads from BENCH_sim.json re-pins. The gate only
-// arms when the run had GOMAXPROCS >= 4 — on fewer cores the epoch
-// barriers cost wall-clock instead of hiding it, and the numbers
-// measure barrier overhead, not speedup. Link latency 4 gives a
-// 4-cycle conservative-lookahead epoch, the realistic regime for
-// wafer-scale reaches (serial results are latency-for-latency
-// comparable since both run the same channels).
+// BenchmarkSimRunSaturated pins whole-run cost of Run on 1024-port
+// fabrics past saturation, the regime the Section VI sweeps spend their
+// wall-clock in. One op is one complete Run: warmup, measurement and
+// the (bounded) drain; network construction and observer attachment
+// are excluded by timer stops. The 4x4 flattened butterfly of
+// full-radix chips puts 64 terminals on each of 16 radix-256 routers,
+// so its case is the only whole-run guard of the >64-port paths; the
+// clos/timeline and clos/attribution cases price those observers
+// against the bare clos case.
 //
-// allocs/op is the one-time sharding setup (per-shard layout, ring
-// slabs, outboxes); the steady-state loop itself allocates nothing —
-// that contract is gated by TestRunShardedSteadyStateAllocs, which a
-// whole-run benchmark cannot isolate.
-func BenchmarkSimShardedSaturated(b *testing.B) {
+// allocs/op is per-run growth to steady capacity (source queues, the
+// packet table); the steady-state cycle itself allocates nothing —
+// that contract is gated differentially by TestRunSteadyStateAllocs,
+// which a whole-run benchmark cannot isolate.
+func BenchmarkSimRunSaturated(b *testing.B) {
 	closChip, err := ssc.MustTH5(200).Deradix(4)
 	if err != nil {
 		b.Fatal(err)
@@ -133,68 +127,7 @@ func BenchmarkSimShardedSaturated(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// 4x4 flattened butterfly of full-radix chips: 16 nodes x 64
-	// external ports = 1024 ports on 16 radix-256 routers.
 	fbfly, err := topo.FlattenedButterfly(4, 4, ssc.MustTH5(200))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		top  *topo.Topology
-	}{{"clos", clos}, {"fbfly", fbfly}} {
-		cfg := Config{
-			NumVCs: 2, BufPerPort: 16, PacketFlits: 2,
-			RCIngress: 1, RCOther: 1, PipeDelay: 1, TermDelay: 1,
-			WarmupCycles: 80, MeasureCycles: 240, DrainCycles: 64, Seed: 7,
-		}
-		inj, err := SyntheticInjector(traffic.Uniform(tc.top.ExternalPorts()), cfg.PacketFlits)(0.9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range []int{1, 2, 4, 8} {
-			b.Run(tc.name+"/shards="+strconv.Itoa(s), func(b *testing.B) {
-				b.ReportAllocs()
-				var cycles int64
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					n, err := Build(tc.top, ConstantLatency(4), cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					st, err := n.RunSharded(inj, 0.9, s)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles += st.Cycles
-				}
-				b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
-			})
-		}
-	}
-}
-
-// benchShardedObserved is the shared body of the observer-on sharded
-// whole-run benchmarks: the 1024-port Clos of BenchmarkSimShardedSaturated
-// past saturation, with the named observers attached before RunSharded.
-// Comparing against the matching BenchmarkSimShardedSaturated/clos
-// subtest quantifies the observer overhead on the sharded path; the
-// shards=1 / shards=4 pair quantifies it on the serial path it
-// delegates to.
-//
-// allocs/op is one-time setup (sharding layout plus the per-shard
-// observer instances the coordinator merges); the steady-state loop
-// with observers attached allocates nothing — that contract is gated
-// differentially by TestRunShardedObserverAllocs, which a whole-run
-// benchmark cannot isolate.
-func benchShardedObserved(b *testing.B, attach func(n *Network)) {
-	b.Helper()
-	closChip, err := ssc.MustTH5(200).Deradix(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	clos, err := topo.HomogeneousClos(1024, closChip)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -203,50 +136,38 @@ func benchShardedObserved(b *testing.B, attach func(n *Network)) {
 		RCIngress: 1, RCOther: 1, PipeDelay: 1, TermDelay: 1,
 		WarmupCycles: 80, MeasureCycles: 240, DrainCycles: 64, Seed: 7,
 	}
-	inj, err := SyntheticInjector(traffic.Uniform(clos.ExternalPorts()), cfg.PacketFlits)(0.9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, s := range []int{1, 4} {
-		b.Run("clos/shards="+strconv.Itoa(s), func(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		top    *topo.Topology
+		attach func(n *Network)
+	}{
+		{"clos", clos, func(*Network) {}},
+		{"fbfly", fbfly, func(*Network) {}},
+		{"clos/timeline", clos, func(n *Network) { n.AttachTimeline(obs.NewTimeline(32, 64)) }},
+		{"clos/attribution", clos, func(n *Network) {
+			if err := n.AttachAttribution(n.NewAttribution()); err != nil {
+				b.Fatal(err)
+			}
+		}},
+	} {
+		inj, err := SyntheticInjector(traffic.Uniform(tc.top.ExternalPorts()), cfg.PacketFlits)(0.9)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var cycles int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				n, err := Build(clos, ConstantLatency(4), cfg)
+				n, err := Build(tc.top, ConstantLatency(4), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				attach(n)
+				tc.attach(n)
 				b.StartTimer()
-				st, err := n.RunSharded(inj, 0.9, s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += st.Cycles
+				cycles += n.Run(inj, 0.9).Cycles
 			}
 			b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
 		})
 	}
-}
-
-// BenchmarkSimShardedTimelineOn pins whole-run cost of the sharded
-// engine with the time-resolved sampler attached (window 32, ring 64 —
-// deep enough that compaction fires during the run, exercising the
-// coordinator-closed-window merge path).
-func BenchmarkSimShardedTimelineOn(b *testing.B) {
-	benchShardedObserved(b, func(n *Network) {
-		n.AttachTimeline(obs.NewTimeline(32, 64))
-	})
-}
-
-// BenchmarkSimShardedAttributionOn pins whole-run cost of the sharded
-// engine with congestion attribution attached: per-shard stage
-// decomposition and blame counters folded at the final barrier.
-func BenchmarkSimShardedAttributionOn(b *testing.B) {
-	benchShardedObserved(b, func(n *Network) {
-		if err := n.AttachAttribution(n.NewAttribution()); err != nil {
-			b.Fatal(err)
-		}
-	})
 }

@@ -156,11 +156,10 @@ type Network struct {
 	//
 	// ringFlitM and ringCredM are occupancy bitmaps over ringSlab, one
 	// bit per slot: bit j of ringFlitM is set while slot j holds a flit,
-	// of ringCredM while it holds a credit. Every producer (forward,
-	// inject, the sharded boundary commit) sets the bit with the word,
-	// and arrivals clears both, so arrivals walks the set bits of the
-	// stripe's bitmap words instead of loading every slot — below the
-	// knee almost every slot is empty.
+	// of ringCredM while it holds a credit. Every producer (forward and
+	// inject) sets the bit with the word, and arrivals clears both, so
+	// arrivals walks the set bits of the stripe's bitmap words instead of
+	// loading every slot — below the knee almost every slot is empty.
 	ringSlab      []uint64
 	ringFlitM     []uint64
 	ringCredM     []uint64
@@ -206,37 +205,19 @@ type Network struct {
 	// pktSalt is a per-packet hash of (source terminal, per-terminal
 	// sequence number) assigned at allocation: every tie-break that used
 	// to key off the packet-table index (adaptive route choice, injection
-	// VC) keys off the salt instead, so packet ids are unobservable and
-	// any allocator — serial append/LIFO or the sharded pool — yields
+	// VC) keys off the salt instead, so packet ids are unobservable: any
+	// id allocator, the reference simulator's included, yields
 	// bit-identical traffic.
 	pkts     []packetInfo
 	pktRoute []int32
 	pktSalt  []uint32
 	freePkts []int32
 
-	// pool, when non-nil, is the shared packet-id reserve the sharded
-	// engine refills per-shard freelists from (see shard.go). Serial
-	// runs leave it nil and grow the table by append.
-	pool *pktPool
-
-	// bnd holds this shard's boundary-channel redirects: producers whose
-	// channel crosses a shard cut carry a sentinel packed offset
-	// (lp <= -2) indexing this table instead of a local ring slot (see
-	// shard.go). Empty for serial runs.
-	bnd []bndRef
-
-	// plan caches the sharded execution layout — partition, per-shard
-	// ring layouts, boundary refs, outboxes and the shard Network copies
-	// — for the last shard count RunSharded ran with (see shard.go). It
-	// is derived purely from immutable structure, so it survives Reset
-	// and repeated sharded runs reuse it allocation-free.
-	plan *shardPlan
-
 	// termRng holds one private random stream per terminal (see
 	// TermRNG): injection draws from termRng[t], so the traffic
-	// realization is independent of the global injection scan order and
-	// identical whether terminals are stepped by one goroutine or many.
-	// termSeq counts packets generated per terminal (the salt input).
+	// realization is a pure function of (seed, terminal, draw index),
+	// independent of the injection scan order. termSeq counts packets
+	// generated per terminal (the salt input).
 	// The rand.Rand wrappers are allocated once over termSrc and kept
 	// for the network's lifetime; Reseed rewrites the 8-byte source
 	// states in place, so reseeding (and Reset) never allocates.
@@ -252,32 +233,14 @@ type Network struct {
 
 	now int64
 
-	// Shard-local loop bounds: the router range [rLo,rHi) and terminal
-	// range [tLo,tHi) this Network instance steps. Build sets the full
-	// ranges; the sharded engine's per-shard copies narrow them (see
-	// shard.go). Terminals are assigned in router order, so a contiguous
-	// router range owns a contiguous terminal range.
-	rLo, rHi int
-	tLo, tHi int
-
-	// Grid shape captured from the topology (0 when not a mesh); the
-	// spatial partitioner aligns shard cuts to grid rows.
-	meshRows, meshCols int
-
 	// Statistics accumulators (managed by run.go).
 	measStart, measEnd int64
-	latencySum         float64
 	// latSumR accumulates measured packet latencies per ejecting router.
-	// Each router completes its packets in cycle order regardless of how
-	// routers are interleaved, so the ascending-router fold of latSumR is
-	// the canonical float latency sum — identical for serial and sharded
-	// runs — installed into the final Stats and histogram (latencySum
-	// stays maintained in completion order for the convergence batcher).
-	latSumR []float64
-	// lastDone is the cycle the most recent measured packet completed on;
-	// the sharded engine takes the max across shards to reconstruct the
-	// exact serial drain-stop cycle.
-	lastDone     int64
+	// Each router completes its packets in cycle order, so the
+	// ascending-router fold of latSumR is the canonical float latency
+	// sum — the order the reference simulator folds in — installed into
+	// the final Stats and histogram.
+	latSumR      []float64
 	latHist      obs.Histogram // per measured packet, for percentiles; fixed memory
 	completed    int
 	measuredBorn int
@@ -306,10 +269,8 @@ type Network struct {
 	// per-channel interval counter (reset every sampling window).
 	// tlLatSumR accumulates the latencies of packets retired in the open
 	// window per ejecting router; the window close folds it in ascending
-	// router order — the canonical float-addition order shared by serial
-	// and sharded runs (the latSumR pattern), so a window closed by the
-	// serial loop and the same window merged from per-shard accumulators
-	// carry bit-identical latency sums.
+	// router order (the latSumR pattern), so the window's latency sum
+	// does not depend on the order packets retired in.
 	tline       *obs.Timeline
 	tlChanFlits []int32
 	tlLatSumR   []float64
@@ -394,12 +355,6 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 		saStamp:      make([]int64, maxP),
 		latSumR:      make([]float64, R),
 		termSeq:      make([]uint32, T),
-		rLo:          0,
-		rHi:          R,
-		tLo:          0,
-		tHi:          T,
-		meshRows:     t.MeshRows,
-		meshCols:     t.MeshCols,
 		logger:       cfg.Logger,
 	}
 	n.initTermRng(cfg.Seed)
@@ -629,7 +584,7 @@ func fullVCMask(v int) uint64 { return uint64(1)<<v - 1 }
 // flattened view. It is a pure function of the topology's structure
 // (see topo.CanonicalHash), computed once per structurally distinct
 // topology and shared read-only across every Network built from it —
-// workers, sweep points, and shard copies all alias the same tables.
+// workers and sweep points all alias the same tables.
 type routeSet struct {
 	nextPorts [][][]int32
 	nextFlat  [][]int32

@@ -41,13 +41,6 @@ const (
 type checker struct {
 	opt CheckOptions
 
-	// eventsOnly marks a sharded worker's checker: the event-driven
-	// checks (loss/duplication, progress tracking, per-shard counters)
-	// run in-loop, but the structural scans and the watchdog are the
-	// coordinator's job at epoch barriers, where global state is settled
-	// (see shard.go).
-	eventsOnly bool
-
 	injected  int64 // flits placed on terminal injection channels
 	delivered int64 // flits ejected through terminal sinks
 
@@ -192,19 +185,14 @@ func (c *checker) noteComplete(pkt int32, pi *packetInfo, now int64) {
 
 // endCycle runs the structural scans at the configured cadence. It runs
 // at the end of step, a cycle boundary where every conservation sum is
-// settled. A sharded worker's checker skips it entirely: mid-epoch the
-// worker sees stale remote state, so the coordinator runs the scans at
-// barriers instead.
+// settled.
 func (c *checker) endCycle(n *Network) {
-	if c.eventsOnly {
-		return
-	}
 	if n.now%int64(c.opt.Every) == 0 {
 		c.checkConservation(n)
 		c.checkCredits(n)
 		c.checkPools(n)
 		c.checkMasks(n)
-		c.checkOccupancy(n.now, n)
+		c.checkOccupancy(n)
 	}
 	c.checkProgress(n)
 }
@@ -213,16 +201,9 @@ func (c *checker) endCycle(n *Network) {
 // in-flight count is recomputed from scratch (input-VC occupancy plus
 // channel-ring occupancy), so a drifted counter anywhere shows up here.
 func (c *checker) checkConservation(n *Network) {
-	c.checkConservationAt(n.now, c.injected, c.delivered, n.BufferedFlits())
-}
-
-// checkConservationAt is the conservation assertion on explicit sums —
-// the sharded coordinator calls it at barriers with counters summed
-// across shards and a shard-aware in-flight recount.
-func (c *checker) checkConservationAt(now, injected, delivered, inFlight int64) {
-	if injected != delivered+inFlight {
+	if inFlight := n.BufferedFlits(); c.injected != c.delivered+inFlight {
 		c.violatef("cycle %d: flit conservation broken: injected %d != delivered %d + in-flight %d",
-			now, injected, delivered, inFlight)
+			n.now, c.injected, c.delivered, inFlight)
 	}
 }
 
@@ -231,6 +212,7 @@ func (c *checker) checkConservationAt(now, injected, delivered, inFlight int64) 
 // the downstream port's buffer depth. Terminal sinks (infinite-credit
 // ejection ports) have no channel and are exempt by construction.
 func (c *checker) checkCredits(n *Network) {
+	depth := int64(n.cfg.BufPerPort)
 	for ci := range n.channels {
 		ch := &n.channels[ci]
 		var onRing, credInFlight int64
@@ -244,38 +226,23 @@ func (c *checker) checkCredits(n *Network) {
 				credInFlight++
 			}
 		}
-		if c.checkCreditChannel(n, ci, onRing, credInFlight) {
+		var upstream int64
+		if ch.srcTerm >= 0 {
+			upstream = int64(n.srcCredit[ch.srcTerm])
+		} else {
+			upstream = int64(n.outCredits[int(ch.srcRouter)*n.maxP+int(ch.srcPort)])
+		}
+		in := int32(ch.dstRouter)*int32(n.maxP) + int32(ch.dstPort)
+		var buffered int64
+		for v := int32(0); v < int32(n.V); v++ {
+			buffered += int64(n.vcQ[in*int32(n.V)+v] & 0xffff)
+		}
+		if got := upstream + onRing + buffered + credInFlight; got != depth {
+			c.violatef("cycle %d: credit conservation broken on channel %d (->r%d.p%d): credits %d + ring %d + buffered %d + cred-in-flight %d = %d, want %d",
+				n.now, ci, ch.dstRouter, ch.dstPort, upstream, onRing, buffered, credInFlight, got, depth)
 			return // one report per scan; the rest are usually the same fault
 		}
 	}
-}
-
-// checkCreditChannel closes channel ci's conservation equation given its
-// ring occupancy (flits on the ring, credits in flight); the upstream
-// credit level and downstream buffered flits come from the shared
-// router/terminal-indexed arrays, so the sharded coordinator can call it
-// at barriers after locating the ring words in the owning shards'
-// layouts. Reports at most one violation; returns true when it fired.
-func (c *checker) checkCreditChannel(n *Network, ci int, onRing, credInFlight int64) bool {
-	depth := int64(n.cfg.BufPerPort)
-	ch := &n.channels[ci]
-	var upstream int64
-	if ch.srcTerm >= 0 {
-		upstream = int64(n.srcCredit[ch.srcTerm])
-	} else {
-		upstream = int64(n.outCredits[int(ch.srcRouter)*n.maxP+int(ch.srcPort)])
-	}
-	in := int32(ch.dstRouter)*int32(n.maxP) + int32(ch.dstPort)
-	var buffered int64
-	for v := int32(0); v < int32(n.V); v++ {
-		buffered += int64(n.vcQ[in*int32(n.V)+v] & 0xffff)
-	}
-	if got := upstream + onRing + buffered + credInFlight; got != depth {
-		c.violatef("cycle %d: credit conservation broken on channel %d (->r%d.p%d): credits %d + ring %d + buffered %d + cred-in-flight %d = %d, want %d",
-			n.now, ci, ch.dstRouter, ch.dstPort, upstream, onRing, buffered, credInFlight, got, depth)
-		return true
-	}
-	return false
 }
 
 // checkPools walks every input port's slot pool. Along each VC FIFO's
@@ -425,15 +392,14 @@ func (c *checker) checkMasks(n *Network) {
 	}
 }
 
-// checkOccupancy asserts that the occupancy bitmaps of sh — the network
-// itself, or one shard of a sharded run, each stepping its own ring slab
-// and terminal range — agree with the state they flag: a ring slot's
-// flit (credit) bit is set exactly when its word holds a flit (credit),
-// and a terminal's pending bit exactly when its source queue holds a
-// packet. Reports at most one violation per scan.
-func (c *checker) checkOccupancy(now int64, sh *Network) {
-	slab := sh.ringSlab
-	for wi := range sh.ringFlitM {
+// checkOccupancy asserts that the occupancy bitmaps agree with the
+// state they flag: a ring slot's flit (credit) bit is set exactly when
+// its word holds a flit (credit), and a terminal's pending bit exactly
+// when its source queue holds a packet. Reports at most one violation
+// per scan.
+func (c *checker) checkOccupancy(n *Network) {
+	slab := n.ringSlab
+	for wi := range n.ringFlitM {
 		// Rebuild bitmap word wi from its 64 slot words; bits past the
 		// slab's end must stay clear.
 		var flit, cred uint64
@@ -442,21 +408,21 @@ func (c *checker) checkOccupancy(now int64, sh *Network) {
 			flit |= (w & evValid) << b
 			cred |= ((w & evCred) >> 2) << b
 		}
-		if diff := (flit ^ sh.ringFlitM[wi]) | (cred ^ sh.ringCredM[wi]); diff != 0 {
+		if diff := (flit ^ n.ringFlitM[wi]) | (cred ^ n.ringCredM[wi]); diff != 0 {
 			b := bits.TrailingZeros64(diff)
 			var w uint64
 			if lo+b < len(slab) {
 				w = slab[lo+b]
 			}
 			c.violatef("cycle %d: ring slot %d: occupancy bits flit=%t credit=%t disagree with slot word %#x",
-				now, lo+b, sh.ringFlitM[wi]>>b&1 != 0, sh.ringCredM[wi]>>b&1 != 0, w)
+				n.now, lo+b, n.ringFlitM[wi]>>b&1 != 0, n.ringCredM[wi]>>b&1 != 0, w)
 			return
 		}
 	}
-	for t := sh.tLo; t < sh.tHi; t++ {
-		queued := len(sh.srcQ[t]) - int(sh.srcQHead[t])
-		if pend := sh.srcPendM[t>>6]>>(t&63)&1 != 0; pend != (queued > 0) {
-			c.violatef("cycle %d: terminal %d: pending bit %t with %d queued packets", now, t, pend, queued)
+	for t := 0; t < n.T; t++ {
+		queued := len(n.srcQ[t]) - int(n.srcQHead[t])
+		if pend := n.srcPendM[t>>6]>>(t&63)&1 != 0; pend != (queued > 0) {
+			c.violatef("cycle %d: terminal %d: pending bit %t with %d queued packets", n.now, t, pend, queued)
 			return
 		}
 	}

@@ -35,14 +35,11 @@ func (n *Network) AttachTimeline(t *obs.Timeline) {
 func (n *Network) Timeline() *obs.Timeline { return n.tline }
 
 // tickTimeline advances the sampler by one cycle and closes the window
-// at interval boundaries. Runs only with a timeline attached. The
-// occupancy scan covers this network's router range, so a sharded
-// worker's tick sums only its own routers (the coordinator adds the
-// per-shard contributions at the barrier).
+// at interval boundaries. Runs only with a timeline attached.
 func (n *Network) tickTimeline() {
 	var occ int64
-	for r := n.rLo; r < n.rHi; r++ {
-		occ += int64(n.routerOcc[r])
+	for _, o := range n.routerOcc {
+		occ += int64(o)
 	}
 	if n.tline.Tick(occ) {
 		n.closeTimelineWindow()
@@ -51,16 +48,11 @@ func (n *Network) tickTimeline() {
 
 // closeTimelineWindow ends the open sampling window: the busiest
 // channel's flit count feeds the window's top utilization, the window's
-// latency sum is folded from the per-router accumulators in ascending
-// router order (the canonical order the sharded merge reproduces), and
-// both per-window counters reset.
+// latency sum is the ascending-router fold of tlLatSumR (the latSumR
+// pattern; latencies are integers, so the fold is exact in float64 and
+// independent of the order packets retired in), and both per-window
+// counters reset.
 func (n *Network) closeTimelineWindow() {
-	n.tline.EndIntervalSum(n.takeWindowMaxFlits(), n.takeWindowLatSum())
-}
-
-// takeWindowMaxFlits returns the busiest channel's flit count for the
-// open window and resets the per-channel counters.
-func (n *Network) takeWindowMaxFlits() int64 {
 	var maxFlits int32
 	for i, f := range n.tlChanFlits {
 		if f > maxFlits {
@@ -68,21 +60,12 @@ func (n *Network) takeWindowMaxFlits() int64 {
 		}
 		n.tlChanFlits[i] = 0
 	}
-	return int64(maxFlits)
-}
-
-// takeWindowLatSum folds the open window's per-router retired-latency
-// sums in ascending router order and resets them. All latencies are
-// integer-valued, so the fold is exact in float64 and independent of the
-// order packets actually retired — serial and sharded runs produce the
-// same bits.
-func (n *Network) takeWindowLatSum() float64 {
 	var sum float64
-	for r := range n.tlLatSumR {
-		sum += n.tlLatSumR[r]
+	for r, l := range n.tlLatSumR {
+		sum += l
 		n.tlLatSumR[r] = 0
 	}
-	return sum
+	n.tline.EndIntervalSum(int64(maxFlits), sum)
 }
 
 // Trace starts recording packet-lifecycle events into rec: head-of-

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"log/slog"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"waferswitch/internal/obs"
@@ -217,6 +218,56 @@ func TestSteadyStateNoAllocsProbed(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state step allocates %v allocs/op with probe attached, want 0", avg)
+	}
+}
+
+// TestRunSteadyStateAllocs gates the whole-run zero-alloc contract,
+// bare and with the timeline and attribution observers attached. A
+// whole-run benchmark cannot see it — a run legitimately allocates
+// while its source queues and packet table grow to steady capacity —
+// so this measures differentially: a run with 2400 extra measurement
+// cycles must not allocate meaningfully more than a short one. The
+// tolerated growth is the timeline's amortized sample appends (the long
+// run closes ~75 more windows) and runtime jitter.
+func TestRunSteadyStateAllocs(t *testing.T) {
+	top := testClos(t)
+	inj := RateInjector{Load: 0.4, Pattern: traffic.Uniform(top.ExternalPorts()), PacketFlits: 2}
+	for _, tc := range []struct {
+		name   string
+		attach func(n *Network)
+	}{
+		{"bare", func(*Network) {}},
+		{"timeline+attribution", func(n *Network) {
+			n.AttachTimeline(obs.NewTimeline(32, 128))
+			if err := n.AttachAttribution(n.NewAttribution()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runAllocs := func(measure int) uint64 {
+				cfg := shortTestConfig()
+				cfg.MeasureCycles = measure
+				n, err := Build(top, ConstantLatency(1), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.attach(n)
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				n.Run(inj, 0.4)
+				runtime.ReadMemStats(&after)
+				return after.Mallocs - before.Mallocs
+			}
+			base, long := runAllocs(600), runAllocs(3000)
+			extra := int64(long) - int64(base)
+			t.Logf("%d extra allocations (base run %d, long run %d)", extra, base, long)
+			if extra > 128 {
+				t.Errorf("2400 extra steady-state cycles cost %d allocations (base run %d, long run %d); the cycle loop must not allocate",
+					extra, base, long)
+			}
+		})
 	}
 }
 

@@ -130,59 +130,6 @@ func TestKnownDeadlockEquivalent(t *testing.T) {
 	}
 }
 
-// TestKnownDeadlockDetectedSharded: the sharded watchdog must reproduce
-// the serial finding on the pinned dragonfly deadlock exactly — the
-// violation text (fire cycle, no-progress span, buffered-flit count and
-// the full deadlock dump of stuck routers) is compared byte for byte,
-// and the wedged run's stats must match the serial engine's.
-func TestKnownDeadlockDetectedSharded(t *testing.T) {
-	s := deadlockSpec()
-	run := func(shards int) (sim.Stats, string) {
-		top, err := s.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		inj, err := s.Injector(top.ExternalPorts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := sim.Build(top, sim.ConstantLatency(s.LinkLat), s.Config())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Check(sim.CheckOptions{Watchdog: 1200}); err != nil {
-			t.Fatal(err)
-		}
-		var st sim.Stats
-		if shards > 1 {
-			st, err = n.RunSharded(inj, s.Load, shards)
-			if err != nil {
-				t.Fatalf("RunSharded(%d): %v", shards, err)
-			}
-		} else {
-			st = n.Run(inj, s.Load)
-		}
-		errv := n.CheckErr()
-		if errv == nil {
-			t.Fatalf("watchdog missed the pinned deadlock at shards=%d (spec %s)", shards, s)
-		}
-		return st, errv.Error()
-	}
-	serSt, serDump := run(1)
-	if !strings.Contains(serDump, "deadlock") {
-		t.Fatalf("serial watchdog report incomplete: %s", serDump)
-	}
-	for _, shards := range []int{3, 4} {
-		shSt, shDump := run(shards)
-		if shSt != serSt {
-			t.Errorf("wedged stats diverge at shards=%d:\n  serial  %+v\n  sharded %+v", shards, serSt, shSt)
-		}
-		if shDump != serDump {
-			t.Errorf("deadlock reports diverge at shards=%d:\n--- serial ---\n%s\n--- sharded ---\n%s", shards, serDump, shDump)
-		}
-	}
-}
-
 // TestDeadlockFreeFamiliesNeverWedge: the same adversarial pressure
 // (single VC, Buf == Pkt, load 0.95) must never trip the watchdog on
 // the deadlock-free families — up/down Clos routing and mesh DOR have

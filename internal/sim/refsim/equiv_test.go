@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"waferswitch/internal/sim"
@@ -55,17 +56,28 @@ func TestSimEquivalencePatterns(t *testing.T) {
 		{Family: "fbfly", Size: 1, Pattern: "asymmetric", LinkLat: 2, VCs: 3, Buf: 10, Pkt: 1, RCI: 3, RCO: 3, Pipe: 1, Term: 2, Warmup: 40, Measure: 200, Seed: 1234, Load: 0.4},
 		{Family: "dfly", Size: 1, Pattern: "uniform", LinkLat: 4, VCs: 2, Buf: 6, Pkt: 2, RCI: 1, RCO: 1, Pipe: 2, Term: 1, Warmup: 25, Measure: 80, Seed: -5, Load: 0.5},
 	}
+	check := func(t *testing.T, s Spec) {
+		rep, err := s.Diff()
+		if err != nil {
+			t.Fatalf("diff %s: %v", s, err)
+		}
+		if !rep.OK() {
+			t.Fatalf("simulators diverge:\n%s", rep.Summary())
+		}
+	}
 	for _, s := range specs {
-		s := s
-		t.Run(s.Family+"/"+s.Pattern, func(t *testing.T) {
-			rep, err := s.Diff()
-			if err != nil {
-				t.Fatalf("diff %s: %v", s, err)
-			}
-			if !rep.OK() {
-				t.Fatalf("simulators diverge:\n%s", rep.Summary())
-			}
-		})
+		t.Run(s.Family+"/"+s.Pattern, func(t *testing.T) { check(t, s) })
+	}
+	// Tornado past the knee with 4 VCs on every family: adversarial
+	// permutation traffic under each routing function.
+	for _, fam := range []string{"clos", "mesh", "fbfly", "dfly"} {
+		s := Spec{
+			Family: fam, Size: 1, Pattern: "tornado",
+			LinkLat: 2, VCs: 4, Buf: 8, Pkt: 2,
+			RCI: 1, RCO: 1, Pipe: 1, Term: 1,
+			Warmup: 40, Measure: 120, Seed: 7, Load: 0.6,
+		}
+		t.Run(fam+"/tornado/load=0.6", func(t *testing.T) { check(t, s) })
 	}
 }
 
@@ -131,10 +143,13 @@ func TestSimEquivalenceSaturation10k(t *testing.T) {
 
 // TestSpecRoundTrip pins the replay contract: String o ParseSpec is the
 // identity, so a tuple printed by a failing fuzz run reproduces the
-// exact same case under wsswitch -replay.
+// exact same case under wsswitch -replay; tuples printed while the
+// sharded engine existed still parse when they name the serial run
+// (shards=0|1); and values no run can use are errors, not panics or
+// false divergences.
 func TestSpecRoundTrip(t *testing.T) {
 	s := SpecFromRaw(3, 1, 2, 0, 1, 7, 2, 0, 1, 2, 3, 77, 150, -12345, 333)
-	s.Shards = 5
+	s.Timeline, s.Attribution = true, true
 	got, err := ParseSpec(s.String())
 	if err != nil {
 		t.Fatalf("ParseSpec(%q): %v", s.String(), err)
@@ -142,20 +157,41 @@ func TestSpecRoundTrip(t *testing.T) {
 	if got != s {
 		t.Fatalf("round trip changed spec:\n  in  %+v\n  out %+v", s, got)
 	}
-	// Tuples printed before the shard dimension existed must still parse
-	// (Shards defaults to 0 = serial-only).
-	old, err := ParseSpec("family=clos size=0 pattern=uniform link=1 load=0.25")
+	const base = "family=clos size=0 pattern=uniform link=1 load=0.25"
+	want, err := ParseSpec(base)
 	if err != nil {
-		t.Fatalf("ParseSpec without shards: %v", err)
+		t.Fatalf("ParseSpec(%q): %v", base, err)
 	}
-	if old.Shards != 0 {
-		t.Fatalf("missing shards parsed as %d, want 0", old.Shards)
+	for _, tok := range []string{"shards=0", "shards=1"} {
+		t.Run("accept/"+tok, func(t *testing.T) {
+			got, err := ParseSpec(base + " " + tok)
+			if err != nil {
+				t.Fatalf("ParseSpec with %s: %v", tok, err)
+			}
+			if got != want {
+				t.Fatalf("%s changed the spec:\n  without %+v\n  with    %+v", tok, want, got)
+			}
+		})
 	}
-	if _, err := ParseSpec("family=clos bogus=1"); err == nil {
-		t.Fatalf("ParseSpec accepted unknown key")
-	}
-	if _, err := ParseSpec("size=1"); err == nil {
-		t.Fatalf("ParseSpec accepted spec without family")
+	for _, tc := range []struct{ in, wantErr string }{
+		{"family=clos bogus=1", "unknown spec key"},
+		{"size=1", "missing family"},
+		{"family=clos size=-1", "outside 0..2"},
+		{"family=fbfly size=-2", "outside 0..2"},
+		{"family=clos size=3", "outside 0..2"},
+		{"family=clos load=NaN", "finite and non-negative"},
+		{"family=clos load=+Inf", "finite and non-negative"},
+		{"family=clos load=-Inf", "finite and non-negative"},
+		{"family=clos load=-0.1", "finite and non-negative"},
+		{"family=clos shards=2", "sharded engine was removed"},
+		{"family=clos shards=-1", "sharded engine was removed"},
+	} {
+		t.Run("reject/"+tc.in, func(t *testing.T) {
+			_, err := ParseSpec(tc.in)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("ParseSpec(%q) = %v, want an error containing %q", tc.in, err, tc.wantErr)
+			}
+		})
 	}
 }
 

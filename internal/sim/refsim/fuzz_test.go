@@ -50,24 +50,19 @@ func FuzzSimEquivalence(f *testing.F) {
 	})
 }
 
-// FuzzShardEquivalence extends the differential harness with the shard
-// dimension: the raw tuple is FuzzSimEquivalence's plus one byte whose
-// low bits map to a shard count in [2, 11] and whose high bits switch
-// the shard-aware observers on (bit 5 attaches a timeline sampler to
-// both engines, bit 6 a congestion-attribution collector; their merged
-// snapshots must be byte-identical JSON). The sharded engine joins the
-// three-way Diff — reference, serial optimized and sharded must all
-// agree bit-for-bit. The count range deliberately includes primes that
-// never divide the router counts evenly and values above the smallest
-// topologies' router counts (mesh size 0 has 4 routers), so clamping
-// and maximally-uneven partitions are fuzzed too. This is a separate
-// target rather than a new SpecFromRaw parameter because Go fuzz corpus
-// entries are typed argument lists: extending the existing signature
-// would orphan FuzzSimEquivalence's corpus.
-func FuzzShardEquivalence(f *testing.F) {
-	// Seed corpus: prime shard counts (3, 7) across families, a power of
-	// two on the big clos, and shards far above the router count on the
-	// smallest mesh (shard raw 9 maps to 11 shards vs 4 routers).
+// FuzzObservedEquivalence is FuzzSimEquivalence with observers riding
+// the optimized run: the raw tuple is FuzzSimEquivalence's plus one
+// byte whose bit 5 attaches a timeline sampler and bit 6 a
+// congestion-attribution collector (its other bits are unused). The
+// observers must be transparent — Stats, latency histogram and
+// delivery multiset still agree bit-for-bit with the dense reference,
+// with the invariant checker clean. This is a separate target rather
+// than a new SpecFromRaw parameter because Go fuzz corpus entries are
+// typed argument lists: extending the existing signature would orphan
+// FuzzSimEquivalence's corpus.
+func FuzzObservedEquivalence(f *testing.F) {
+	// Seed corpus: one case per family at light and saturating loads,
+	// with and without observers.
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), uint8(4), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint16(40), uint16(100), int64(1), uint16(200), uint8(1))
 	f.Add(uint8(1), uint8(0), uint8(1), uint8(0), uint8(3), uint8(0), uint8(3), uint8(1), uint8(1), uint8(0), uint8(0), uint16(30), uint16(90), int64(-7), uint16(550), uint8(9))
 	f.Add(uint8(2), uint8(2), uint8(2), uint8(2), uint8(0), uint8(11), uint8(0), uint8(2), uint8(2), uint8(2), uint8(3), uint16(119), uint16(199), int64(424242), uint16(30), uint8(5))
@@ -75,24 +70,20 @@ func FuzzShardEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(3), uint8(0), uint8(0), uint8(1), uint8(1), uint16(50), uint16(150), int64(77), uint16(930), uint8(2))
 	f.Add(uint8(3), uint8(0), uint8(1), uint8(1), uint8(7), uint8(2), uint8(1), uint8(1), uint8(0), uint8(2), uint8(2), uint16(40), uint16(160), int64(-31), uint16(930), uint8(5))
 	// Observer-on seeds: timeline (32), attribution (64) and both (96),
-	// on prime and non-dividing shard counts, at the knee and past
-	// saturation — the merge paths with the most cross-shard traffic.
+	// at the knee and past saturation.
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), uint8(4), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint16(40), uint16(100), int64(1), uint16(430), uint8(32+1))
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), uint8(3), uint8(0), uint8(3), uint8(1), uint8(1), uint8(0), uint8(0), uint16(30), uint16(90), int64(-7), uint16(550), uint8(64+5))
 	f.Add(uint8(2), uint8(1), uint8(2), uint8(2), uint8(0), uint8(11), uint8(0), uint8(2), uint8(2), uint8(2), uint8(3), uint16(80), uint16(150), int64(424242), uint16(930), uint8(96+2))
 	f.Add(uint8(3), uint8(2), uint8(3), uint8(1), uint8(2), uint8(6), uint8(2), uint8(0), uint8(2), uint8(1), uint8(2), uint16(60), uint16(140), int64(11), uint16(700), uint8(96+9))
-	// The committed corpus (testdata/fuzz/FuzzShardEquivalence) adds
-	// seeds whose shard cuts split a 64-terminal word of the pending-
-	// source bitmap: the 120-terminal mesh on 3 shards (cuts at
-	// terminals 41 and 79) and on 7, the 40-terminal dragonfly on 7
-	// (every shard inside one word), and the wide-spine Clos on 3 with
-	// both observers attached.
+	// The committed corpus (testdata/fuzz/FuzzObservedEquivalence) adds
+	// kernel-shape seeds: the 120-terminal mesh, whose pending-source
+	// bitmap ends mid-word, the 40-terminal dragonfly inside one word,
+	// and the wide-spine Clos with both observers attached.
 	f.Fuzz(func(t *testing.T, family, size, pattern, link, vcs, buf, pkt, rci, rco, pipe, term uint8,
-		warmup, measure uint16, seed int64, loadMil uint16, shardRaw uint8) {
+		warmup, measure uint16, seed int64, loadMil uint16, observers uint8) {
 		s := SpecFromRaw(family, size, pattern, link, vcs, buf, pkt, rci, rco, pipe, term, warmup, measure, seed, loadMil)
-		s.Shards = 2 + int(shardRaw)%10
-		s.Timeline = shardRaw&32 != 0
-		s.Attribution = shardRaw&64 != 0
+		s.Timeline = observers&32 != 0
+		s.Attribution = observers&64 != 0
 		rep, err := s.Diff()
 		if err != nil {
 			t.Fatalf("diff %s: %v", s, err)
@@ -104,20 +95,19 @@ func FuzzShardEquivalence(f *testing.F) {
 }
 
 // FuzzResetEquivalence fuzzes Network.Reset against both oracles: a
-// network is deliberately dirtied — run once at a fuzz-chosen load and
-// seed, serially or sharded (dirty bit 0), so rings, credits, the
-// packet table, RNG streams and the cached shard plan all carry state —
-// then Reset to the spec's seed and run the spec. The result must match
-// a freshly built network bit for bit (Stats, latency histogram,
-// ordered delivery log) AND the dense reference simulator, with the
-// runtime invariant checker clean on the reset run. The raw tuple is
-// FuzzSimEquivalence's plus the dirty byte, a separate target for the
-// same reason FuzzShardEquivalence is one: extending the existing
-// signature would orphan its corpus.
+// network is deliberately dirtied — run once at a load and seed chosen
+// by the dirty byte, so rings, credits, the packet table and RNG
+// streams all carry state — then Reset to the spec's seed and run the
+// spec. The result must match a freshly built network bit for bit
+// (Stats, latency histogram, ordered delivery log) AND the dense
+// reference simulator, with the runtime invariant checker clean on the
+// reset run. The raw tuple is FuzzSimEquivalence's plus the dirty byte,
+// a separate target for the same reason FuzzObservedEquivalence is one:
+// extending the existing signature would orphan its corpus.
 func FuzzResetEquivalence(f *testing.F) {
 	// Seed corpus: one case per family — including both deadlock-capable
 	// families, where the dirty run stalls and hits the drain deadline —
-	// with serial and sharded dirtying, light and saturating dirty loads.
+	// at light and saturating dirty loads.
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), uint8(4), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint16(40), uint16(100), int64(1), uint16(200), uint8(0))
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), uint8(3), uint8(0), uint8(3), uint8(1), uint8(1), uint8(0), uint8(0), uint16(30), uint16(90), int64(-7), uint16(550), uint8(1))
 	f.Add(uint8(2), uint8(2), uint8(2), uint8(2), uint8(0), uint8(11), uint8(0), uint8(2), uint8(2), uint8(2), uint8(3), uint16(80), uint16(150), int64(424242), uint16(30), uint8(93))
@@ -158,13 +148,7 @@ func FuzzResetEquivalence(f *testing.F) {
 		reused.Reseed(s.Seed + 1 + int64(dirty))
 		dirtyLoad := 0.02 + float64(dirty%94)/100
 		dirtyInj := sim.RateInjector{Load: dirtyLoad, Pattern: traffic.Uniform(top.ExternalPorts()), PacketFlits: s.Pkt}
-		if dirty&1 != 0 {
-			if _, err := reused.RunSharded(dirtyInj, dirtyLoad, 2+int(dirty>>1)%3); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			reused.Run(dirtyInj, dirtyLoad)
-		}
+		reused.Run(dirtyInj, dirtyLoad)
 		reused.Reset(s.Seed)
 		copt := sim.CheckOptions{}
 		if !s.DeadlockFree() {

@@ -1,9 +1,8 @@
 package refsim
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,23 +35,16 @@ type Spec struct {
 	Seed int64
 	Load float64 // offered, flits/terminal/cycle
 
-	// Shards > 1 adds a third run to Diff: the sharded engine
-	// (RunSharded) on that many shards, required to match the serial
-	// optimized run bit for bit. 0 and 1 mean serial only.
-	Shards int
-
-	// Timeline and Attribution attach the corresponding shard-aware
-	// observers to the serial optimized run and, when Shards > 1, to the
-	// sharded run as well; Diff then requires the merged observer
-	// snapshots to render to byte-identical JSON across the two engines.
+	// Timeline and Attribution attach the corresponding observers to the
+	// optimized run, so Diff checks that they leave its Stats, latency
+	// histogram and deliveries bit-identical to the reference's.
 	Timeline    bool
 	Attribution bool
 }
 
 // Observer shape used by Diff when Spec.Timeline is set: a short window
 // and a small sample budget so compaction (interval doubling) fires on
-// typical fuzz-sized runs, exercising the Truncated/compaction paths of
-// the sharded merge too.
+// typical fuzz-sized runs.
 const (
 	diffTimelineInterval = 16
 	diffTimelineSamples  = 32
@@ -112,15 +104,19 @@ func SpecFromRaw(family, size, pattern, link, vcs, buf, pkt, rci, rco, pipe, ter
 // space-separated key=value pairs, parseable by ParseSpec.
 func (s Spec) String() string {
 	return fmt.Sprintf(
-		"family=%s size=%d pattern=%s link=%d vcs=%d buf=%d pkt=%d rci=%d rco=%d pipe=%d term=%d warmup=%d measure=%d drain=%d seed=%d load=%g shards=%d timeline=%t attribution=%t",
+		"family=%s size=%d pattern=%s link=%d vcs=%d buf=%d pkt=%d rci=%d rco=%d pipe=%d term=%d warmup=%d measure=%d drain=%d seed=%d load=%g timeline=%t attribution=%t",
 		s.Family, s.Size, s.Pattern, s.LinkLat, s.VCs, s.Buf, s.Pkt,
 		s.RCI, s.RCO, s.Pipe, s.Term, s.Warmup, s.Measure, s.Drain,
-		s.Seed, s.Load, s.Shards, s.Timeline, s.Attribution)
+		s.Seed, s.Load, s.Timeline, s.Attribution)
 }
 
-// ParseSpec parses the String form back into a Spec. Unknown keys are
-// errors so a mistyped replay tuple fails loudly instead of silently
-// running a default.
+// ParseSpec parses the String form back into a Spec. Unknown keys and
+// values no run can use (a size outside 0..2; a load that is negative,
+// infinite or NaN) are errors, so a mistyped replay tuple fails loudly
+// instead of silently running a default, panicking or reporting a
+// false divergence. Tuples printed before the sharded engine was
+// removed carry shards=N: 0 and 1 named the serial run and still
+// parse; any other count is refused.
 func ParseSpec(in string) (Spec, error) {
 	var s Spec
 	for _, tok := range strings.Fields(in) {
@@ -163,7 +159,10 @@ func ParseSpec(in string) (Spec, error) {
 		case "load":
 			s.Load, err = strconv.ParseFloat(val, 64)
 		case "shards":
-			s.Shards, err = strconv.Atoi(val)
+			var shards int
+			if shards, err = strconv.Atoi(val); err == nil && shards != 0 && shards != 1 {
+				return s, fmt.Errorf("refsim: %q: the sharded engine was removed; only shards=0 and shards=1 (the serial run) replay", tok)
+			}
 		case "timeline":
 			s.Timeline, err = strconv.ParseBool(val)
 		case "attribution":
@@ -177,6 +176,12 @@ func ParseSpec(in string) (Spec, error) {
 	}
 	if s.Family == "" {
 		return s, fmt.Errorf("refsim: spec missing family")
+	}
+	if s.Size < 0 || s.Size > 2 {
+		return s, fmt.Errorf("refsim: size=%d outside 0..2", s.Size)
+	}
+	if !(s.Load >= 0) || math.IsInf(s.Load, 1) {
+		return s, fmt.Errorf("refsim: load=%g must be finite and non-negative", s.Load)
 	}
 	return s, nil
 }
@@ -327,9 +332,7 @@ func (r *DiffReport) Summary() string {
 // and float sums), and the delivered-packet multiset. The optimized run
 // also carries the runtime invariant checker, so a diff both
 // cross-checks the implementations against each other and the optimized
-// one against the specification's conservation laws. When Shards > 1 a
-// third run — the sharded engine on that many shards — must match the
-// serial optimized run bit for bit, including the delivery log's order.
+// one against the specification's conservation laws.
 func (s Spec) Diff() (*DiffReport, error) {
 	top, err := s.Build()
 	if err != nil {
@@ -353,15 +356,11 @@ func (s Spec) Diff() (*DiffReport, error) {
 	if err := n.Check(opt); err != nil {
 		return nil, err
 	}
-	var optTL *obs.Timeline
-	var optAt *obs.Attribution
 	if s.Timeline {
-		optTL = obs.NewTimeline(diffTimelineInterval, diffTimelineSamples)
-		n.AttachTimeline(optTL)
+		n.AttachTimeline(obs.NewTimeline(diffTimelineInterval, diffTimelineSamples))
 	}
 	if s.Attribution {
-		optAt = n.NewAttribution()
-		if err := n.AttachAttribution(optAt); err != nil {
+		if err := n.AttachAttribution(n.NewAttribution()); err != nil {
 			return nil, err
 		}
 	}
@@ -393,90 +392,6 @@ func (s Spec) Diff() (*DiffReport, error) {
 	}
 	if d := diffDeliveries(n.Deliveries(), ref.Deliveries); d != "" {
 		rep.Divergences = append(rep.Divergences, d)
-	}
-	if s.Shards > 1 {
-		shInj, err := s.Injector(top.ExternalPorts())
-		if err != nil {
-			return nil, err
-		}
-		sn, err := sim.Build(top, lat, cfg)
-		if err != nil {
-			return nil, err
-		}
-		var shTL *obs.Timeline
-		var shAt *obs.Attribution
-		if s.Timeline {
-			shTL = obs.NewTimeline(diffTimelineInterval, diffTimelineSamples)
-			sn.AttachTimeline(shTL)
-		}
-		if s.Attribution {
-			shAt = sn.NewAttribution()
-			if err := sn.AttachAttribution(shAt); err != nil {
-				return nil, err
-			}
-		}
-		sn.RecordDeliveries()
-		shStats, err := sn.RunSharded(shInj, s.Load, s.Shards)
-		if err != nil {
-			return nil, err
-		}
-		if shStats != rep.Opt {
-			rep.Divergences = append(rep.Divergences, fmt.Sprintf(
-				"sharded stats differ (shards=%d):\n  serial  %+v\n  sharded %+v", s.Shards, rep.Opt, shStats))
-		}
-		shHist := sn.LatencyHistogram()
-		if !shHist.Equal(&optHist) {
-			rep.Divergences = append(rep.Divergences, fmt.Sprintf(
-				"sharded latency histogram differs (shards=%d): serial n=%d sum=%g min=%d max=%d, sharded n=%d sum=%g min=%d max=%d",
-				s.Shards,
-				optHist.Count(), optHist.Sum(), optHist.Min(), optHist.Max(),
-				shHist.Count(), shHist.Sum(), shHist.Min(), shHist.Max()))
-		}
-		// The sharded merge reconstructs the serial log exactly, so this
-		// comparison is order-sensitive, not just multiset equality.
-		sd, od := sn.Deliveries(), n.Deliveries()
-		if len(sd) != len(od) {
-			rep.Divergences = append(rep.Divergences, fmt.Sprintf(
-				"sharded delivery counts differ (shards=%d): serial %d, sharded %d", s.Shards, len(od), len(sd)))
-		} else {
-			for i := range od {
-				if od[i] != sd[i] {
-					rep.Divergences = append(rep.Divergences, fmt.Sprintf(
-						"sharded delivery log differs at index %d (shards=%d): serial %+v, sharded %+v",
-						i, s.Shards, od[i], sd[i]))
-					break
-				}
-			}
-		}
-		// Shard-aware observers must merge to byte-identical snapshots.
-		if s.Timeline {
-			want, err := json.Marshal(optTL.Snapshot())
-			if err != nil {
-				return nil, err
-			}
-			got, err := json.Marshal(shTL.Snapshot())
-			if err != nil {
-				return nil, err
-			}
-			if !bytes.Equal(got, want) {
-				rep.Divergences = append(rep.Divergences, fmt.Sprintf(
-					"sharded timeline snapshot differs (shards=%d):\n  serial  %s\n  sharded %s", s.Shards, want, got))
-			}
-		}
-		if s.Attribution {
-			want, err := json.Marshal(optAt.Snapshot(8))
-			if err != nil {
-				return nil, err
-			}
-			got, err := json.Marshal(shAt.Snapshot(8))
-			if err != nil {
-				return nil, err
-			}
-			if !bytes.Equal(got, want) {
-				rep.Divergences = append(rep.Divergences, fmt.Sprintf(
-					"sharded attribution snapshot differs (shards=%d):\n  serial  %s\n  sharded %s", s.Shards, want, got))
-			}
-		}
 	}
 	return rep, nil
 }

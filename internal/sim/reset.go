@@ -2,7 +2,7 @@ package sim
 
 import "waferswitch/internal/obs"
 
-// Network reuse: a Run (or RunSharded) used to be strictly single-use —
+// Network reuse: a Run used to be strictly single-use —
 // every sweep point paid a full Build. Reset rewinds every piece of
 // mutable simulation state to exactly what Build produces, without
 // freeing a single backing array, so a warm network evaluates the next
@@ -13,8 +13,8 @@ import "waferswitch/internal/obs"
 //     route cache (see routesFor).
 //   - Immutable per network: the channel list, ring layout constants
 //     (latVals/classOff/classCnt/classHot, packed producer offsets),
-//     port wiring (feedCh/outCh, rcOfIn), terminal wiring, and the
-//     cached shard plan (see shard.go) — none of it changes across runs.
+//     port wiring (feedCh/outCh, rcOfIn) and terminal wiring — none of
+//     it changes across runs.
 //   - Resettable: everything a cycle can write — VC queues and status,
 //     the input ports' slot-pool allocators, port masks, credits,
 //     channel ring slab, occupancy bitmaps, source queues, the packet
@@ -38,8 +38,7 @@ import "waferswitch/internal/obs"
 // with seed, reusing every backing array. All observers (probe,
 // timeline, tracer, attribution, checker, abort detector, delivery
 // recording) are detached, as on a fresh Build — reattach what the
-// next run needs. The cached shard plan survives, so a
-// following RunSharded reuses its shard copies and outboxes.
+// next run needs.
 func (n *Network) Reset(seed int64) {
 	clear(n.vcQ)
 	clear(n.alloc)
@@ -106,8 +105,6 @@ func (n *Network) Reset(seed int64) {
 	n.pktRoute = n.pktRoute[:0]
 	n.pktSalt = n.pktSalt[:0]
 	n.freePkts = n.freePkts[:0]
-	n.pool = nil
-	n.bnd = nil
 
 	// Switch-allocation scratch.
 	clear(n.saWinner)
@@ -115,16 +112,10 @@ func (n *Network) Reset(seed int64) {
 	clear(n.saStamp)
 	n.saClock = 0
 
-	// Loop bounds back to the full network (shard copies narrow them).
-	n.rLo, n.rHi = 0, n.R
-	n.tLo, n.tHi = 0, n.T
-
 	// Clock and statistics.
 	n.now = 0
 	n.measStart, n.measEnd = 0, 0
-	n.latencySum = 0
 	clear(n.latSumR)
-	n.lastDone = 0
 	n.latHist = obs.Histogram{}
 	n.completed = 0
 	n.measuredBorn = 0

@@ -11,6 +11,29 @@ import (
 	"waferswitch/internal/traffic"
 )
 
+func testMesh4x4(t *testing.T) *topo.Topology {
+	t.Helper()
+	chip, err := ssc.MustTH5(200).Deradix(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := topo.MeshTopo(4, 4, chip, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// shortTestConfig is a small router with short windows: a run on the
+// test fabrics takes milliseconds.
+func shortTestConfig() Config {
+	return Config{
+		NumVCs: 2, BufPerPort: 8, PacketFlits: 2,
+		RCIngress: 1, RCOther: 1, PipeDelay: 1, TermDelay: 1,
+		WarmupCycles: 40, MeasureCycles: 120, Seed: 17,
+	}
+}
+
 // resetFamilies returns one topology per routing family: up/down BFS on
 // the Clos, dimension-order routing on the mesh, and BFS minimal
 // routing on the flattened butterfly and dragonfly (the two families
@@ -38,43 +61,37 @@ func resetFamilies(t *testing.T) map[string]*topo.Topology {
 	}
 }
 
-// TestResetEquivalence is the build-vs-reset equivalence suite: one
-// network per routing family serves every (shards, load) combination,
-// Reset between runs, and each run must be indistinguishable — Stats,
-// latency histogram, probe snapshot JSON, and the ordered delivery
-// log — from a network freshly built for that combination. Iterating
-// shard counts outermost makes consecutive sharded runs share the
-// cached shard plan, so plan reuse across points is covered too, as are
-// the serial-after-sharded and sharded-after-serial transitions.
+// TestResetEquivalence is the build-vs-reset equivalence suite. Each
+// routing family keeps a small pool of networks and reuses it the way
+// sweep workers reuse theirs: at shards=N the loads are dealt
+// round-robin across N networks (the grid has three points, so N=4
+// clamps to three), each network is Reset before every run, and every
+// run must be indistinguishable — Stats, latency histogram, probe
+// snapshot JSON, and the ordered delivery log — from a network freshly
+// built for that load. The pool persists across N and grows only when
+// a wider deal first needs a network, so the first network runs six
+// times (reset-after-reset, and the low-after-high load transitions
+// between deals) while the last one is Reset before it has ever run.
+// The shards= key names the pool width; the subtest names are kept
+// from when it was the single-sim engine's shard count.
 func TestResetEquivalence(t *testing.T) {
-	cfg := shardTestConfig()
+	cfg := shortTestConfig()
 	loads := []float64{0.1, 0.4, 0.7}
 	for name, top := range resetFamilies(t) {
 		t.Run(name, func(t *testing.T) {
 			inj := func(load float64) Injector {
 				return RateInjector{Load: load, Pattern: traffic.Uniform(top.ExternalPorts()), PacketFlits: cfg.PacketFlits}
 			}
-			reused, err := Build(top, ConstantLatency(1), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			var pool []*Network
 			for _, shards := range []int{1, 2, 4} {
-				for _, load := range loads {
+				for k, load := range loads {
 					t.Run(fmt.Sprintf("shards=%d/load=%g", shards, load), func(t *testing.T) {
 						run := func(n *Network) (Stats, string, []Delivery) {
 							n.RecordDeliveries()
 							if err := n.AttachProbe(n.NewProbe()); err != nil {
 								t.Fatal(err)
 							}
-							var st Stats
-							if shards > 1 {
-								st, err = n.RunSharded(inj(load), load, shards)
-								if err != nil {
-									t.Fatal(err)
-								}
-							} else {
-								st = n.Run(inj(load), load)
-							}
+							st := n.Run(inj(load), load)
 							snap, err := json.Marshal(n.Snapshot())
 							if err != nil {
 								t.Fatal(err)
@@ -88,6 +105,15 @@ func TestResetEquivalence(t *testing.T) {
 						wantSt, wantSnap, wantDel := run(fresh)
 						wantHist := fresh.LatencyHistogram()
 
+						w := k % shards
+						for len(pool) <= w {
+							n, err := Build(top, ConstantLatency(1), cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							pool = append(pool, n)
+						}
+						reused := pool[w]
 						reused.Reset(cfg.Seed)
 						gotSt, gotSnap, gotDel := run(reused)
 						gotHist := reused.LatencyHistogram()
@@ -125,7 +151,7 @@ func TestResetEquivalence(t *testing.T) {
 // different topology must not.
 func TestRouteCacheShared(t *testing.T) {
 	top := testClos(t)
-	cfg := shardTestConfig()
+	cfg := shortTestConfig()
 	n1, err := Build(top, ConstantLatency(1), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +195,7 @@ func TestRouteCacheShared(t *testing.T) {
 // sweep that constructs its worker network.
 func TestSweepReuseAllocs(t *testing.T) {
 	top := testClos(t)
-	cfg := shardTestConfig()
+	cfg := shortTestConfig()
 	build := func() (*Network, error) { return Build(top, ConstantLatency(1), cfg) }
 	injf := SyntheticInjector(traffic.Uniform(top.ExternalPorts()), cfg.PacketFlits)
 	loads := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}

@@ -5,10 +5,9 @@ import "math/rand"
 // The simulator's randomness is organized as one private stream per
 // terminal rather than one global stream consumed in injection scan
 // order. That makes the traffic realization a pure function of (seed,
-// terminal, draw index): stepping the terminals in any partition — one
-// goroutine or many shards — produces bit-identical packet streams,
-// which is the foundation of the sharded engine's equivalence contract
-// (see shard.go and DESIGN §13).
+// terminal, draw index), independent of the order terminals are
+// stepped in. The reference simulator builds the same streams (see
+// TermRNG), which is what lets the two agree bit for bit (DESIGN §9.2).
 
 // splitmix64 is a tiny allocation-free rand.Source64 (Steele et al.'s
 // SplitMix64 finalizer over a Weyl sequence). It exists so per-terminal

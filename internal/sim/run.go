@@ -99,11 +99,6 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 	if window < 1 {
 		window = 1
 	}
-	var conv *convState
-	if cfg.ConvergeRelErr > 0 {
-		conv = newConvState(cfg)
-	}
-	converged := false
 	for n.now = 0; n.now < n.measEnd; n.now++ {
 		n.step(inj)
 		if n.logger != nil && (n.now+1)%window == 0 {
@@ -112,21 +107,11 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 				"born", n.measuredBorn, "completed", n.completed,
 				"ejected_flits", n.ejectedFlits)
 		}
-		// Divergence detection and the convergence stopping rule both run
-		// on fixed cycle cadences relative to the measurement start, so
-		// their decisions are pure functions of the seed.
-		if (n.ab != nil || conv != nil) && n.now >= n.measStart {
-			elapsed := n.now - n.measStart + 1
-			if n.ab != nil && elapsed%n.ab.every == 0 {
-				n.ab.measureCheck(n, offered)
-			}
-			if conv != nil && elapsed%conv.batch == 0 && n.now+1 < n.measEnd {
-				conv.endBatch(n)
-				if conv.stable() {
-					n.measEnd = n.now + 1 // close the window; drain follows
-					converged = true
-				}
-			}
+		// Divergence detection runs on a fixed cycle cadence relative to
+		// the measurement start, so its decisions are pure functions of
+		// the seed.
+		if n.ab != nil && n.now >= n.measStart && (n.now-n.measStart+1)%n.ab.every == 0 {
+			n.ab.measureCheck(n, offered)
 		}
 	}
 	deadline := n.measEnd + drain
@@ -169,17 +154,13 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 		Completed: n.completed,
 		Drained:   n.completed >= n.measuredBorn,
 		Aborted:   aborted,
-		Converged: converged,
 		Cycles:    n.now,
 	}
 	if n.completed > 0 {
 		// Canonical latency sum: the ascending-router fold of latSumR,
-		// not the completion-order running sum — the fold's float
-		// addition order is the same no matter how the cycle loop was
-		// partitioned, so serial and sharded runs (and the reference
-		// simulator) agree bitwise.
+		// not the histogram's completion-order running sum. The reference
+		// simulator folds in the same order, so the two agree bitwise.
 		sum := n.foldLatSum()
-		n.latencySum = sum
 		n.latHist.SetSum(sum)
 		st.AvgLatency = sum / float64(n.completed)
 		st.P50Latency = n.latHist.Percentile(0.50)
@@ -209,8 +190,8 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 }
 
 // foldLatSum folds the per-router latency sums in ascending router
-// order — the canonical float-addition order shared by the serial run,
-// every shard-count variant, and the reference simulator.
+// order — the canonical float-addition order the reference simulator
+// mirrors.
 func (n *Network) foldLatSum() float64 {
 	var sum float64
 	for r := 0; r < n.R; r++ {
@@ -265,7 +246,7 @@ func (n *Network) step(inj Injector) {
 // routerOcc is exactly the per-port sum the dense loop used to compute.
 func (n *Network) recordOccupancy() {
 	n.probe.Cycles++
-	for r := n.rLo; r < n.rHi; r++ {
+	for r := 0; r < n.R; r++ {
 		occ := int64(n.routerOcc[r])
 		rc := &n.probe.Routers[r]
 		rc.OccSum += occ
@@ -426,7 +407,7 @@ func spanMask(wi, lo, hi int) uint64 {
 // cross-router effects (flits and credits on channel rings) are not
 // consumed until a later cycle's arrivals.
 func (n *Network) routers() {
-	for r := n.rLo; r < n.rHi; r++ {
+	for r := 0; r < n.R; r++ {
 		if n.routerOcc[r] == 0 {
 			continue // nothing buffered, nothing to route, allocate or forward
 		}
@@ -846,11 +827,6 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 		// same channel this cycle (the slot itself was drained by this
 		// cycle's arrivals, so only this cycle's producers are present).
 		n.postCred(n.classSlotBase[lp&0x7fffffff] + int32(lp>>31))
-	} else if lp < -1 {
-		// The feeding channel crosses a shard cut: the credit belongs to
-		// the source shard's credit ring — buffer it for the next epoch
-		// barrier (see shard.go; lp encodes the boundary-ref index).
-		n.bndPush(lp, evCred)
 	}
 	if n.probe != nil {
 		n.probe.Routers[r].Flits++
@@ -871,26 +847,6 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 			n.probe.Channels[n.outCh[o]].Flits++
 		}
 		if n.tline != nil {
-			n.tlChanFlits[n.outCh[o]]++
-		}
-	} else if lp < -1 {
-		// The outgoing channel crosses a shard cut: buffer the packed
-		// flit event for the destination shard's ring. Credit accounting
-		// stays local — the upstream end of the channel (and so the
-		// credit state) is owned by this shard.
-		n.bndPush(lp, packEv(f.pkt, f.last, n.vcOutVC[gv]))
-		c := n.outCredits[o] - 1
-		n.outCredits[o] = c
-		if c == 0 {
-			n.creditM[r] &^= uint64(1) << uint32(out)
-		}
-		if n.probe != nil {
-			n.probe.Channels[n.outCh[o]].Flits++
-		}
-		if n.tline != nil {
-			// The source shard owns the boundary channel's utilization
-			// counter: it is the unique writer, so the shared per-channel
-			// array stays race-free.
 			n.tlChanFlits[n.outCh[o]]++
 		}
 	} else {
@@ -968,11 +924,9 @@ func (n *Network) completePacket(pkt int32, r int) {
 		n.atComplete(pkt, pi, lat, r)
 	}
 	if pi.measured {
-		n.latencySum += lat
 		n.latSumR[r] += lat
 		n.latHist.Observe(lat)
 		n.completed++
-		n.lastDone = n.now
 	}
 	if n.tline != nil {
 		// The timeline is time-domain instrumentation: every retired
@@ -991,9 +945,6 @@ func (n *Network) completePacket(pkt int32, r int) {
 		})
 	}
 	n.freePkts = append(n.freePkts, pkt)
-	if n.pool != nil && len(n.freePkts) > poolSpillAt {
-		n.freePkts = n.pool.spill(n.freePkts)
-	}
 }
 
 // inject generates new packets, then pushes source flits into the
@@ -1019,7 +970,7 @@ func (n *Network) births(inj Injector) {
 	measured := n.now >= n.measStart && n.now < n.measEnd
 	ri, inline := inj.(RateInjector)
 	p := ri.Load / float64(ri.PacketFlits)
-	for t := n.tLo; t < n.tHi; t++ {
+	for t := 0; t < n.T; t++ {
 		// Only a pending terminal can have reached the cap.
 		if n.srcPendM[t>>6]>>(t&63)&1 != 0 && len(n.srcQ[t])-int(n.srcQHead[t]) >= maxPendingPerTerm {
 			continue
@@ -1074,9 +1025,8 @@ func (n *Network) enqueue(t, dst, flits int, measured bool) {
 // whose injection channel has a credit, in ascending terminal order.
 func (n *Network) sends() {
 	srcQ := n.srcQ
-	lo, hi := n.tLo, n.tHi
-	for wi := lo >> 6; wi<<6 < hi; wi++ {
-		for m := n.srcPendM[wi] & spanMask(wi, lo, hi); m != 0; m &= m - 1 {
+	for wi := range n.srcPendM {
+		for m := n.srcPendM[wi]; m != 0; m &= m - 1 {
 			t := wi<<6 | bits.TrailingZeros64(m)
 			if n.srcCredit[t] <= 0 {
 				continue
@@ -1127,12 +1077,6 @@ func (n *Network) sends() {
 // allocPacket creates a packet-table entry for the packet about to be
 // injected by terminal t.
 func (n *Network) allocPacket(t int, pp *pendingPkt) int32 {
-	if len(n.freePkts) == 0 && n.pool != nil {
-		// Sharded run: the packet table is preallocated and shared, ids
-		// come from the pool in batches (see shard.go). The salt makes
-		// which id a packet lands on unobservable, so any id works.
-		n.freePkts = n.pool.refill(n.freePkts)
-	}
 	var pkt int32
 	if l := len(n.freePkts); l > 0 {
 		pkt = n.freePkts[l-1]

@@ -57,24 +57,6 @@ type Config struct {
 
 	Seed int64
 
-	// ConvergeRelErr, when positive, enables convergence-bounded
-	// measurement: the measurement window is split into fixed-length
-	// batches and closes early once the 95% confidence half-width of the
-	// batch-mean latency falls below ConvergeRelErr of the mean (the
-	// classic batch-means stopping rule). MeasureCycles remains the
-	// upper bound, so a run that never stabilizes behaves exactly like
-	// the default; the default fixed-cycle mode (zero) is untouched.
-	// Accepted throughput is normalized by the cycles actually measured.
-	// The rule is evaluated on fixed batch boundaries from state that is
-	// a pure function of the seed, so converged runs stay deterministic.
-	ConvergeRelErr float64
-	// ConvergeBatch is the batch length in cycles (default
-	// MeasureCycles/16, minimum 64).
-	ConvergeBatch int
-	// ConvergeMinBatches is the minimum number of batches before the
-	// stopping rule may close the window (default 8).
-	ConvergeMinBatches int
-
 	// Logger, when non-nil, receives structured run events: run start,
 	// cycle-window progress (Debug), drain completion and saturation.
 	// The steady-state loop checks it once per cycle, not per flit, so a
@@ -100,9 +82,6 @@ func (c Config) validate() error {
 	}
 	if c.WarmupCycles < 0 || c.MeasureCycles < 1 {
 		return fmt.Errorf("sim: bad measurement window")
-	}
-	if c.ConvergeRelErr < 0 || c.ConvergeBatch < 0 || c.ConvergeMinBatches < 0 {
-		return fmt.Errorf("sim: negative convergence parameters")
 	}
 	return nil
 }
@@ -269,10 +248,6 @@ type Stats struct {
 	// the abort, exactly as for a budget-exhausted point. Omitted from
 	// JSON when false, so default runs serialize byte-identically.
 	Aborted bool `json:"aborted,omitempty"`
-	// Converged reports that convergence-bounded measurement (see
-	// Config.ConvergeRelErr) closed the measurement window before
-	// MeasureCycles. Omitted from JSON when false.
-	Converged bool `json:"converged,omitempty"`
 	// Cycles is the total simulated cycle count.
 	Cycles int64 `json:"cycles"`
 }
