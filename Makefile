@@ -54,10 +54,13 @@ fmt:
 # determinism tests) live inside these packages, so the early-abort
 # detector and bisection search run under the race detector on every
 # check, as do the parallel sweep workers, the shared route cache and
-# the expt pool.
+# the expt pool. mapping and core join them for the process-wide memo of
+# Algorithm 1 placements that expt's pool goroutines share; -short keeps
+# mapping to 13-17 s on a 2-core host (76 s without it, for the long
+# oracle cases), and the memo's own tests never skip.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/obs/...
-	$(GO) test -race -short ./internal/expt/...
+	$(GO) test -race -short ./internal/expt/... ./internal/mapping/... ./internal/core/...
 
 # fuzz-smoke gives each differential fuzz target a short budget on top
 # of the committed seed corpus: FuzzSimEquivalence diffs the optimized

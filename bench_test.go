@@ -20,6 +20,10 @@ import (
 	"waferswitch/internal/traffic"
 )
 
+// benchExperiment times whole runs of one experiment. The design-space
+// figures map each Clos once per process (mapping.Optimized), so every
+// iteration after the first times memo hits: compare them across commits
+// with -benchtime 1x.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	o := expt.Options{Quick: testing.Short(), Seed: 1}

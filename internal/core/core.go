@@ -21,7 +21,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"waferswitch/internal/mapping"
 	"waferswitch/internal/power"
@@ -236,7 +235,8 @@ func EvaluateTopology(p Params, actual, equiv *topo.Topology, identityPlacement 
 // with slightly worse Clos congestion can still win once escape paths are
 // accounted for, and selecting on the final metric keeps feasibility
 // monotone in the restart budget. Escape-capacity shortfalls are recorded
-// as external-constraint failures on d.
+// as external-constraint failures on d. Restart i is Algorithm 1 from
+// seed p.Seed+i, which mapping.Optimized computes once per process.
 func (d *Design) placeAndEscape(p Params, equiv *topo.Topology, identityPlacement bool) (*mapping.Placement, error) {
 	escape := func(pl *mapping.Placement) error {
 		if p.ExternalIO.Kind != tech.PeripheryIO {
@@ -262,12 +262,10 @@ func (d *Design) placeAndEscape(p Params, equiv *topo.Topology, identityPlacemen
 	}
 	var best *mapping.Placement
 	for i := 0; i < p.restarts(); i++ {
-		rng := rand.New(rand.NewSource(p.Seed + int64(i)))
-		pl, err := mapping.New(equiv, d.GridRows, d.GridCols, rng)
+		pl, err := mapping.Optimized(equiv, d.GridRows, d.GridCols, p.Seed+int64(i))
 		if err != nil {
 			return nil, err
 		}
-		pl.Optimize(50)
 		if err := escape(pl); err != nil {
 			// Escape capacity is placement-independent (totals only), so
 			// one failure fails them all.

@@ -343,6 +343,10 @@ func TestEdgeCapacityLanes(t *testing.T) {
 	}
 }
 
+// The second MaxPorts call reads its placements from the first's memo
+// entries (mapping.Optimized), so this pins the solver's determinism
+// around the placements; mapping's TestOptimizedMatchesFresh carries the
+// placements' own determinism against a fresh Algorithm 1 run.
 func TestMaxPortsDeterministic(t *testing.T) {
 	p := params(200, tech.SiIF, tech.OpticalIO)
 	a := maxPorts(t, p, NoPower)

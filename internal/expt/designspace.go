@@ -411,26 +411,42 @@ func fig19(o Options) (*Table, error) {
 		Headers: []string{"SSC radix", "system ports", "max load (lanes)", "capacity (lanes)", "per-lane BW available (Gbps)", "meets 200G/port"},
 	}
 	chip := ssc.MustTH5(200)
+	var chips []ssc.Chiplet
 	for _, factor := range []int{1, 2} {
 		c, err := chip.Deradix(factor)
 		if err != nil {
 			return nil, err
 		}
-		sizes := []int{2048, 4096, 8192}
-		for _, ports := range sizes {
-			p := baseParams(300, tech.SiIF, tech.OpticalIO, o)
-			p.Chiplet = c
-			d, err := core.Evaluate(p, ports, core.NoPower)
-			if err != nil {
-				t.AddRow(c.Radix, ports, "-", "-", "-", fmt.Sprintf("no (%v)", err))
-				continue
-			}
-			if d.MaxChannelLoad == 0 {
-				continue
-			}
-			avail := float64(d.EdgeCapacity) / float64(d.MaxChannelLoad) * 200
-			t.AddRow(c.Radix, ports, d.MaxChannelLoad, d.EdgeCapacity, avail, avail >= 200 && d.Feasible)
+		chips = append(chips, c)
+	}
+	// The six (radix, ports) designs fan across the pool into index slots;
+	// rows are emitted serially afterwards. The pool hands out the last
+	// design first: mapping radix-128 chiplets at 8192 ports is most of
+	// the figure's time.
+	sizes := []int{2048, 4096, 8192}
+	designs := make([]*core.Design, len(chips)*len(sizes))
+	errs := make([]error, len(designs))
+	err := o.pool().Each("fig19", len(designs), func(i int) error {
+		idx := len(designs) - 1 - i
+		p := baseParams(300, tech.SiIF, tech.OpticalIO, o)
+		p.Chiplet = chips[idx/len(sizes)]
+		designs[idx], errs[idx] = core.Evaluate(p, sizes[idx%len(sizes)], core.NoPower)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for idx, d := range designs {
+		radix, ports := chips[idx/len(sizes)].Radix, sizes[idx%len(sizes)]
+		if errs[idx] != nil {
+			t.AddRow(radix, ports, "-", "-", "-", fmt.Sprintf("no (%v)", errs[idx]))
+			continue
 		}
+		if d.MaxChannelLoad == 0 {
+			continue
+		}
+		avail := float64(d.EdgeCapacity) / float64(d.MaxChannelLoad) * 200
+		t.AddRow(radix, ports, d.MaxChannelLoad, d.EdgeCapacity, avail, avail >= 200 && d.Feasible)
 	}
 	return t, nil
 }
