@@ -53,14 +53,18 @@ fmt:
 # engine's tests (abort_test, saturation_test, and the expt adaptive
 # determinism tests) live inside these packages, so the early-abort
 # detector and bisection search run under the race detector on every
-# check, as do the parallel sweep workers, the shared route cache and
-# the expt pool. mapping and core join them for the process-wide memo of
-# Algorithm 1 placements that expt's pool goroutines share; -short keeps
-# mapping to 13-17 s on a 2-core host (76 s without it, for the long
-# oracle cases), and the memo's own tests never skip.
+# check, as do sim.Pool's workers (sweeps and experiment grids), and
+# the shared route cache. mapping and core join them for the
+# process-wide memo of Algorithm 1 placements that the grid workers
+# share; -short keeps mapping to 13-17 s on a 2-core host (76 s without
+# it, for the long oracle cases), and the memo's own tests never skip.
+# The last line repeats the pool's own tests ten times: several
+# goroutines reach its error slots, its dispatch counter and the
+# Progress calls, and one pass can miss an interleaving.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/obs/...
 	$(GO) test -race -short ./internal/expt/... ./internal/mapping/... ./internal/core/...
+	$(GO) test -race -count=10 -run 'TestPoolEach|TestPoolOneWorker|TestSweepRecoversPanics' ./internal/sim/ ./internal/expt/
 
 # fuzz-smoke gives each differential fuzz target a short budget on top
 # of the committed seed corpus: FuzzSimEquivalence diffs the optimized

@@ -273,8 +273,8 @@ func benchSweep(b *testing.B, workers int) {
 // machine (near-linear up to the point count on multi-core hardware).
 // The parallel variant pins an explicit worker count (Workers: 0 means
 // GOMAXPROCS, which on one core silently equals the serial path), but
-// Sweep itself collapses any worker count to the inline serial path
-// when GOMAXPROCS==1 — results are bit-identical for every worker
+// the worker pool (sim.Pool) collapses any worker count to the inline
+// serial path when GOMAXPROCS==1 — results are bit-identical for every worker
 // count, so a one-core fan-out would be pure scheduling overhead. The
 // pinned parallel number therefore measures real pool overhead on
 // multi-core hardware and exactly matches SweepSerial on one core,
@@ -345,7 +345,7 @@ func BenchmarkNetworkResetVsBuild(b *testing.B) {
 // produce the same Offered/Accepted and the same Summarize reduction
 // (the measurement window always completes), but the adaptive variant
 // abandons each hopeless drain a few detector windows in.
-func benchSatSweep(b *testing.B, abort *sim.AbortOptions) {
+func benchSatSweep(b *testing.B, abort bool) {
 	b.Helper()
 	chip, err := ssc.MustTH5(200).Deradix(8)
 	if err != nil {
@@ -386,8 +386,8 @@ func benchSatSweep(b *testing.B, abort *sim.AbortOptions) {
 // saturating sweep with the early-abort detector off and on; the ns/op
 // ratio is the adaptive engine's wall-clock saving, while the reported
 // saturation/knee metrics must agree exactly.
-func BenchmarkSweepExhaustive(b *testing.B) { benchSatSweep(b, nil) }
-func BenchmarkSweepAdaptive(b *testing.B)   { benchSatSweep(b, &sim.AbortOptions{}) }
+func BenchmarkSweepExhaustive(b *testing.B) { benchSatSweep(b, false) }
+func BenchmarkSweepAdaptive(b *testing.B)   { benchSatSweep(b, true) }
 
 // BenchmarkClosConstruction measures logical-topology construction, the
 // inner loop of the design-space search.

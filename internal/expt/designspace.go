@@ -70,7 +70,7 @@ func fig5(o Options) (*Table, error) {
 	// Each size owns its rng (seeded from the experiment seed alone, as
 	// before), so sizes are independent and fan across the pool.
 	rows := make([][]interface{}, len(sizes))
-	err := o.pool().Each("fig5", len(sizes), func(i int) error {
+	err := o.each("fig5", len(sizes), func(i int) error {
 		ports := sizes[i]
 		cl, err := topo.HomogeneousClos(ports, chip)
 		if err != nil {
@@ -148,7 +148,7 @@ func maxPortsTable(id, title string, w tech.WSI, o Options) (*Table, error) {
 	// The sides x schemes grid fans across the pool into index slots;
 	// rows are emitted serially afterwards.
 	ports := make([]int, len(sides)*len(exts))
-	err := o.pool().Each(id, len(ports), func(idx int) error {
+	err := o.each(id, len(ports), func(idx int) error {
 		side, ext := sides[idx/len(exts)], exts[idx%len(exts)]
 		r, err := core.MaxPorts(baseParams(side, w, ext, o), core.NoPower)
 		if err != nil {
@@ -262,7 +262,7 @@ func powerBreakdownTable(id, title string, w tech.WSI, o Options) (*Table, error
 	}
 	exts := []tech.ExternalIO{tech.SerDes, tech.OpticalIO, tech.AreaIOTech}
 	rows := make([][]interface{}, len(sides)*len(exts))
-	err := o.pool().Each(id, len(rows), func(idx int) error {
+	err := o.each(id, len(rows), func(idx int) error {
 		side, ext := sides[idx/len(exts)], exts[idx%len(exts)]
 		r, err := core.MaxPorts(baseParams(side, w, ext, o), core.NoPower)
 		if err != nil {
@@ -355,7 +355,7 @@ func deradixTable(id, title string, w tech.WSI, o Options) (*Table, error) {
 	sides := o.substrates()
 	factors := []int{1, 2, 4}
 	ports := make([]int, len(sides)*len(factors))
-	err := o.pool().Each(id, len(ports), func(idx int) error {
+	err := o.each(id, len(ports), func(idx int) error {
 		side, factor := sides[idx/len(factors)], factors[idx%len(factors)]
 		c, err := chip.Deradix(factor)
 		if err != nil {
@@ -426,7 +426,7 @@ func fig19(o Options) (*Table, error) {
 	sizes := []int{2048, 4096, 8192}
 	designs := make([]*core.Design, len(chips)*len(sizes))
 	errs := make([]error, len(designs))
-	err := o.pool().Each("fig19", len(designs), func(i int) error {
+	err := o.each("fig19", len(designs), func(i int) error {
 		idx := len(designs) - 1 - i
 		p := baseParams(300, tech.SiIF, tech.OpticalIO, o)
 		p.Chiplet = chips[idx/len(sizes)]

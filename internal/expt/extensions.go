@@ -134,7 +134,7 @@ func extMeshSim(o Options) (*Table, error) {
 		topo *topo.Topology
 	}{{"clos", clos}, {"mesh", mesh}}
 	rows := make([][]interface{}, len(fabrics))
-	err = o.pool().Each("ext-meshsim", len(fabrics), func(i int) error {
+	err = o.each("ext-meshsim", len(fabrics), func(i int) error {
 		f := fabrics[i]
 		terms := f.topo.ExternalPorts()
 		injf := sim.SyntheticInjector(traffic.Uniform(terms), 4)

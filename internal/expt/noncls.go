@@ -84,7 +84,7 @@ func fig25(o Options) (*Table, error) {
 	// rows are emitted serially afterwards.
 	const searches = 4
 	ports := make([]int, (1+len(directFamilies))*searches)
-	err := o.pool().Each("fig25", len(ports), func(idx int) error {
+	err := o.each("fig25", len(ports), func(idx int) error {
 		row, search := idx/searches, idx%searches
 		// Search 0 is area-only. Search 1 applies every constraint with
 		// water cooling. Searches 2 and 3 add Vdd-scaled links and

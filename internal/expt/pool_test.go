@@ -3,39 +3,70 @@ package expt
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"waferswitch/internal/obs"
 	"waferswitch/internal/sim"
 	"waferswitch/internal/traffic"
 )
 
+// stateless adapts fn to sim.Pool.Each's per-worker constructor, as
+// Options.each does for the experiment grids.
+func stateless(fn func(i int) error) func() func(int) error {
+	return func() func(int) error { return fn }
+}
+
+// multicore raises GOMAXPROCS to at least 2 until the test ends, so the
+// pool's worker goroutines run even on a one-core host, where it would
+// otherwise collapse to its serial path.
+func multicore(t *testing.T) {
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestPoolEachRunsEveryIndex(t *testing.T) {
-	for _, workers := range []int{1, 4, 0, 100} {
-		n := 37
+	multicore(t)
+	const n = 37
+	reversed := make([]int, n)
+	for k := range reversed {
+		reversed[k] = n - 1 - k
+	}
+	cases := []struct {
+		workers int
+		order   []int
+	}{{1, nil}, {4, nil}, {0, nil}, {100, nil}, {4, reversed}}
+	for _, c := range cases {
 		hits := make([]int32, n)
-		err := Pool{Workers: workers}.Each("test", n, func(i int) error {
+		var prog obs.Progress
+		err := sim.Pool{Workers: c.workers, Progress: &prog}.Each("test", n, c.order, stateless(func(i int) error {
 			atomic.AddInt32(&hits[i], 1)
 			return nil
-		})
+		}))
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("workers=%d: %v", c.workers, err)
 		}
 		for i, h := range hits {
 			if h != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
+				t.Fatalf("workers=%d order=%v: index %d ran %d times", c.workers, c.order != nil, i, h)
 			}
 		}
+		if s := prog.Snapshot(); s.Total != n || s.Done != n || len(s.Workers) != 0 {
+			t.Errorf("workers=%d: progress total %d, done %d, busy workers %v; want %d, %d, none",
+				c.workers, s.Total, s.Done, s.Workers, n, n)
+		}
 	}
-	if err := (Pool{}).Each("test", 0, func(int) error { t.Error("fn called for n=0"); return nil }); err != nil {
+	if err := (sim.Pool{}).Each("test", 0, nil, stateless(func(int) error { t.Error("fn called for n=0"); return nil })); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestPoolEachFirstErrorByIndex(t *testing.T) {
+	multicore(t)
 	e3, e9 := errors.New("three"), errors.New("nine")
-	err := Pool{Workers: 4}.Each("test", 12, func(i int) error {
+	err := sim.Pool{Workers: 4}.Each("test", 12, nil, stateless(func(i int) error {
 		switch i {
 		case 3:
 			return e3
@@ -43,20 +74,21 @@ func TestPoolEachFirstErrorByIndex(t *testing.T) {
 			return e9
 		}
 		return nil
-	})
+	}))
 	if err != e3 {
 		t.Errorf("got %v, want the lowest-index error %v", err, e3)
 	}
 }
 
 func TestPoolEachRecoversPanics(t *testing.T) {
+	multicore(t)
 	for _, workers := range []int{1, 3} {
-		err := Pool{Workers: workers}.Each("boom", 5, func(i int) error {
+		err := sim.Pool{Workers: workers}.Each("boom", 5, nil, stateless(func(i int) error {
 			if i == 2 {
 				panic("kaput")
 			}
 			return nil
-		})
+		}))
 		if err == nil || !strings.Contains(err.Error(), "boom point 2") || !strings.Contains(err.Error(), "kaput") {
 			t.Errorf("workers=%d: panic not converted to a useful error: %v", workers, err)
 		}
@@ -114,6 +146,7 @@ func TestParallelSweepDeterministic(t *testing.T) {
 // no other test here uses, it computes the design-space placements on
 // pool goroutines under -race, and the serial pass reads them back.
 func TestParallelExperimentDeterministic(t *testing.T) {
+	multicore(t)
 	cases := []struct {
 		id string
 		o  Options

@@ -111,11 +111,11 @@ func sweepAttach(t *Table, o Options, series string, res *sim.SweepResult) {
 // append "/load=<load>").
 func runSweep(o Options, name string, build sim.Builder, injf sim.InjectorFactory, loads []float64) (*sim.SweepResult, error) {
 	return sim.Sweep(build, injf, loads, sim.SweepOptions{
-		Workers: o.Workers, Probe: o.Probe, Ctx: o.context(),
+		Workers: o.Workers, Probe: o.Probe, Ctx: o.ctx,
 		TimelineInterval: o.TimelineInterval,
 		Live:             o.Live, LiveName: name,
 		Progress:    o.Progress,
-		Abort:       o.abort(),
+		Abort:       o.Adaptive,
 		Attribution: o.Attribution,
 		LiveAttrib:  o.LiveAttrib,
 	})
@@ -170,12 +170,12 @@ func fig21(o Options) (*Table, error) {
 			Search  *sim.SaturationResult `json:"search"`
 		}
 		searches := make([]cellSearch, len(sats))
-		err = o.pool().Each("fig21", len(sats), func(idx int) error {
+		err = o.each("fig21", len(sats), func(idx int) error {
 			buf, lat := buffers[idx/len(lats)], lats[idx%len(lats)]
 			cfg := o.waferscaleConfig(warm, measure, 8, buf, 4)
 			build := func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(lat), cfg) }
 			res, err := sim.FindSaturation(build, sim.SyntheticInjector(traffic.Uniform(ports), 4),
-				sim.SaturationSearchOptions{Hi: loads[len(loads)-1], Tol: 0.05, Abort: o.abort()})
+				sim.SaturationSearchOptions{Hi: loads[len(loads)-1], Tol: 0.05, Abort: o.Adaptive})
 			if err != nil {
 				return err
 			}
@@ -205,12 +205,12 @@ func fig21(o Options) (*Table, error) {
 		if o.Attribution {
 			cells = make([]cellAttrib, len(sats))
 		}
-		err = o.pool().Each("fig21", len(sats), func(idx int) error {
+		err = o.each("fig21", len(sats), func(idx int) error {
 			buf, lat := buffers[idx/len(lats)], lats[idx%len(lats)]
 			cfg := o.waferscaleConfig(warm, measure, 8, buf, 4)
 			build := func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(lat), cfg) }
 			res, err := sim.Sweep(build, sim.SyntheticInjector(traffic.Uniform(ports), 4), loads, sim.SweepOptions{
-				Workers: 1, Ctx: o.context(),
+				Workers:          1,
 				TimelineInterval: o.TimelineInterval,
 				Live:             o.Live,
 				LiveName:         fmt.Sprintf("fig21/buf=%d/lat=%d", buf, lat),

@@ -120,16 +120,16 @@ type Options struct {
 	// (wsswitch -json). Costs a few percent of simulation throughput.
 	Probe bool
 	// Workers bounds the goroutines experiments fan their independent
-	// simulation points across (load sweeps via sim.Sweep, grids and
-	// fabric comparisons via Pool): 0 means one per CPU (GOMAXPROCS),
+	// simulation points across (load sweeps, grids and fabric
+	// comparisons, all on sim.Pool): 0 means one per CPU (GOMAXPROCS),
 	// 1 runs everything serially. Results are bit-identical for every
 	// value — each point derives its own seed and reductions happen in
 	// point order after the barrier.
 	Workers int
 
-	// Progress, when non-nil, receives point totals up front and a tick
-	// per completed point from the pool and the sweep engine, plus each
-	// pool worker's current assignment — the feed behind the live
+	// Progress, when non-nil, receives point totals up front, a tick per
+	// completed point and each worker's current assignment from the
+	// worker pool — the feed behind the live
 	// introspection server's /metrics and expvar output. Reporting is
 	// off the simulator's cycle path, so results are unchanged.
 	Progress *obs.Progress
@@ -169,22 +169,13 @@ type Options struct {
 	ctx context.Context
 }
 
-func (o Options) pool() Pool { return Pool{Workers: o.Workers, ctx: o.ctx, progress: o.Progress} }
-
-// abort maps Options.Adaptive to the sweep engine's detector options:
-// nil (detached) by default, stock tuning when adaptive mode is on.
-func (o Options) abort() *sim.AbortOptions {
-	if !o.Adaptive {
-		return nil
-	}
-	return &sim.AbortOptions{}
-}
-
-func (o Options) context() context.Context {
-	if o.ctx != nil {
-		return o.ctx
-	}
-	return context.Background()
+// each runs fn(0) … fn(n-1) on a sim.Pool of o.Workers workers, under
+// the experiment's pprof label and reporting to o.Progress, and returns
+// the lowest-index error. fn must write only its own index slot (see
+// sim.Pool.Each); rows are emitted after each returns, in index order.
+func (o Options) each(name string, n int, fn func(i int) error) error {
+	pool := sim.Pool{Workers: o.Workers, Ctx: o.ctx, Progress: o.Progress}
+	return pool.Each(name, n, nil, func() func(int) error { return fn })
 }
 
 func (o Options) seed() int64 {
@@ -228,7 +219,7 @@ func Run(id string, o Options) (*Table, error) {
 	var t *Table
 	var err error
 	// Label the whole experiment so -cpuprofile output groups samples by
-	// experiment id (worker/point labels nest inside; see Pool.Each).
+	// experiment id (pool/worker/point labels nest inside; see sim.Pool).
 	pprof.Do(context.Background(), pprof.Labels("experiment", id),
 		func(ctx context.Context) {
 			o.ctx = ctx

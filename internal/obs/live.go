@@ -7,9 +7,9 @@ import (
 )
 
 // Progress is the shared completion ledger a running experiment suite
-// reports into: the expt pool and the sweep engine add their point
-// totals up front and tick points off as they finish, and each worker
-// publishes what it is currently running. The live introspection server
+// reports into: the worker pool (sim.Pool) adds each sweep's and grid's
+// point total up front and ticks points off as they finish, and each
+// worker publishes what it is currently running. The live introspection server
 // reads it for /metrics and expvar. All methods are safe for concurrent
 // use; none are on the simulator's cycle path.
 type Progress struct {

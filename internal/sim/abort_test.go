@@ -91,7 +91,7 @@ func TestAbortMatchesFullRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, err := Sweep(build, injf, fam.loads, SweepOptions{Workers: 1, Abort: &AbortOptions{}})
+			fast, err := Sweep(build, injf, fam.loads, SweepOptions{Workers: 1, Abort: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestAbortExcludedFromLatencySummary(t *testing.T) {
 	fam := abortFamilies(t)[1] // mesh: one drained, one saturated point
 	build := func() (*Network, error) { return Build(fam.top, ConstantLatency(1), fam.cfg) }
 	injf := SyntheticInjector(traffic.Uniform(fam.top.ExternalPorts()), fam.cfg.PacketFlits)
-	res, err := Sweep(build, injf, fam.loads, SweepOptions{Workers: 1, Abort: &AbortOptions{}})
+	res, err := Sweep(build, injf, fam.loads, SweepOptions{Workers: 1, Abort: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestAbortDeterministicAcrossWorkers(t *testing.T) {
 	fam := abortFamilies(t)[0]
 	build := func() (*Network, error) { return Build(fam.top, ConstantLatency(1), fam.cfg) }
 	injf := SyntheticInjector(traffic.Uniform(fam.top.ExternalPorts()), fam.cfg.PacketFlits)
-	serial, err := Sweep(build, injf, fam.loads, SweepOptions{Workers: 1, Abort: &AbortOptions{}})
+	serial, err := Sweep(build, injf, fam.loads, SweepOptions{Workers: 1, Abort: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestAbortDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, 0} {
-		par, err := Sweep(build, injf, fam.loads, SweepOptions{Workers: workers, Abort: &AbortOptions{}})
+		par, err := Sweep(build, injf, fam.loads, SweepOptions{Workers: workers, Abort: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestAbortTimelineTruncated(t *testing.T) {
 	build := func() (*Network, error) { return Build(fam.top, ConstantLatency(1), fam.cfg) }
 	injf := SyntheticInjector(traffic.Uniform(fam.top.ExternalPorts()), fam.cfg.PacketFlits)
 	res, err := Sweep(build, injf, fam.loads, SweepOptions{
-		Workers: 1, Abort: &AbortOptions{}, TimelineInterval: 100,
+		Workers: 1, Abort: true, TimelineInterval: 100,
 	})
 	if err != nil {
 		t.Fatal(err)

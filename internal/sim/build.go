@@ -246,39 +246,52 @@ type Network struct {
 	measuredBorn int
 	ejectedFlits int64
 
-	// Observability (see probe.go): both are nil-checked on the fast
-	// path, so a run without instrumentation pays only the branch.
-	probe  *obs.Collector
+	// logger comes from Config and is checked once per cycle, never per
+	// flit.
 	logger *slog.Logger
 
-	// Verification (see check.go): the invariant checker and the
-	// delivery log follow the probe contract — nil-checked on every
-	// event site, zero cost when disabled.
-	chk         *checker
-	recordDeliv bool
-	deliveries  []Delivery
+	// The attached instruments; Reset detaches them all at once.
+	observers
 
-	// Early-abort saturation detection (see abort.go): armed by
-	// SetAbort, nil when disabled (the default) — one nil check per
-	// cycle on the run loop, zero cost on the event sites.
-	ab *abortState
-
-	// Time-resolved observability (see observe.go): the timeline sampler
-	// and the packet-lifecycle flight recorder, both nil-checked on every
-	// event site like the probe. tlChanFlits is the timeline's
+	// The timeline's scratch (see observe.go). tlChanFlits is the
 	// per-channel interval counter (reset every sampling window).
 	// tlLatSumR accumulates the latencies of packets retired in the open
 	// window per ejecting router; the window close folds it in ascending
 	// router order (the latSumR pattern), so the window's latency sum
-	// does not depend on the order packets retired in.
-	tline       *obs.Timeline
+	// does not depend on the order packets retired in. Reset keeps both,
+	// zeroed, so reattaching a timeline to a warm network allocates
+	// nothing.
 	tlChanFlits []int32
 	tlLatSumR   []float64
-	tr          *obs.FlightRecorder
+}
 
-	// Congestion attribution (see attrib.go): per-packet stage
-	// decomposition and blame counters, nil-checked on every event site
-	// like the probe.
+// observers holds every instrument a Network can have attached. Each is
+// nil-checked (recordDeliv: flag-checked) on its event sites, so a run
+// without it pays only a predicted branch and the steady-state loop
+// stays at 0 allocs/op. Reset zeroes the whole struct, so an instrument
+// added here is detached by construction (TestResetDetachesEveryObserver).
+type observers struct {
+	// probe collects per-router/per-channel counters (see probe.go).
+	probe *obs.Collector
+
+	// Verification (see check.go): the invariant checker and the
+	// delivery log.
+	chk         *checker
+	recordDeliv bool
+	deliveries  []Delivery
+
+	// ab is the early-abort saturation detector armed by SetAbort (see
+	// abort.go); it is checked once per cycle on the run loop, never on
+	// the event sites.
+	ab *abortState
+
+	// Time-resolved observability (see observe.go): the timeline sampler
+	// and the packet-lifecycle flight recorder.
+	tline *obs.Timeline
+	tr    *obs.FlightRecorder
+
+	// at is the congestion attribution's per-packet stage decomposition
+	// and blame counters (see attrib.go).
 	at *attribState
 }
 

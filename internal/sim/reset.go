@@ -122,19 +122,12 @@ func (n *Network) Reset(seed int64) {
 	n.ejectedFlits = 0
 
 	// Observers: detached, like a fresh Build. The timeline's backing
-	// arrays are kept (zeroed) so reattaching allocates nothing — n.tline
-	// is cleared directly rather than through AttachTimeline(nil), which
-	// would free them.
-	n.probe = nil
-	n.chk = nil
-	n.recordDeliv = false
-	n.deliveries = nil
-	n.ab = nil
-	n.tline = nil
+	// arrays are kept (zeroed) so reattaching allocates nothing — the
+	// timeline is detached with the other observers rather than through
+	// AttachTimeline(nil), which would free them.
+	n.observers = observers{}
 	clear(n.tlChanFlits)
 	clear(n.tlLatSumR)
-	n.tr = nil
-	n.at = nil
 
 	// Random streams, reseeded in place (see initTermRng).
 	n.cfg.Seed = seed

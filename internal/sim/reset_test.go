@@ -3,9 +3,12 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
+	"waferswitch/internal/obs"
 	"waferswitch/internal/ssc"
 	"waferswitch/internal/topo"
 	"waferswitch/internal/traffic"
@@ -140,6 +143,51 @@ func TestResetEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestResetDetachesEveryObserver attaches every instrument a Network
+// supports, runs a saturated point and Resets: the observers struct must
+// come back zero, field by field, so an instrument added to it later is
+// covered here without editing the test. The timeline's scratch arrays
+// are kept for reattachment, and must come back zeroed.
+func TestResetDetachesEveryObserver(t *testing.T) {
+	cfg := shortTestConfig()
+	n, err := Build(testClos(t), ConstantLatency(1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.AttachProbe(n.NewProbe()); err != nil {
+		t.Fatal(err)
+	}
+	n.AttachTimeline(obs.NewTimeline(50, 0))
+	n.Trace(obs.NewFlightRecorder(1024))
+	if err := n.AttachAttribution(n.NewAttribution()); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Check(CheckOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	n.RecordDeliveries()
+	n.SetAbort(true)
+	const load = 0.95
+	if st := n.Run(RateInjector{Load: load, Pattern: traffic.Uniform(n.Terminals()), PacketFlits: cfg.PacketFlits}, load); st.Drained {
+		t.Fatalf("load %g drained; the test needs a saturated point", load)
+	}
+	n.Reset(cfg.Seed)
+	if v := reflect.ValueOf(n.observers); !v.IsZero() {
+		for i := 0; i < v.NumField(); i++ {
+			if !v.Field(i).IsZero() {
+				t.Errorf("Reset left observer %s attached", v.Type().Field(i).Name)
+			}
+		}
+	}
+	if n.tlChanFlits == nil || n.tlLatSumR == nil {
+		t.Error("Reset freed the timeline scratch; reattaching would allocate")
+	}
+	if slices.ContainsFunc(n.tlChanFlits, func(f int32) bool { return f != 0 }) ||
+		slices.ContainsFunc(n.tlLatSumR, func(l float64) bool { return l != 0 }) {
+		t.Error("Reset left timeline scratch nonzero")
 	}
 }
 

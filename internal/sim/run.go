@@ -50,8 +50,8 @@ func NewTraceInjector(tr *traffic.Trace, load float64) (*TraceInjector, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	if load <= 0 {
-		return nil, fmt.Errorf("sim: non-positive trace load %v", load)
+	if !(load > 0) || math.IsInf(load, 1) { // NaN fails the comparison
+		return nil, fmt.Errorf("sim: trace load %v is not positive and finite", load)
 	}
 	return &TraceInjector{
 		trace: tr,
@@ -110,7 +110,7 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 		// Divergence detection runs on a fixed cycle cadence relative to
 		// the measurement start, so its decisions are pure functions of
 		// the seed.
-		if n.ab != nil && n.now >= n.measStart && (n.now-n.measStart+1)%n.ab.every == 0 {
+		if n.ab != nil && n.now >= n.measStart && (n.now-n.measStart+1)%abortEvery == 0 {
 			n.ab.measureCheck(n, offered)
 		}
 	}
@@ -127,7 +127,7 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 		for n.completed < n.measuredBorn && n.now < deadline {
 			n.step(inj)
 			n.now++
-			if n.ab != nil && (n.now-n.measEnd)%n.ab.every == 0 &&
+			if n.ab != nil && (n.now-n.measEnd)%abortEvery == 0 &&
 				n.ab.drainCheck(n, deadline) {
 				aborted = true
 				break

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -18,10 +19,10 @@ type SaturationSearchOptions struct {
 	// MaxEvals caps the simulated points as a safety net (default 32 —
 	// far above the log2((Hi-Lo)/Tol)+2 a normal search needs).
 	MaxEvals int
-	// Abort, when non-nil, arms the early-abort saturation detector on
-	// every probed point, so the saturated half of the bracket costs a
-	// fraction of its drain budget (see AbortOptions).
-	Abort *AbortOptions
+	// Abort arms the early-abort saturation detector on every probed
+	// point, so the saturated half of the bracket costs a fraction of
+	// its drain budget (see Network.SetAbort).
+	Abort bool
 }
 
 // SaturationResult is the outcome of a bisection saturation search.
@@ -62,8 +63,14 @@ type SaturationResult struct {
 //
 // Edge bounds: a network that drains at Hi returns Saturated=false
 // after one evaluation; a network already saturated at Lo returns
-// FirstSaturatedLoad=Lo (the knee is at or below the bracket floor).
+// FirstSaturatedLoad=Lo (the knee is at or below the bracket floor). A
+// NaN or infinite Lo, Hi or Tol is an error.
 func FindSaturation(build Builder, injf InjectorFactory, opt SaturationSearchOptions) (*SaturationResult, error) {
+	for _, v := range []float64{opt.Lo, opt.Hi, opt.Tol} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("sim: FindSaturation Lo, Hi or Tol %v is not finite", v)
+		}
+	}
 	lo, hi := opt.Lo, opt.Hi
 	if hi <= 0 {
 		hi = 0.95
@@ -92,9 +99,7 @@ func FindSaturation(build Builder, injf InjectorFactory, opt SaturationSearchOpt
 		if err != nil {
 			return Stats{}, err
 		}
-		if opt.Abort != nil {
-			n.SetAbort(opt.Abort)
-		}
+		n.SetAbort(opt.Abort)
 		inj, err := injf(load)
 		if err != nil {
 			return Stats{}, err

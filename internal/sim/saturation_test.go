@@ -26,7 +26,7 @@ func TestFindSaturationMatchesGrid(t *testing.T) {
 	build, injf := satMesh(t)
 	tol := 0.02
 	res, err := FindSaturation(build, injf, SaturationSearchOptions{
-		Hi: 0.4, Tol: tol, Abort: &AbortOptions{},
+		Hi: 0.4, Tol: tol, Abort: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestFindSaturationMatchesGrid(t *testing.T) {
 // results, with and without the early-abort detector.
 func TestFindSaturationDeterministic(t *testing.T) {
 	build, injf := satMesh(t)
-	for _, abort := range []*AbortOptions{nil, {}} {
+	for _, abort := range []bool{false, true} {
 		opt := SaturationSearchOptions{Hi: 0.4, Tol: 0.02, Abort: abort}
 		first, err := FindSaturation(build, injf, opt)
 		if err != nil {
@@ -94,7 +94,7 @@ func TestFindSaturationDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			if string(got) != string(want) {
-				t.Errorf("abort=%v rep %d: search result diverged", abort != nil, rep)
+				t.Errorf("abort=%v rep %d: search result diverged", abort, rep)
 			}
 		}
 	}
@@ -110,7 +110,7 @@ func TestFindSaturationAbortAgreesWithFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := FindSaturation(build, injf, SaturationSearchOptions{Hi: 0.4, Tol: 0.02, Abort: &AbortOptions{}})
+	fast, err := FindSaturation(build, injf, SaturationSearchOptions{Hi: 0.4, Tol: 0.02, Abort: true})
 	if err != nil {
 		t.Fatal(err)
 	}

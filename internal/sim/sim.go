@@ -241,7 +241,7 @@ type Stats struct {
 	// drain budget; false indicates the network is saturated.
 	Drained bool `json:"drained"`
 	// Aborted reports that the early-abort saturation detector (see
-	// AbortOptions) cut the run short: the measurement window completed
+	// Network.SetAbort) cut the run short: the measurement window completed
 	// in full — Offered and Accepted are exact — but the remaining drain
 	// budget was skipped once divergence was certain, so Drained is
 	// false and the latency fields cover only the packets completed by

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -292,6 +293,50 @@ func TestSyntheticInjectorLoadValidation(t *testing.T) {
 	}
 	if _, err := injf(1.5); err == nil {
 		t.Error("load > 1 accepted")
+	}
+}
+
+// Every entry point that takes an offered load refuses a non-finite one
+// with an error, and none panics.
+func TestNonFiniteLoadsRefused(t *testing.T) {
+	cl := testClos(t)
+	build := func() (*Network, error) { return Build(cl, ConstantLatency(1), shortTestConfig()) }
+	synth := SyntheticInjector(traffic.Uniform(128), 4)
+	trc, err := traffic.LULESH(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		calls := []struct {
+			name string
+			call func() error
+		}{
+			{"SyntheticInjector", func() error { _, err := synth(v); return err }},
+			{"NewTraceInjector", func() error { _, err := NewTraceInjector(trc, v); return err }},
+			{"Sweep", func() error {
+				_, err := Sweep(build, synth, []float64{0.1, v}, SweepOptions{Workers: 1})
+				return err
+			}},
+			{"FindSaturation/Lo", func() error {
+				_, err := FindSaturation(build, synth, SaturationSearchOptions{Lo: v, Hi: 0.9})
+				return err
+			}},
+			{"FindSaturation/Hi", func() error {
+				_, err := FindSaturation(build, synth, SaturationSearchOptions{Hi: v})
+				return err
+			}},
+			{"FindSaturation/Tol", func() error {
+				_, err := FindSaturation(build, synth, SaturationSearchOptions{Hi: 0.9, Tol: v})
+				return err
+			}},
+		}
+		for _, c := range calls {
+			t.Run(fmt.Sprintf("%s/%v", c.name, v), func(t *testing.T) {
+				if err := c.call(); err == nil {
+					t.Errorf("load %v accepted", v)
+				}
+			})
+		}
 	}
 }
 

@@ -4,12 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"runtime"
-	"runtime/pprof"
 	"slices"
-	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"waferswitch/internal/obs"
 	"waferswitch/internal/traffic"
@@ -57,7 +52,7 @@ type InjectorFactory func(load float64) (Injector, error)
 // the given packet size.
 func SyntheticInjector(p traffic.Pattern, packetFlits int) InjectorFactory {
 	return func(load float64) (Injector, error) {
-		if load <= 0 || load > 1 {
+		if !(load > 0 && load <= 1) { // NaN fails both comparisons
 			return nil, fmt.Errorf("sim: load %v out of (0,1]", load)
 		}
 		return RateInjector{Load: load, Pattern: p, PacketFlits: packetFlits}, nil
@@ -95,18 +90,16 @@ type SweepPoint struct {
 
 // SweepOptions configures a Sweep.
 type SweepOptions struct {
-	// Workers bounds the goroutines running sweep points: 0 means
-	// GOMAXPROCS, 1 runs serially on the calling goroutine's schedule.
-	// Results are identical for every value — each point's network is
-	// seeded by PointSeed and merged in point order after the barrier.
+	// Workers bounds the goroutines running sweep points (see
+	// Pool.Workers); 1 runs serially on the calling goroutine. Results
+	// are identical for every value — each point's network is seeded by
+	// PointSeed and merged in point order after the barrier.
 	Workers int
 	// Probe attaches a fresh collector to every point, filling
 	// SweepPoint.Probe and SweepResult.Aggregate's counters.
 	Probe bool
 	// Ctx, when non-nil, is the parent context for the workers' pprof
-	// labels — pass a context carrying an experiment label and profile
-	// samples keep it alongside sweep_worker/sweep_point. It is used
-	// only for labeling; cancellation is not observed.
+	// labels (see Pool.Ctx).
 	Ctx context.Context
 
 	// TimelineInterval, when positive, attaches a time-resolved sampler
@@ -118,19 +111,20 @@ type SweepOptions struct {
 	TimelineSamples  int
 	// Live, when non-nil, registers each point's sampler under
 	// "LiveName/load=<load>" before the point runs, so an introspection
-	// server can stream the series of points still executing.
+	// server can stream the series of points still executing. LiveName
+	// also names the sweep's worker pool.
 	Live     *obs.LiveTimelines
 	LiveName string
-	// Progress, when non-nil, receives this sweep's point total up front
-	// and a tick per completed point.
+	// Progress, when non-nil, receives this sweep's point total up front,
+	// each worker's current point and a tick per finished point.
 	Progress *obs.Progress
 
-	// Abort, when non-nil, arms the early-abort saturation detector on
-	// every point (see AbortOptions). The measurement window always runs
-	// to completion, so Offered, Accepted and the Summarize reduction
-	// match a full sweep; saturated points skip the drain budget and
-	// report Stats.Aborted alongside Drained=false.
-	Abort *AbortOptions
+	// Abort arms the early-abort saturation detector on every point
+	// (see Network.SetAbort). The measurement window always runs to
+	// completion, so Offered, Accepted and the Summarize reduction match
+	// a full sweep; saturated points skip the drain budget and report
+	// Stats.Aborted alongside Drained=false.
+	Abort bool
 
 	// Attribution attaches a congestion-attribution collector to every
 	// point: per-point attributions merge in ascending point order into
@@ -174,56 +168,27 @@ func (r *SweepResult) Stats() []Stats {
 }
 
 // Sweep runs the network at each offered load, fanning points across a
-// bounded worker pool. Each worker builds one Network on its first
-// point and Resets it between points (reseeding with PointSeed), and
-// each point gets its own collector, so workers share nothing mutable;
-// build and injf must therefore be safe for concurrent use, which the
-// stock builders and injector factories are. Results are bit-identical
-// to building fresh per point: Reset provably rewinds to the built
-// state, and every point's traffic depends only on its PointSeed.
-// Parallel workers carry runtime/pprof labels (sweep_worker,
-// sweep_point, plus whatever opt.Ctx contributes) so CPU profiles
-// attribute samples to individual points; the one-worker path runs
-// inline under the caller's labels.
+// worker Pool named opt.LiveName ("sweep" when empty). Each worker
+// builds one Network on its first point and Resets it between points
+// (reseeding with PointSeed), and each point gets its own collector, so
+// workers share nothing mutable; build and injf must therefore be safe
+// for concurrent use, which the stock builders and injector factories
+// are. Results are bit-identical to building fresh per point: Reset
+// provably rewinds to the built state, and every point's traffic
+// depends only on its PointSeed.
 func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOptions) (*SweepResult, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(loads) {
-		workers = len(loads)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > 1 && runtime.GOMAXPROCS(0) == 1 {
-		// One schedulable core: the fan-out buys no parallelism, and
-		// results are bit-identical for every worker count (each point's
-		// seed depends only on its index), so the goroutine pool would be
-		// pure scheduling overhead plus one warm network per worker. Run
-		// inline instead.
-		workers = 1
-	}
-
 	points := make([]SweepPoint, len(loads))
 	colls := make([]*obs.Collector, len(loads))
 	hists := make([]obs.Histogram, len(loads))
 	tls := make([]*obs.Timeline, len(loads))
 	ats := make([]*obs.Attribution, len(loads))
-	errs := make([]error, len(loads))
-
-	if opt.Progress != nil {
-		opt.Progress.AddTotal(len(loads))
-	}
 
 	runPoint := func(w *workerNet, i int) error {
 		n, err := w.get(build, i)
 		if err != nil {
 			return err
 		}
-		if opt.Abort != nil {
-			n.SetAbort(opt.Abort)
-		}
+		n.SetAbort(opt.Abort)
 		inj, err := injf(loads[i])
 		if err != nil {
 			return err
@@ -265,65 +230,29 @@ func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOption
 			}
 		}
 		hists[i] = n.LatencyHistogram()
-		if opt.Progress != nil {
-			opt.Progress.PointDone()
-		}
 		return nil
 	}
 
-	if workers == 1 {
-		// Serial fast path: run inline on the calling goroutine, with no
-		// label scope of its own, so points inherit the caller's pprof
-		// labels (e.g. the expt/worker/point labels of a Pool cell this
-		// sweep nests inside) and profiles show no scheduling detour.
-		var wn workerNet
-		for i := range loads {
-			errs[i] = runPoint(&wn, i)
-		}
-	} else {
-		parent := opt.Ctx
-		if parent == nil {
-			parent = context.Background()
-		}
-		// Longest first: a point's run time grows with its offered load,
-		// so workers take points in descending load order (ties in index
-		// order). Handing out the highest loads last would leave the other
-		// workers idle while one finishes the sweep's longest point.
-		// Results stay slotted by index, so the order is unobservable.
-		order := make([]int, len(loads))
-		for i := range order {
-			order[i] = i
-		}
-		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(loads[b], loads[a]) })
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(worker int) {
-				defer wg.Done()
-				pprof.Do(parent,
-					pprof.Labels("sweep_worker", strconv.Itoa(worker)),
-					func(ctx context.Context) {
-						var wn workerNet
-						for {
-							k := int(next.Add(1)) - 1
-							if k >= len(order) {
-								return
-							}
-							i := order[k]
-							pprof.Do(ctx,
-								pprof.Labels("sweep_point", strconv.Itoa(i)),
-								func(context.Context) { errs[i] = runPoint(&wn, i) })
-						}
-					})
-			}(w)
-		}
-		wg.Wait()
+	// Longest first: a point's run time grows with its offered load, so
+	// parallel workers take points in descending load order (ties in
+	// index order). Handing out the highest loads last would leave the
+	// other workers idle while one finishes the sweep's longest point.
+	// Results stay slotted by index, so the order is unobservable.
+	order := make([]int, len(loads))
+	for i := range order {
+		order[i] = i
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(loads[b], loads[a]) })
+	name := opt.LiveName
+	if name == "" {
+		name = "sweep"
+	}
+	pool := Pool{Workers: opt.Workers, Ctx: opt.Ctx, Progress: opt.Progress}
+	if err := pool.Each(name, len(loads), order, func() func(int) error {
+		var wn workerNet
+		return func(i int) error { return runPoint(&wn, i) }
+	}); err != nil {
+		return nil, err
 	}
 
 	// Reduction. Always in ascending point order on this goroutine, so

@@ -25,7 +25,7 @@ func sweepTestConfig() Config {
 // plus shuffled, non-monotone loads with a tie: parallel sweeps hand
 // points out in descending load, and that order must stay unobservable.
 // GOMAXPROCS is raised for the test so the worker pool runs even on a
-// one-core host, where Sweep would otherwise collapse it to the serial
+// one-core host, where the pool would otherwise collapse to its serial
 // path.
 func TestSweepParallelMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
