@@ -240,7 +240,9 @@ func run() int {
 // tuple: both simulators, full comparison, invariant checker on the
 // optimized run. Exit 0 when they agree, 1 on divergence or invariant
 // violation — so a fuzz finding reproduces outside the fuzzer with
-// nothing but the one-line spec. With traceFile set, the optimized
+// nothing but the one-line spec — and 2 on a spec no run can use: one
+// ParseSpec refuses, or whose topology, config or injector cannot be
+// built (Diff's only errors). With traceFile set, the optimized
 // simulator runs once more with a flight recorder attached and its
 // packet-lifecycle events are written as Chrome trace-event JSON, so a
 // fuzz-found wedging spec turns into a Perfetto-viewable trace.
@@ -253,7 +255,7 @@ func runReplay(spec, traceFile string) int {
 	rep, err := s.Diff()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wsswitch: replay: %v\n", err)
-		return 1
+		return 2
 	}
 	fmt.Print(rep.Summary())
 	if traceFile != "" {

@@ -273,11 +273,34 @@ func TestServerGracefulShutdown(t *testing.T) {
 
 // A traced replay must write valid Chrome trace-event JSON for the
 // pinned wedging spec (and still report the wedge on stderr); a spec no
-// run can use must exit 2 before either simulator runs.
+// run can use must exit 2, so a script can tell it from a divergence
+// (exit 1).
 func TestWriteReplayTraceWedgingSpec(t *testing.T) {
-	t.Run("bad-size-exits-2", func(t *testing.T) {
-		if code := runReplay("family=clos size=-1 pattern=uniform link=1 load=0.25", ""); code != 2 {
-			t.Fatalf("runReplay with size=-1 returned %d, want 2", code)
+	// Each token overrides one key of a tuple that runs (later keys win).
+	const base = "family=clos size=0 pattern=uniform link=1 vcs=2 buf=8 pkt=2 rci=1 rco=1 pipe=0 term=1 warmup=10 measure=40 seed=1 load=0.25"
+	for _, tc := range []struct{ name, tok string }{
+		{"bad-size-exits-2", "size=-1"},
+		{"bad-vcs=0-exits-2", "vcs=0"},
+		{"bad-vcs=65-exits-2", "vcs=65"},
+		{"bad-buf=0-exits-2", "buf=0"},
+		{"bad-pkt=0-exits-2", "pkt=0"},
+		{"bad-buf=70000-exits-2", "buf=70000"},
+		{"bad-term=-1-exits-2", "term=-1"},
+		{"bad-pipe=-1-exits-2", "pipe=-1"},
+		{"bad-warmup=-1-exits-2", "warmup=-1"},
+		{"bad-measure=0-exits-2", "measure=0"},
+		{"bad-family-exits-2", "family=bogus"},
+		{"bad-pattern-exits-2", "pattern=bogus"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if code := runReplay(base+" "+tc.tok, ""); code != 2 {
+				t.Fatalf("runReplay with %s returned %d, want 2", tc.tok, code)
+			}
+		})
+	}
+	t.Run("good-spec-exits-0", func(t *testing.T) {
+		if code := runReplay(base, ""); code != 0 {
+			t.Fatalf("runReplay(%q) returned %d, want 0", base, code)
 		}
 	})
 	spec := "family=dfly size=1 pattern=uniform link=1 vcs=1 buf=2 pkt=2 rci=1 rco=1 pipe=0 term=1 warmup=100 measure=1500 drain=4000 seed=2 load=0.95"

@@ -2,18 +2,55 @@ package expt
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"log/slog"
+	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite "+goldenFile+" from this run's tables")
+
+// goldenFile holds the sha256 of every experiment table's JSON at
+// Options{Quick: true, Seed: 1}, keyed by id.
+const goldenFile = "testdata/golden_quick_seed1.json"
+
+// goldenSkip names the experiments whose tables are not a pure function
+// of the seed, with the reason.
+var goldenSkip = map[string]string{
+	"ext-optimizers": "its table prints wall-clock milliseconds",
+}
+
 // TestAllExperimentsRun executes every registered experiment in Quick
-// mode and sanity-checks the output shape.
+// mode, sanity-checks the output shape, and compares the sha256 of each
+// table's JSON with goldenFile, so any change to any experiment's output
+// names the experiments it moved. After an intended output change, run
+//
+//	go test ./internal/expt -run TestAllExperimentsRun -update
+//
+// and commit the rewritten file. Digests are compared on linux/amd64
+// only: on other architectures the compiler may fuse multiply-adds,
+// which changes float results in the last bits.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in short mode")
+	}
+	golden := map[string]string{}
+	if b, err := os.ReadFile(goldenFile); err == nil {
+		if err := json.Unmarshal(b, &golden); err != nil {
+			t.Fatalf("%s: %v", goldenFile, err)
+		}
+	} else if !*update {
+		t.Fatal(err)
+	}
+	compare := runtime.GOOS == "linux" && runtime.GOARCH == "amd64"
+	if !compare && !*update {
+		t.Logf("golden digests not compared on %s/%s: Go may fuse multiply-adds there", runtime.GOOS, runtime.GOARCH)
 	}
 	o := Options{Quick: true, Seed: 1}
 	for _, id := range IDs() {
@@ -22,6 +59,16 @@ func TestAllExperimentsRun(t *testing.T) {
 			tab, err := Run(id, o)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if why, ok := goldenSkip[id]; ok {
+				t.Logf("golden digest skipped: %s", why)
+			} else if b, err := json.Marshal(tab); err != nil {
+				t.Errorf("table JSON: %v", err)
+			} else if sum := sha256.Sum256(b); *update {
+				golden[id] = hex.EncodeToString(sum[:])
+			} else if compare && golden[id] != hex.EncodeToString(sum[:]) {
+				t.Errorf("%s: table JSON sha256 %x, %s has %q (rerun with -update if the change is intended)",
+					id, sum, goldenFile, golden[id])
 			}
 			if tab.ID != id {
 				t.Errorf("table ID = %q, want %q", tab.ID, id)
@@ -41,6 +88,20 @@ func TestAllExperimentsRun(t *testing.T) {
 				t.Error("Render() missing experiment id")
 			}
 		})
+	}
+	if *update {
+		for id := range golden {
+			if _, ok := registry[id]; !ok {
+				delete(golden, id) // experiment no longer registered
+			}
+		}
+		b, err := json.MarshalIndent(golden, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenFile, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -72,10 +72,24 @@ func benchFbfly(b *testing.B) *topo.Topology {
 // the 3x3 flattened butterfly near 0.83), where the Section VI sweeps
 // spend their wall-clock: every input port holds flits, most VCs are
 // active, and switch allocation runs every router every cycle. This is
-// the regime the low-load BenchmarkSimCycle guard does not cover.
+// the regime the low-load BenchmarkSimCycle guard does not cover. The
+// clos and fbfly routers have 32 ports, one mask word each; wideclos is
+// the 512-port Clos of radix-128 sub-switches (Fig 19's SSC), 12
+// routers whose port masks span two words.
 func BenchmarkSimCycleSaturated(b *testing.B) {
 	b.Run("clos", func(b *testing.B) { benchCycleAtLoad(b, benchClos(b), 0.9) })
 	b.Run("fbfly", func(b *testing.B) { benchCycleAtLoad(b, benchFbfly(b), 0.9) })
+	b.Run("wideclos", func(b *testing.B) {
+		chip, err := ssc.MustTH5(200).Deradix(2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cl, err := topo.HomogeneousClos(512, chip)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchCycleAtLoad(b, cl, 0.9)
+	})
 }
 
 // BenchmarkSimCycleKnee pins per-cycle cost at the saturation knee
@@ -110,9 +124,10 @@ func BenchmarkSimCycleLowLoad(b *testing.B) {
 // the (bounded) drain; network construction and observer attachment
 // are excluded by timer stops. The 4x4 flattened butterfly of
 // full-radix chips puts 64 terminals on each of 16 radix-256 routers,
-// so its case is the only whole-run guard of the >64-port paths; the
-// clos/timeline and clos/attribution cases price those observers
-// against the bare clos case.
+// so its case is the whole-run guard of four-word port masks (the
+// clos case's radix-64 routers use one); the clos/timeline and
+// clos/attribution cases price those observers against the bare clos
+// case.
 //
 // allocs/op is per-run growth to steady capacity (source queues, the
 // packet table); the steady-state cycle itself allocates nothing —

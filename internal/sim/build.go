@@ -95,12 +95,14 @@ type Network struct {
 	// maintained at the three transition points: queue empty<->non-empty
 	// (push/pop), VA success, and tail forward.
 	inState []portState
-	// portPipeM[r] summarizes the pipe masks at router level: bit p set
-	// when input port p of router r has a non-empty pipe mask. RC/VA
-	// scans set bits instead of loading every port's mask (ports >= 64
-	// shift out to nothing; wide routers scan every port regardless).
-	// portReadyM[r] is switch allocation's counterpart: bit p set when
-	// port p holds a VC that is non-empty and active (busy &^ pipe != 0),
+	// The router-level port masks (portPipeM, portReadyM, creditM) hold
+	// pw words per router: port p of router r is bit p&63 of word
+	// r*pw + p>>6, on every router whatever its radix. portPipeM
+	// summarizes the pipe masks: port p's bit is set when input port p
+	// has a non-empty pipe mask, so RC/VA scans set bits instead of
+	// loading every port's mask.
+	// portReadyM is switch allocation's counterpart: port p's bit is set
+	// when p holds a VC that is non-empty and active (busy &^ pipe != 0),
 	// so SA visits only ports with a grantable VC. It changes at the same
 	// transition points as the port masks: a body flit reaching an empty
 	// active VC and VA success set it, a forward that empties the VC or
@@ -118,12 +120,12 @@ type Network struct {
 	outCredits []int32
 	outCh      []int32
 	outRRVA    []int32
-	// creditM[r] mirrors outCredits at router level for ports < 64: bit
-	// o set when output o has credits. Switch allocation starts its
-	// grantable-output mask from this word instead of re-testing every
-	// port's credit count; maintained at the two credit transitions
-	// (decrement to zero on forward, increment from zero on credit
-	// return). Wide routers (> 64 ports) test outCredits directly.
+	// creditM mirrors outCredits at router level, in the port-mask
+	// layout: output o's bit is set when o has credits. Switch
+	// allocation starts its grantable-output mask from these words
+	// instead of re-testing every port's credit count; maintained at the
+	// two credit transitions (decrement to zero on forward, increment
+	// from zero on credit return).
 	creditM   []uint64
 	outFreeVC []uint64
 
@@ -226,10 +228,10 @@ type Network struct {
 	termSeq []uint32
 
 	// Scratch for switch allocation, reused across routers.
-	saWinner   []int32 // per output port: winning input-VC global index
-	saWinnerIn []int32 // per output port: the winner's input port
-	saStamp    []int64
-	saClock    int64
+	saWinner   []int32  // per output port: winning input-VC global index
+	saWinnerIn []int32  // per output port: the winner's input port
+	saOpen     []uint64 // pw words: outputs still grantable this cycle
+	pw         int      // words per router in the port masks: ceil(maxP/64)
 
 	now int64
 
@@ -333,6 +335,7 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 		}
 	}
 	T := t.ExternalPorts()
+	pw := bitWords(maxP)
 
 	nVC := R * maxP * cfg.NumVCs
 	n := &Network{
@@ -340,6 +343,7 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 		R:            R,
 		V:            cfg.NumVCs,
 		maxP:         maxP,
+		pw:           pw,
 		T:            T,
 		bufPP:        int32(cfg.BufPerPort),
 		numPorts:     numPorts,
@@ -355,8 +359,9 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 		vcTraceHead:  make([]bool, nVC),
 		vcAttribHead: make([]bool, nVC),
 		inState:      make([]portState, R*maxP),
-		portPipeM:    make([]uint64, R),
-		portReadyM:   make([]uint64, R),
+		portPipeM:    make([]uint64, R*pw),
+		portReadyM:   make([]uint64, R*pw),
+		creditM:      make([]uint64, R*pw),
 		routerOcc:    make([]int32, R),
 		feedCh:       make([]int32, R*maxP),
 		outCredits:   make([]int32, R*maxP),
@@ -365,7 +370,7 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 		outFreeVC:    make([]uint64, R*maxP),
 		saWinner:     make([]int32, maxP),
 		saWinnerIn:   make([]int32, maxP),
-		saStamp:      make([]int64, maxP),
+		saOpen:       make([]uint64, pw),
 		latSumR:      make([]float64, R),
 		termSeq:      make([]uint32, T),
 		logger:       cfg.Logger,
@@ -409,10 +414,7 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 			n.feedCh[dstR*maxP+dstP] = ci
 		}
 		if srcR >= 0 {
-			out := srcR*maxP + srcP
-			n.outCh[out] = ci
-			n.outCredits[out] = int32(cfg.BufPerPort)
-			n.outFreeVC[out] = fullVCMask(cfg.NumVCs)
+			n.outCh[srcR*maxP+srcP] = ci
 		}
 		return ci
 	}
@@ -443,16 +445,11 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 			}
 			n.termChIn[term] = addChannel(-1, -1, r, p, td, term)
 			n.rcOfIn[r*maxP+p] = atLeast1(cfg.RCIngress)
-			// Terminal sink: the router's output port p ejects to the
-			// host; model it as an infinite-credit sink.
-			out := r*maxP + p
-			n.outCh[out] = -1
-			n.outCredits[out] = 1 << 30
-			n.outFreeVC[out] = fullVCMask(cfg.NumVCs)
-			n.srcCredit[term] = int32(cfg.BufPerPort)
+			// Output port p is the terminal's sink (see initCredits).
 			term++
 		}
 	}
+	n.initCredits()
 
 	// Slab pass: group channels by latency class and lay each class's
 	// rings out slot-major in the shared slab (see the field docs on
@@ -533,15 +530,6 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 	}
 	n.npRot = make([]int32, len(n.npVals))
 
-	n.creditM = make([]uint64, R)
-	for r := 0; r < R; r++ {
-		for o := 0; o < maxP && o < 64; o++ {
-			if n.outCredits[r*maxP+o] > 0 {
-				n.creditM[r] |= uint64(1) << o
-			}
-		}
-	}
-
 	rs, err := routesFor(t)
 	if err != nil {
 		return nil, err
@@ -582,6 +570,40 @@ func (n *Network) initTermRng(seed int64) {
 	}
 	for t := range n.termSrc {
 		n.termSrc[t] = splitmix64{x: termRNGState(seed, t)}
+	}
+}
+
+// initCredits derives the credit state from the port wiring: an
+// inter-router output (outCh >= 0) gets the downstream port's buffer
+// window, a terminal sink an effectively infinite credit line, both a
+// full free-VC mask; padded ports get nothing, every terminal source a
+// full buffer window, and creditM flags the credited outputs. Build
+// calls it once the ports are wired, Reset after clearing run state.
+func (n *Network) initCredits() {
+	clear(n.outCredits)
+	clear(n.outFreeVC)
+	full := fullVCMask(n.V)
+	for i, ch := range n.outCh {
+		if ch >= 0 {
+			n.outCredits[i] = n.bufPP
+			n.outFreeVC[i] = full
+		}
+	}
+	for t := 0; t < n.T; t++ {
+		out := int(n.destRouter[t])*n.maxP + int(n.egressPort[t])
+		n.outCredits[out] = 1 << 30
+		n.outFreeVC[out] = full
+	}
+	for t := range n.srcCredit {
+		n.srcCredit[t] = n.bufPP
+	}
+	clear(n.creditM)
+	for r := 0; r < n.R; r++ {
+		for p := 0; p < n.maxP; p++ {
+			if n.outCredits[r*n.maxP+p] > 0 {
+				n.creditM[r*n.pw+p>>6] |= uint64(1) << (p & 63)
+			}
+		}
 	}
 }
 

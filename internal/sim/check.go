@@ -352,42 +352,41 @@ func (c *checker) slotFault(n *Network, in, s, used int32, what string) {
 		n.now, in, what, s)
 }
 
-// checkMasks asserts that the router-level summaries agree with the
-// per-port state they summarise: creditM with the output credit counts
-// (ports below 64, on every router), and — on routers of at most 64
-// ports, the ones whose pipeline scans read them — portPipeM with the
-// ports' pipe masks and portReadyM with their ready VCs (busy &^ pipe).
+// checkMasks asserts that the router-level summaries agree, word by
+// word on every router, with the per-port state they summarise:
+// creditM with the output credit counts, portPipeM with the ports'
+// pipe masks and portReadyM with their ready VCs (busy &^ pipe).
 // Reports at most one violation per scan.
 func (c *checker) checkMasks(n *Network) {
 	for r := 0; r < n.R; r++ {
-		base := r * n.maxP
-		var pipe, ready, credit uint64
-		for p := 0; p < n.maxP && p < 64; p++ {
-			ps := n.inState[base+p]
-			if ps.pipe != 0 {
-				pipe |= uint64(1) << p
+		for w := 0; w < n.pw; w++ {
+			var pipe, ready, credit uint64
+			for p := w << 6; p < min(w<<6+64, n.maxP); p++ {
+				in, bit := r*n.maxP+p, uint64(1)<<(p&63)
+				ps := n.inState[in]
+				if ps.pipe != 0 {
+					pipe |= bit
+				}
+				if ps.busy&^ps.pipe != 0 {
+					ready |= bit
+				}
+				if n.outCredits[in] > 0 {
+					credit |= bit
+				}
 			}
-			if ps.busy&^ps.pipe != 0 {
-				ready |= uint64(1) << p
+			i := r*n.pw + w
+			if n.creditM[i] != credit {
+				c.violatef("cycle %d: router %d: credit mask word %d = %#x, want %#x", n.now, r, w, n.creditM[i], credit)
+				return
 			}
-			if n.outCredits[base+p] > 0 {
-				credit |= uint64(1) << p
+			if n.portPipeM[i] != pipe {
+				c.violatef("cycle %d: router %d: pipe-port mask word %d = %#x, want %#x", n.now, r, w, n.portPipeM[i], pipe)
+				return
 			}
-		}
-		if n.creditM[r] != credit {
-			c.violatef("cycle %d: router %d: credit mask %#x, want %#x", n.now, r, n.creditM[r], credit)
-			return
-		}
-		if n.numPorts[r] > 64 {
-			continue // wide routers scan every port and keep no port summaries
-		}
-		if n.portPipeM[r] != pipe {
-			c.violatef("cycle %d: router %d: pipe-port mask %#x, want %#x", n.now, r, n.portPipeM[r], pipe)
-			return
-		}
-		if n.portReadyM[r] != ready {
-			c.violatef("cycle %d: router %d: ready-port mask %#x, want %#x", n.now, r, n.portReadyM[r], ready)
-			return
+			if n.portReadyM[i] != ready {
+				c.violatef("cycle %d: router %d: ready-port mask word %d = %#x, want %#x", n.now, r, w, n.portReadyM[i], ready)
+				return
+			}
 		}
 	}
 }

@@ -196,32 +196,53 @@ func TestCheckerDetectsSlotLeak(t *testing.T) {
 // pending-source bitmap — must be checked against that state: a drifted
 // summary silently skips (or invents) work. Each case plants one drift
 // and runs a single cycle, so the end-of-cycle scan sees it before
-// anything consumes it.
+// anything consumes it. The wide cases plant theirs in mask word 1 (port
+// 65) of a 128-port spine.
 func TestCheckerDetectsSummaryDrift(t *testing.T) {
 	// ringSlot returns a slot of the second stripe of latency class 0,
 	// which no arrivals pass reaches in cycle 0.
 	ringSlot := func(n *Network) int32 { return n.classOff[0] + n.classCnt[0] }
+	// word1 returns the index of mask word 1 of the first router with
+	// more than 64 ports.
+	word1 := func(n *Network) int {
+		for r := 0; r < n.R; r++ {
+			if n.numPorts[r] > 64 {
+				return r*n.pw + 1
+			}
+		}
+		panic("no router above 64 ports")
+	}
 	cases := []struct {
 		name, want string
+		wide       bool
 		corrupt    func(n *Network)
 	}{
-		{"pipe", "pipe-port mask", func(n *Network) {
+		{"pipe", "pipe-port mask", false, func(n *Network) {
 			n.portPipeM[0] |= 1 << 1
 		}},
-		{"ready", "ready-port mask", func(n *Network) {
+		{"ready", "ready-port mask", false, func(n *Network) {
 			n.portReadyM[0] |= 1 << 1
 		}},
-		{"credit", "credit mask", func(n *Network) {
+		{"credit", "credit mask", false, func(n *Network) {
 			n.creditM[0] &^= 1 // output 0 is a terminal sink, always credited
 		}},
-		{"ring-flit", "occupancy bits flit=false credit=false", func(n *Network) {
+		{"wide-pipe", "pipe-port mask word 1", true, func(n *Network) {
+			n.portPipeM[word1(n)] |= 1 << 1
+		}},
+		{"wide-ready", "ready-port mask word 1", true, func(n *Network) {
+			n.portReadyM[word1(n)] |= 1 << 1
+		}},
+		{"wide-credit", "credit mask word 1", true, func(n *Network) {
+			n.creditM[word1(n)] &^= 1 << 1 // a spine link, credited at build
+		}},
+		{"ring-flit", "occupancy bits flit=false credit=false", false, func(n *Network) {
 			n.ringSlab[ringSlot(n)] |= packEv(0, true, 0)
 		}},
-		{"ring-credit", "occupancy bits flit=false credit=true", func(n *Network) {
+		{"ring-credit", "occupancy bits flit=false credit=true", false, func(n *Network) {
 			j := ringSlot(n)
 			n.ringCredM[j>>6] |= uint64(1) << (j & 63)
 		}},
-		{"pending", "pending bit false with 1 queued", func(n *Network) {
+		{"pending", "pending bit false with 1 queued", false, func(n *Network) {
 			n.srcQ[0] = append(n.srcQ[0], pendingPkt{dst: 1, size: 1})
 		}},
 	}
@@ -229,7 +250,11 @@ func TestCheckerDetectsSummaryDrift(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
 			cfg.WarmupCycles, cfg.MeasureCycles = 0, 1
-			n, err := Build(testClos(t), ConstantLatency(1), cfg)
+			top := testClos(t)
+			if tc.wide {
+				top = testWideClos(t)
+			}
+			n, err := Build(top, ConstantLatency(1), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,7 +335,8 @@ func TestCheckerWatchdog(t *testing.T) {
 		t.Fatal("no inter-router output on router 0")
 	}
 	n.outCredits[out] = 0
-	n.creditM[out/n.maxP] &^= uint64(1) << uint32(out%n.maxP)
+	r, p := out/n.maxP, out%n.maxP
+	n.creditM[r*n.pw+p>>6] &^= uint64(1) << (p & 63)
 	n.pkts = append(n.pkts, packetInfo{dst: 0})
 	// Setting vcActive before the push keeps the VC out of the RC/VA scan
 	// mask (markBusy only queues pipeline work for non-active VCs), exactly

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"waferswitch/internal/sim"
+	"waferswitch/internal/ssc"
+	"waferswitch/internal/topo"
 	"waferswitch/internal/traffic"
 )
 
@@ -15,7 +17,9 @@ import (
 // simulator and the dense reference must produce bit-identical Stats,
 // latency histograms and delivered-packet multisets across topology
 // families and load points spanning zero-load to past saturation, with
-// the runtime invariant checker clean on every optimized run.
+// the runtime invariant checker clean on every optimized run. wideclos
+// puts radix-16 leaves under 128-port spines, so two-word and one-word
+// port masks (the leaves' second word always zero) run side by side.
 func TestSimEquivalence(t *testing.T) {
 	base := Spec{
 		Pattern: "uniform",
@@ -23,7 +27,7 @@ func TestSimEquivalence(t *testing.T) {
 		RCI: 1, RCO: 1, Pipe: 1, Term: 1,
 		Warmup: 50, Measure: 150, Seed: 42,
 	}
-	families := []string{"clos", "mesh", "fbfly", "dfly"}
+	families := []string{"clos", "mesh", "fbfly", "dfly", "wideclos"}
 	loads := []float64{0.05, 0.25, 0.6}
 	for _, fam := range families {
 		for _, load := range loads {
@@ -78,6 +82,58 @@ func TestSimEquivalencePatterns(t *testing.T) {
 			Warmup: 40, Measure: 120, Seed: 7, Load: 0.6,
 		}
 		t.Run(fam+"/tornado/load=0.6", func(t *testing.T) { check(t, s) })
+	}
+}
+
+// TestSimEquivalenceOddRadix diffs routers whose port masks span two
+// to four words with a partially used top word — no registered family
+// builds one. k fully connected routers each host e terminals (ports
+// 0..e-1) and l lanes to every other router, so a router has
+// e + (k-1)*l ports: 70, 100, 130 and 200, that is 2, 2, 3 and 4 mask
+// words. Every route takes one inter-router hop, so the shape is
+// deadlock-free and the checker's watchdog stays on.
+func TestSimEquivalenceOddRadix(t *testing.T) {
+	full := func(k, e, l int) *topo.Topology {
+		chip := ssc.Chiplet{Name: "radix-512", Radix: 512, PortGbps: 200}
+		top := &topo.Topology{Name: fmt.Sprintf("full-%dx%d", k, e+(k-1)*l), Kind: "full", PortGbps: 200}
+		for i := 0; i < k; i++ {
+			top.Nodes = append(top.Nodes, topo.Node{ID: i, Role: topo.RoleNode, Chiplet: chip, ExternalPorts: e})
+			for j := 0; j < i; j++ {
+				top.Links = append(top.Links, topo.Link{A: j, B: i, Lanes: l})
+			}
+		}
+		return top
+	}
+	shapes := []struct{ k, e, l, vcs int }{
+		{3, 30, 20, 2}, // 70 ports: 2 words, 6 bits of the top one
+		{4, 40, 20, 4}, // 100 ports: 2 words, 36 bits
+		{3, 50, 40, 1}, // 130 ports: 3 words, 2 bits
+		{5, 40, 40, 3}, // 200 ports: 4 words, 8 bits
+	}
+	for _, sh := range shapes {
+		for _, load := range []float64{0.3, 0.95} {
+			top := full(sh.k, sh.e, sh.l)
+			// Family only labels the report: no registered family (and
+			// so no -replay tuple) builds this shape.
+			s := Spec{
+				Family: top.Name, Pattern: "uniform",
+				LinkLat: 2, VCs: sh.vcs, Buf: 8, Pkt: 2,
+				RCI: 1, RCO: 1, Pipe: 1, Term: 1,
+				Warmup: 50, Measure: 150, Seed: 21, Load: load,
+			}
+			t.Run(fmt.Sprintf("%s/load=%g", top.Name, load), func(t *testing.T) {
+				rep, err := s.diffOn(top, sim.CheckOptions{})
+				if err != nil {
+					t.Fatalf("diff %s: %v", s, err)
+				}
+				if !rep.OK() {
+					t.Fatalf("simulators diverge:\n%s", rep.Summary())
+				}
+				if rep.Opt.Completed == 0 {
+					t.Fatalf("%s completed no packets; test is vacuous", top.Name)
+				}
+			})
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ func FuzzSimEquivalence(f *testing.F) {
 	// The committed corpus (testdata/fuzz/FuzzSimEquivalence) adds
 	// kernel-layout seeds: seed-wide-mixed (radix-16 leaves under
 	// 128-port spines) and seed-wide-all (128-port routers only, past
-	// saturation) keep the dense wide-router scans under the oracle, and
+	// saturation) keep two-word port masks under the oracle, and
 	// seed-stripe-mesh68 puts 96 channels in one latency class, so every
 	// ring stripe after the first starts mid-word in the occupancy
 	// bitmaps.

@@ -58,10 +58,10 @@ var (
 )
 
 // wideFamilyByte is the lowest raw family byte that selects the
-// "wideclos" family, a Clos whose spines have more than 64 ports — the
-// only shape that reaches the simulator's wide-router paths. Bytes
-// below it index specFamilies round-robin, which fixes the meaning of
-// the committed corpus entries below it; the wide shape, several times
+// "wideclos" family, a Clos whose spines have more than 64 ports, so
+// the simulator's router-level port masks span two words. Bytes below
+// it index specFamilies round-robin, which fixes the meaning of the
+// committed corpus entries below it; the wide shape, several times
 // costlier per run, gets a small share of random fuzz inputs.
 const wideFamilyByte = 252
 
@@ -338,6 +338,17 @@ func (s Spec) Diff() (*DiffReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	opt := sim.CheckOptions{}
+	if !s.DeadlockFree() {
+		opt.Watchdog = -1
+	}
+	return s.diffOn(top, opt)
+}
+
+// diffOn is Diff's comparison on a given topology in place of the one
+// the spec's family and size name: every other knob comes from the
+// spec, and opt configures the invariant checker on the optimized run.
+func (s Spec) diffOn(top *topo.Topology, opt sim.CheckOptions) (*DiffReport, error) {
 	cfg := s.Config()
 	lat := sim.ConstantLatency(s.LinkLat)
 
@@ -348,10 +359,6 @@ func (s Spec) Diff() (*DiffReport, error) {
 	n, err := sim.Build(top, lat, cfg)
 	if err != nil {
 		return nil, err
-	}
-	opt := sim.CheckOptions{}
-	if !s.DeadlockFree() {
-		opt.Watchdog = -1
 	}
 	if err := n.Check(opt); err != nil {
 		return nil, err

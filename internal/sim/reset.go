@@ -25,8 +25,8 @@ import "waferswitch/internal/obs"
 // Equivalence argument (gated by TestResetEquivalence and the refsim
 // fuzz oracle): after Reset, every array a fresh Build would allocate
 // zeroed is zeroed; every derived value (credits, free-VC masks, the
-// credit mask, source credits) is re-derived by the same expressions
-// Build uses; truncated slices replay identical append sequences within
+// credit mask, source credits) is re-derived by initCredits, the helper
+// Build calls; truncated slices replay identical append sequences within
 // retained capacity, and Go's append semantics make capacity invisible
 // to behavior. Stale bytes survive only where no read can reach them:
 // the input-buffer pool slots are not cleared, because clearing alloc
@@ -58,33 +58,7 @@ func (n *Network) Reset(seed int64) {
 	clear(n.classSlotBase)
 	clear(n.npRot)
 	clear(n.outRRVA)
-
-	// Credits and output-VC masks, re-derived exactly as Build assigns
-	// them: inter-router outputs get the per-port buffer window and a
-	// full VC mask, terminal sinks an effectively infinite credit line,
-	// unused (padded) ports nothing.
-	clear(n.outCredits)
-	clear(n.outFreeVC)
-	full := fullVCMask(n.V)
-	for i, ch := range n.outCh {
-		if ch >= 0 {
-			n.outCredits[i] = int32(n.cfg.BufPerPort)
-			n.outFreeVC[i] = full
-		}
-	}
-	for t := 0; t < n.T; t++ {
-		out := int(n.destRouter[t])*n.maxP + int(n.egressPort[t])
-		n.outCredits[out] = 1 << 30
-		n.outFreeVC[out] = full
-	}
-	clear(n.creditM)
-	for r := 0; r < n.R; r++ {
-		for o := 0; o < n.maxP && o < 64; o++ {
-			if n.outCredits[r*n.maxP+o] > 0 {
-				n.creditM[r] |= uint64(1) << o
-			}
-		}
-	}
+	n.initCredits()
 
 	// Terminal sources.
 	for t := range n.srcQ {
@@ -95,9 +69,6 @@ func (n *Network) Reset(seed int64) {
 	clear(n.srcSent)
 	clear(n.curPkt)
 	clear(n.curVC)
-	for t := range n.srcCredit {
-		n.srcCredit[t] = int32(n.cfg.BufPerPort)
-	}
 
 	// Packet table: truncation replays the fresh build's append sequence
 	// inside the retained capacity.
@@ -109,8 +80,7 @@ func (n *Network) Reset(seed int64) {
 	// Switch-allocation scratch.
 	clear(n.saWinner)
 	clear(n.saWinnerIn)
-	clear(n.saStamp)
-	n.saClock = 0
+	clear(n.saOpen)
 
 	// Clock and statistics.
 	n.now = 0

@@ -294,21 +294,21 @@ func (n *Network) pushVC(gv, base, s int32, w uint32) int32 {
 	return int32(l)
 }
 
-// markBusy flags VC gv as newly non-empty in its port's masks: the VC
-// turns busy, and either owes pipeline work, flagged in both the port's
-// VC mask and router r's port summary mask, or — mid-packet (vcActive,
-// receiving body flits) — is ready for switch allocation, flagged in
-// r's ready-port mask (a shift by port p >= 64 is zero in Go, so wide
-// routers — which scan every port — are left alone).
+// markBusy flags VC gv (on port p of router r) as newly non-empty in
+// its port's masks: the VC turns busy, and either owes pipeline work,
+// flagged in both the port's VC mask and r's pipe-port mask, or —
+// mid-packet (vcActive, receiving body flits) — is ready for switch
+// allocation, flagged in r's ready-port mask.
 func (n *Network) markBusy(in, gv, r, p int32) {
 	bit := uint64(1) << (gv - in*int32(n.V))
 	ps := &n.inState[in]
 	ps.busy |= bit
+	w, pbit := r*int32(n.pw)+p>>6, uint64(1)<<(p&63)
 	if n.vcStatus[gv] != vcActive {
 		ps.pipe |= bit
-		n.portPipeM[r] |= uint64(1) << uint32(p)
+		n.portPipeM[w] |= pbit
 	} else {
-		n.portReadyM[r] |= uint64(1) << uint32(p)
+		n.portReadyM[w] |= pbit
 	}
 }
 
@@ -336,6 +336,7 @@ func (n *Network) arrivals() {
 	flitM, credM := n.ringFlitM, n.ringCredM
 	V := int32(n.V)
 	maxP := int32(n.maxP)
+	pw := int32(n.pw)
 	for k, base := range n.classSlotBase {
 		lo, hi := int(base), int(base+n.classCnt[k])
 		recs := n.classHot[k]
@@ -376,7 +377,7 @@ func (n *Network) arrivals() {
 					c := n.outCredits[so] + 1
 					n.outCredits[so] = c
 					if c == 1 {
-						n.creditM[sr] |= uint64(1) << uint32(rec.srcP)
+						n.creditM[sr*pw+rec.srcP>>6] |= uint64(1) << (rec.srcP & 63)
 					}
 				} else {
 					n.srcCredit[-sr-1]++
@@ -417,7 +418,7 @@ func (n *Network) routers() {
 }
 
 // routerRCVA advances route computation and VC allocation for the head
-// packet of every input VC of router r owing pipeline work. The pipeM
+// packet of every input VC of router r owing pipeline work. The pipe-port
 // scan visits exactly the VCs the dense loop would have advanced
 // (non-empty, not yet vcActive) in the same ascending order; VCs
 // streaming body flits are skipped wholesale, which is most of them
@@ -425,173 +426,94 @@ func (n *Network) routers() {
 func (n *Network) routerRCVA(r int) {
 	V := int32(n.V)
 	base := int32(r) * int32(n.maxP)
-	if int(n.numPorts[r]) > 64 {
-		n.routerRCVAWide(r)
-		return
-	}
 	// Local headers for the same re-load reason as routerSA.
 	vcStatus := n.vcStatus
 	vcRCLeft := n.vcRCLeft
 	vcOutPort := n.vcOutPort
 	outFreeVC := n.outFreeVC
+	rw := r * n.pw // r's first word in the port masks
 	// Ports owing pipeline work, from the router-level summary mask: at
 	// saturation most ports only stream body flits (vcActive, not in any
 	// pipe mask), so the scan touches just the ports with a head packet
-	// mid-RC/VA instead of loading every port's VC mask.
-	for pm := n.portPipeM[r]; pm != 0; pm &= pm - 1 {
-		p := int32(bits.TrailingZeros64(pm))
-		in := base + p
-		m := n.inState[in].pipe
-		vbase := in * V
-		for ; m != 0; m &= m - 1 {
-			v := int32(bits.TrailingZeros64(m))
-			gv := vbase + v
-			st := vcStatus[gv]
-			if st == vcIdle {
-				st = vcRouting
-				vcRCLeft[gv] = n.rcOfIn[in]
-				if n.at != nil {
-					n.atRCStart(n.frontVC(in, gv).pkt, r)
-				}
-			}
-			if st == vcRouting {
-				left := vcRCLeft[gv] - 1
-				vcRCLeft[gv] = left
-				if left <= 0 {
-					n.computeRoute(r, in, gv)
-					st = vcVCAlloc
+	// mid-RC/VA instead of loading every port's VC mask. Each word is
+	// snapshot when the scan reaches it; VA success clears only the
+	// current port's bit and sets none, so the ascending word-by-word
+	// scan visits exactly the ports one snapshot of the whole mask holds.
+	for w := rw; w < rw+n.pw; w++ {
+		for pm := n.portPipeM[w]; pm != 0; pm &= pm - 1 {
+			p := int32((w-rw)<<6 | bits.TrailingZeros64(pm))
+			in := base + p
+			m := n.inState[in].pipe
+			vbase := in * V
+			for ; m != 0; m &= m - 1 {
+				v := int32(bits.TrailingZeros64(m))
+				gv := vbase + v
+				st := vcStatus[gv]
+				if st == vcIdle {
+					st = vcRouting
+					vcRCLeft[gv] = n.rcOfIn[in]
 					if n.at != nil {
-						n.atRCDone(n.frontVC(in, gv).pkt, r)
-					}
-					if n.tr != nil {
-						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(in, gv).pkt,
-							Router: int32(r), Kind: obs.TraceRC, Arg: vcOutPort[gv]})
+						n.atRCStart(n.frontVC(in, gv).pkt, r)
 					}
 				}
-			}
-			if st == vcVCAlloc {
-				out := base + vcOutPort[gv]
-				if free := outFreeVC[out]; free != 0 {
-					// First free output VC at or after the round-robin
-					// pointer, wrapping — the bit-scan form of the old
-					// rotate-and-probe loop.
-					var ov int32
-					if hi := free >> uint(n.outRRVA[out]); hi != 0 {
-						ov = n.outRRVA[out] + int32(bits.TrailingZeros64(hi))
-					} else {
-						ov = int32(bits.TrailingZeros64(free))
-					}
-					outFreeVC[out] = free &^ (uint64(1) << ov)
-					if rr := ov + 1; rr == V {
-						n.outRRVA[out] = 0
-					} else {
-						n.outRRVA[out] = rr
-					}
-					n.vcOutVC[gv] = ov
-					st = vcActive
-					ps := &n.inState[in]
-					if pmNew := ps.pipe &^ (uint64(1) << v); pmNew == 0 {
-						ps.pipe = 0
-						n.portPipeM[r] &^= uint64(1) << uint32(p)
-					} else {
-						ps.pipe = pmNew
-					}
-					n.portReadyM[r] |= uint64(1) << uint32(p)
-					if n.at != nil {
-						n.atVADone(n.frontVC(in, gv).pkt, r)
-						n.vcAttribHead[gv] = true
-					}
-					if n.tr != nil {
-						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(in, gv).pkt,
-							Router: int32(r), Kind: obs.TraceVA, Arg: ov})
-						n.vcTraceHead[gv] = true
-					}
-				} else if n.probe != nil {
-					n.probe.Routers[r].VAStalls++
-				}
-			}
-			vcStatus[gv] = st
-		}
-	}
-}
-
-// routerRCVAWide is routerRCVA for routers with more than 64 ports,
-// where the port summary does not fit a register mask: every port's VC
-// pipe mask is loaded and tested, with identical decisions in identical
-// order.
-func (n *Network) routerRCVAWide(r int) {
-	V := int32(n.V)
-	base := int32(r) * int32(n.maxP)
-	nP := int32(n.numPorts[r])
-	vcStatus := n.vcStatus
-	vcRCLeft := n.vcRCLeft
-	vcOutPort := n.vcOutPort
-	outFreeVC := n.outFreeVC
-	for p := int32(0); p < nP; p++ {
-		in := base + p
-		m := n.inState[in].pipe
-		if m == 0 {
-			continue
-		}
-		vbase := in * V
-		for ; m != 0; m &= m - 1 {
-			v := int32(bits.TrailingZeros64(m))
-			gv := vbase + v
-			st := vcStatus[gv]
-			if st == vcIdle {
-				st = vcRouting
-				vcRCLeft[gv] = n.rcOfIn[in]
-				if n.at != nil {
-					n.atRCStart(n.frontVC(in, gv).pkt, r)
-				}
-			}
-			if st == vcRouting {
-				left := vcRCLeft[gv] - 1
-				vcRCLeft[gv] = left
-				if left <= 0 {
-					n.computeRoute(r, in, gv)
-					st = vcVCAlloc
-					if n.at != nil {
-						n.atRCDone(n.frontVC(in, gv).pkt, r)
-					}
-					if n.tr != nil {
-						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(in, gv).pkt,
-							Router: int32(r), Kind: obs.TraceRC, Arg: vcOutPort[gv]})
+				if st == vcRouting {
+					left := vcRCLeft[gv] - 1
+					vcRCLeft[gv] = left
+					if left <= 0 {
+						n.computeRoute(r, in, gv)
+						st = vcVCAlloc
+						if n.at != nil {
+							n.atRCDone(n.frontVC(in, gv).pkt, r)
+						}
+						if n.tr != nil {
+							n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(in, gv).pkt,
+								Router: int32(r), Kind: obs.TraceRC, Arg: vcOutPort[gv]})
+						}
 					}
 				}
-			}
-			if st == vcVCAlloc {
-				out := base + vcOutPort[gv]
-				if free := outFreeVC[out]; free != 0 {
-					var ov int32
-					if hi := free >> uint(n.outRRVA[out]); hi != 0 {
-						ov = n.outRRVA[out] + int32(bits.TrailingZeros64(hi))
-					} else {
-						ov = int32(bits.TrailingZeros64(free))
+				if st == vcVCAlloc {
+					out := base + vcOutPort[gv]
+					if free := outFreeVC[out]; free != 0 {
+						// First free output VC at or after the round-robin
+						// pointer, wrapping — the bit-scan form of the old
+						// rotate-and-probe loop.
+						var ov int32
+						if hi := free >> uint(n.outRRVA[out]); hi != 0 {
+							ov = n.outRRVA[out] + int32(bits.TrailingZeros64(hi))
+						} else {
+							ov = int32(bits.TrailingZeros64(free))
+						}
+						outFreeVC[out] = free &^ (uint64(1) << ov)
+						if rr := ov + 1; rr == V {
+							n.outRRVA[out] = 0
+						} else {
+							n.outRRVA[out] = rr
+						}
+						n.vcOutVC[gv] = ov
+						st = vcActive
+						ps := &n.inState[in]
+						if pmNew := ps.pipe &^ (uint64(1) << v); pmNew == 0 {
+							ps.pipe = 0
+							n.portPipeM[w] &^= uint64(1) << (p & 63)
+						} else {
+							ps.pipe = pmNew
+						}
+						n.portReadyM[w] |= uint64(1) << (p & 63)
+						if n.at != nil {
+							n.atVADone(n.frontVC(in, gv).pkt, r)
+							n.vcAttribHead[gv] = true
+						}
+						if n.tr != nil {
+							n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(in, gv).pkt,
+								Router: int32(r), Kind: obs.TraceVA, Arg: ov})
+							n.vcTraceHead[gv] = true
+						}
+					} else if n.probe != nil {
+						n.probe.Routers[r].VAStalls++
 					}
-					outFreeVC[out] = free &^ (uint64(1) << ov)
-					if rr := ov + 1; rr == V {
-						n.outRRVA[out] = 0
-					} else {
-						n.outRRVA[out] = rr
-					}
-					n.vcOutVC[gv] = ov
-					st = vcActive
-					n.inState[in].pipe &^= uint64(1) << v
-					if n.at != nil {
-						n.atVADone(n.frontVC(in, gv).pkt, r)
-						n.vcAttribHead[gv] = true
-					}
-					if n.tr != nil {
-						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(in, gv).pkt,
-							Router: int32(r), Kind: obs.TraceVA, Arg: ov})
-						n.vcTraceHead[gv] = true
-					}
-				} else if n.probe != nil {
-					n.probe.Routers[r].VAStalls++
 				}
+				vcStatus[gv] = st
 			}
-			vcStatus[gv] = st
 		}
 	}
 }
@@ -618,22 +540,17 @@ func (n *Network) computeRoute(r int, in, gv int32) {
 }
 
 // routerSA performs separable switch allocation for router r and
-// forwards the winning flits. Routers with at most 64 ports (all
-// practical radixes after deradixing) track output availability in two
-// registers: openM holds the outputs still grantable this cycle
-// (credits available, not yet granted), grantM the outputs granted.
-// Snapshotting credits into openM up front is exact — the grant phase
-// never mutates outCredits (forwards run after it) — and forwarding
-// grantM's set bits in ascending order reproduces the stamp-scan order
-// bit for bit.
+// forwards the winning flits. Output availability lives in mask words:
+// openM (the network's saOpen scratch) starts as a copy of r's credit
+// mask and holds the outputs still grantable this cycle; a grant clears
+// its output's bit. Snapshotting credits up front is exact — the grant
+// phase never mutates outCredits or creditM (forwards run after it) —
+// so an output closed in openM but set in creditM was granted this
+// cycle, and one clear in both lacks credit.
 func (n *Network) routerSA(r int) {
 	V := n.V
 	base := r * n.maxP
-	nP := int(n.numPorts[r])
-	if nP > 64 {
-		n.routerSAWide(r)
-		return
-	}
+	pw := n.pw
 	// Local slice headers and instrumentation flags: the candidate loop
 	// is the simulator's hottest code, and stores through slice elements
 	// force re-loading n's fields every iteration unless they live in
@@ -643,147 +560,96 @@ func (n *Network) routerSA(r int) {
 	winner := n.saWinner
 	winnerIn := n.saWinnerIn
 	slow := n.probe != nil || n.at != nil
-	// Grantable outputs: the maintained credit mask, exactly the bits
-	// the per-port credit scan used to assemble.
-	openM := n.creditM[r]
-	var grantM uint64
+	rw := r * pw // r's first word in the port masks
+	openM := n.saOpen
+	for i := range openM {
+		openM[i] = n.creditM[rw+i]
+	}
 	// Rotating input priority. The dense loop kept a per-router
 	// counter incremented exactly once per cycle, so its value was
 	// always the cycle number; deriving the start port from the clock
 	// (now % nP, computed once per cycle per distinct port count) keeps
 	// the arbitration sequence bit-identical while letting idle routers
-	// be skipped without desynchronizing the rotation. The ready-port
-	// mask holds bits below nP <= 64 only, so rotating it right by start
-	// puts ports start..nP-1 at the bottom and the wrapped ports
-	// 0..start-1 at the top: one ascending bit scan visits exactly the
-	// ports with a grantable VC, in the dense loop's order.
+	// be skipped without desynchronizing the rotation. The dense loop
+	// visited ports start..nP-1, then 0..start-1. Ready-port bits at nP
+	// and above are clear, so scanning the mask from start on, wrapping
+	// at pw*64, visits the ports with a grantable VC in that order: pass
+	// k takes the 64 bits from start+64k, the top of word start>>6+k and
+	// the bottom of the next word, wrapping at pw (x<<64 is 0). With one
+	// word this is the mask rotated right by start.
 	start := int(n.npRot[n.npIdx[r]])
-	for pm := bits.RotateLeft64(n.portReadyM[r], -start); pm != 0; pm &= pm - 1 {
-		in := base + (bits.TrailingZeros64(pm)+start)&63
-		// Request mask: non-empty VCs in vcActive. Scanned in the
-		// round-robin order the dense loop used — bits at or after the
-		// rotating pointer first, then the wrapped remainder — so the
-		// grant sequence is bit-identical.
-		ps := &inState[in]
-		ready := ps.busy &^ ps.pipe
-		rr := ps.rr
-		gvBase := int32(in * V)
-		// Rotating ready right by rr makes one ascending bit scan visit
-		// VCs in round-robin order — bits at or after the pointer first,
-		// then the wrapped remainder — replacing the dense loop's
-		// two-pass hi/lo split with the identical grant sequence.
-		for m := bits.RotateLeft64(ready, -int(rr)); m != 0; m &= m - 1 {
-			v := (int32(bits.TrailingZeros64(m)) + rr) & 63
-			gv := gvBase + v
-			out := int(vcOutPort[gv])
-			if openM>>out&1 == 0 {
-				// Blocked: by an earlier grant (grantM set, an output
-				// that was grantable cannot have been credit-less) or
-				// by exhausted credits, mirroring the stamp-then-
-				// credit test order of the wide path.
-				if slow {
-					if grantM>>out&1 != 0 {
-						if n.probe != nil {
-							n.probe.Routers[r].SAStalls++
-						}
-					} else {
-						if n.probe != nil {
-							n.probe.Routers[r].CreditStalls++
-						}
-						if n.at != nil {
-							n.atCreditStall(int32(in), gv, r, base+out)
-						}
-					}
-				}
-				continue
-			}
-			openM &^= uint64(1) << out
-			grantM |= uint64(1) << out
-			winner[out] = gv
-			winnerIn[out] = int32(in)
-			if rr := v + 1; int(rr) == V {
-				ps.rr = 0
-			} else {
-				ps.rr = rr
-			}
-			break // one grant per input port per cycle
+	sw, sb := start>>6, uint(start&63)
+	span := pw << 6
+	for k := 0; k < pw; k++ {
+		w0 := sw + k
+		if w0 >= pw {
+			w0 -= pw
 		}
-	}
-	for ; grantM != 0; grantM &= grantM - 1 {
-		out := bits.TrailingZeros64(grantM)
-		n.forward(r, out, int(winner[out]), int(winnerIn[out]))
-	}
-}
-
-// routerSAWide is routerSA for routers with more than 64 ports, where
-// the output masks do not fit a register: per-output grant stamps
-// replace openM/grantM, with identical grant decisions and forwarding
-// order.
-func (n *Network) routerSAWide(r int) {
-	V := n.V
-	base := r * n.maxP
-	nP := int(n.numPorts[r])
-	n.saClock++
-	start := int(n.npRot[n.npIdx[r]])
-	granted := 0
-	for i := 0; i < nP; i++ {
-		p := start + i
-		if p >= nP {
-			p -= nP
+		w1 := w0 + 1
+		if w1 == pw {
+			w1 = 0
 		}
-		in := base + p
-		ps := &n.inState[in]
-		ready := ps.busy &^ ps.pipe
-		if ready == 0 {
-			continue
-		}
-		rr := ps.rr
-		hi := ready &^ (uint64(1)<<rr - 1)
-		lo := ready ^ hi
-		for k := 0; k < 2; k++ {
-			m := hi
-			if k == 1 {
-				m = lo
+		pm := n.portReadyM[rw+w0]>>sb | n.portReadyM[rw+w1]<<(64-sb)
+		pbase := start + k<<6
+		for ; pm != 0; pm &= pm - 1 {
+			p := pbase + bits.TrailingZeros64(pm)
+			if p >= span {
+				p -= span
 			}
-			for ; m != 0; m &= m - 1 {
-				v := int32(bits.TrailingZeros64(m))
-				gv := int32(in*V) + v
-				out := int(n.vcOutPort[gv])
-				if n.saStamp[out] == n.saClock {
-					if n.probe != nil {
-						n.probe.Routers[r].SAStalls++
-					}
-					continue // output already granted this cycle
-				}
-				if n.outCredits[base+out] <= 0 {
-					if n.probe != nil {
-						n.probe.Routers[r].CreditStalls++
-					}
-					if n.at != nil {
-						n.atCreditStall(int32(in), gv, r, base+out)
+			in := base + p
+			// Request mask: non-empty VCs in vcActive. Rotating it right
+			// by the port's round-robin pointer makes one ascending bit
+			// scan visit VCs in the dense loop's order — bits at or after
+			// the pointer first, then the wrapped remainder — so the
+			// grant sequence is bit-identical.
+			ps := &inState[in]
+			ready := ps.busy &^ ps.pipe
+			rr := ps.rr
+			gvBase := int32(in * V)
+			for m := bits.RotateLeft64(ready, -int(rr)); m != 0; m &= m - 1 {
+				v := (int32(bits.TrailingZeros64(m)) + rr) & 63
+				gv := gvBase + v
+				out := int(vcOutPort[gv])
+				ow, obit := out>>6, uint64(1)<<(out&63)
+				if openM[ow]&obit == 0 {
+					// Blocked: by an earlier grant this cycle (the output
+					// is credited) or by exhausted credits.
+					if slow {
+						if n.creditM[rw+ow]&obit != 0 {
+							if n.probe != nil {
+								n.probe.Routers[r].SAStalls++
+							}
+						} else {
+							if n.probe != nil {
+								n.probe.Routers[r].CreditStalls++
+							}
+							if n.at != nil {
+								n.atCreditStall(int32(in), gv, r, base+out)
+							}
+						}
 					}
 					continue
 				}
-				n.saStamp[out] = n.saClock
-				n.saWinner[out] = gv
-				n.saWinnerIn[out] = int32(in)
+				openM[ow] &^= obit
+				winner[out] = gv
+				winnerIn[out] = int32(in)
 				if rr := v + 1; int(rr) == V {
 					ps.rr = 0
 				} else {
 					ps.rr = rr
 				}
-				granted++
-				k = 2 // one grant per input port per cycle
-				break
+				break // one grant per input port per cycle
 			}
 		}
 	}
-	for out := 0; granted > 0; out++ {
-		if n.saStamp[out] != n.saClock {
-			continue
+	// Forward the grants in ascending output order. A word's granted set
+	// is taken just before its forwards: forward clears only its own
+	// output's credit bit, which the set has already consumed.
+	for wi, open := range openM {
+		for g := n.creditM[rw+wi] &^ open; g != 0; g &= g - 1 {
+			out := wi<<6 | bits.TrailingZeros64(g)
+			n.forward(r, out, int(winner[out]), int(winnerIn[out]))
 		}
-		granted--
-		n.forward(r, out, int(n.saWinner[out]), int(n.saWinnerIn[out]))
 	}
 }
 
@@ -841,7 +707,7 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 		c := n.outCredits[o] - 1
 		n.outCredits[o] = c
 		if c == 0 {
-			n.creditM[r] &^= uint64(1) << uint32(out)
+			n.creditM[r*n.pw+out>>6] &^= uint64(1) << (out & 63)
 		}
 		if n.probe != nil {
 			n.probe.Channels[n.outCh[o]].Flits++
@@ -885,7 +751,8 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 		n.vcOutPort[gv], n.vcOutVC[gv] = -1, -1
 		if left > 0 {
 			n.inState[inPort].pipe |= uint64(1) << (winnerVC - inPort*n.V)
-			n.portPipeM[r] |= uint64(1) << uint32(inPort-r*n.maxP)
+			p := inPort - r*n.maxP
+			n.portPipeM[r*n.pw+p>>6] |= uint64(1) << (p & 63)
 		}
 	}
 	if left == 0 || f.last {
@@ -893,7 +760,8 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 		// or its next packet's head now owes RC/VA): drop the port from
 		// the ready mask unless another of its VCs is still ready.
 		if ps := &n.inState[inPort]; ps.busy&^ps.pipe == 0 {
-			n.portReadyM[r] &^= uint64(1) << uint32(inPort-r*n.maxP)
+			p := inPort - r*n.maxP
+			n.portReadyM[r*n.pw+p>>6] &^= uint64(1) << (p & 63)
 		}
 	}
 }

@@ -131,12 +131,12 @@ func unpackFlit(w uint32) flit {
 // (vcOutPort/vcOutVC). Per input port, two 64-bit masks index the VCs
 // worth visiting — inState.busy (non-empty) and inState.pipe (non-empty
 // and not yet vcActive, i.e. owed RC or VA work), with portPipeM and
-// portReadyM summarizing per router the ports owed RC/VA work and the
-// ports with a VC ready for switch allocation — so the pipeline loops
-// scan set bits instead of iterating and re-testing every VC. Output-port
-// state is flattened the same way (outCredits/outCh/outRRVA plus the
-// outFreeVC free-output-VC mask), turning VC allocation into a single
-// mask-and-rotate bit scan.
+// portReadyM summarizing per router, in ceil(maxP/64) words, the ports
+// owed RC/VA work and the ports with a VC ready for switch allocation —
+// so the pipeline loops scan set bits instead of re-testing every VC
+// and port, whatever the radix. Output-port state is flattened the same
+// way (outCredits/outCh/outRRVA plus the outFreeVC free-output-VC
+// mask), turning VC allocation into a single mask-and-rotate bit scan.
 
 // Events in flight on a channel are packed words, one per ring slot:
 // bit 0 flit valid, bit 1 tail, bit 2 credit present, bits 3..8 the VC

@@ -26,6 +26,26 @@ func testClos(t *testing.T) *topo.Topology {
 	return cl
 }
 
+// testWideClos is a 256-port Clos of radix-16 leaves under two
+// 128-port spines: the spines' port masks span two words, the leaves'
+// one word of two.
+func testWideClos(t *testing.T) *topo.Topology {
+	t.Helper()
+	leaf, err := ssc.MustTH5(200).Deradix(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spine, err := ssc.MustTH5(200).Deradix(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := topo.Clos2(256, leaf, spine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
 func testConfig() Config {
 	return Config{
 		NumVCs: 4, BufPerPort: 32, PacketFlits: 4,
