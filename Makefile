@@ -7,9 +7,10 @@ GO ?= go
 # Minimum total -short test coverage (percent). Ratcheted from 67.8 to
 # 72.5 when the time-resolved observability layer landed, then to 73.0
 # with the adaptive sweep engine, then to 73.5 with congestion
-# attribution, then to 74.0 with shard-aware observability; `make cover`
-# fails below it so coverage can only go up.
-COVER_FLOOR ?= 74.0
+# attribution, then to 74.0 with shard-aware observability, then to 78.0
+# (79.2% measured) when the simulator's duplicate latency sums went;
+# `make cover` fails below it so coverage can only go up.
+COVER_FLOOR ?= 78.0
 
 .PHONY: all build test check vet fmt race bench bench-smoke bench-json bench-test cover fuzz-smoke staticcheck
 

@@ -17,7 +17,8 @@ import (
 var update = flag.Bool("update", false, "rewrite "+goldenFile+" from this run's tables")
 
 // goldenFile holds the sha256 of every experiment table's JSON at
-// Options{Quick: true, Seed: 1}, keyed by id.
+// Options{Quick: true, Seed: 1}, keyed by id, and of the goldenObserved
+// tables at observedOptions, keyed by id + observedKey.
 const goldenFile = "testdata/golden_quick_seed1.json"
 
 // goldenSkip names the experiments whose tables are not a pure function
@@ -26,10 +27,26 @@ var goldenSkip = map[string]string{
 	"ext-optimizers": "its table prints wall-clock milliseconds",
 }
 
+// goldenObserved names the simulator experiments hashed a second time
+// with every observer attached: their timeline, attribution and probe
+// attachments appear only then. ext-meshsim ignores these options, so
+// its default digest already covers it.
+var goldenObserved = map[string]bool{"fig21": true, "fig22": true, "fig24": true, "ext-tail": true}
+
+// observedOptions are the options of `wsswitch -quick -json -attribution
+// -timeline 200` (probes are on in -json mode), the figs workload of
+// wsbench. observedKey suffixes their golden keys and names their
+// subtests.
+var observedOptions = Options{Quick: true, Seed: 1, Probe: true, Attribution: true, TimelineInterval: 200}
+
+const observedKey = "/observed"
+
 // TestAllExperimentsRun executes every registered experiment in Quick
 // mode, sanity-checks the output shape, and compares the sha256 of each
 // table's JSON with goldenFile, so any change to any experiment's output
-// names the experiments it moved. After an intended output change, run
+// names the experiments it moved; the goldenObserved ones are compared
+// again at observedOptions in an "observed" subtest. After an intended
+// output change, run
 //
 //	go test ./internal/expt -run TestAllExperimentsRun -update
 //
@@ -53,23 +70,29 @@ func TestAllExperimentsRun(t *testing.T) {
 		t.Logf("golden digests not compared on %s/%s: Go may fuse multiply-adds there", runtime.GOOS, runtime.GOARCH)
 	}
 	o := Options{Quick: true, Seed: 1}
+	// digest runs experiment id at opts and compares the sha256 of its
+	// table's JSON with golden[key], or records it there under -update.
+	digest := func(t *testing.T, key, id string, opts Options) *Table {
+		tab, err := Run(id, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if why, ok := goldenSkip[id]; ok {
+			t.Logf("golden digest skipped: %s", why)
+		} else if b, err := json.Marshal(tab); err != nil {
+			t.Errorf("table JSON: %v", err)
+		} else if sum := sha256.Sum256(b); *update {
+			golden[key] = hex.EncodeToString(sum[:])
+		} else if compare && golden[key] != hex.EncodeToString(sum[:]) {
+			t.Errorf("%s: table JSON sha256 %x, %s has %q (rerun with -update if the change is intended)",
+				key, sum, goldenFile, golden[key])
+		}
+		return tab
+	}
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			tab, err := Run(id, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if why, ok := goldenSkip[id]; ok {
-				t.Logf("golden digest skipped: %s", why)
-			} else if b, err := json.Marshal(tab); err != nil {
-				t.Errorf("table JSON: %v", err)
-			} else if sum := sha256.Sum256(b); *update {
-				golden[id] = hex.EncodeToString(sum[:])
-			} else if compare && golden[id] != hex.EncodeToString(sum[:]) {
-				t.Errorf("%s: table JSON sha256 %x, %s has %q (rerun with -update if the change is intended)",
-					id, sum, goldenFile, golden[id])
-			}
+			tab := digest(t, id, id, o)
 			if tab.ID != id {
 				t.Errorf("table ID = %q, want %q", tab.ID, id)
 			}
@@ -87,12 +110,16 @@ func TestAllExperimentsRun(t *testing.T) {
 			if out := tab.Render(); !strings.Contains(out, id) {
 				t.Error("Render() missing experiment id")
 			}
+			if goldenObserved[id] {
+				t.Run("observed", func(t *testing.T) { digest(t, id+observedKey, id, observedOptions) })
+			}
 		})
 	}
 	if *update {
-		for id := range golden {
-			if _, ok := registry[id]; !ok {
-				delete(golden, id) // experiment no longer registered
+		for key := range golden {
+			id, observed := strings.CutSuffix(key, observedKey)
+			if _, ok := registry[id]; !ok || observed && !goldenObserved[id] {
+				delete(golden, key) // experiment or observed digest no longer wanted
 			}
 		}
 		b, err := json.MarshalIndent(golden, "", "  ")

@@ -146,20 +146,20 @@ func (h *Histogram) Reset() {
 }
 
 // SetSum overrides the accumulated float sum. Observe adds samples in
-// arrival order; callers that define a canonical float-addition order
-// (the simulator's ascending per-router fold, which the reference
-// simulator mirrors) install that sum here, so Equal — which compares
-// the full struct including the float sum — holds between the two.
+// arrival order; the reference simulator installs its own ascending
+// per-router fold here, a second summation order for its differential
+// tests to compare against the optimized simulator's running sum.
 func (h *Histogram) SetSum(sum float64) {
 	h.sum = sum
 }
 
 // Equal reports whether two histograms observed identical sample
-// streams: same bucket counts, count, sum and extremes. Differential
+// multisets: same bucket counts, count, sum and extremes. Differential
 // tests use it to require bit-identical latency distributions from two
-// simulator implementations (the sum is a float, so equality holds only
-// when both observed the same samples in the same order — exactly the
-// determinism contract under test).
+// simulator implementations. The sum is a float, but integer samples
+// add exactly in any order while the sum stays at or below 2^53, so two
+// histograms of the same integer samples are equal whatever order each
+// observed them in.
 func (h *Histogram) Equal(o *Histogram) bool {
 	if h == nil || o == nil {
 		return h == o

@@ -148,20 +148,11 @@ func (t *Timeline) Tick(queueOcc int64) bool {
 // store is full). maxChanFlits is the highest per-channel flit count the
 // caller observed during the window.
 func (t *Timeline) EndInterval(maxChanFlits int64) {
-	t.EndIntervalSum(maxChanFlits, t.curHist.Sum())
-}
-
-// EndIntervalSum is EndInterval with the window's latency sum supplied
-// by the caller instead of read from the window histogram. The simulator
-// uses it to install a canonical-order float sum (an ascending
-// per-router fold), so the window's sum does not depend on the order
-// packets retired in.
-func (t *Timeline) EndIntervalSum(maxChanFlits int64, latSum float64) {
 	if t.cur.Cycles == 0 {
 		return
 	}
 	t.cur.Retired = t.curHist.Count()
-	t.cur.LatSum = latSum
+	t.cur.LatSum = t.curHist.Sum()
 	if t.cur.Retired > 0 {
 		t.cur.P99 = t.curHist.Percentile(0.99)
 	}

@@ -33,13 +33,6 @@ type pktAttrib struct {
 type attribState struct {
 	a    *obs.Attribution
 	pkts []pktAttrib
-	// stageSumR accumulates the measured per-stage components keyed by
-	// ejecting router (stageSumR[r*NumStages+stage]); the end of the run
-	// folds each stage in ascending router order and installs the result
-	// as the stage histogram's canonical sum — the float-addition order
-	// of the run's latency sum, which the reference simulator mirrors
-	// (the latSumR pattern).
-	stageSumR []float64
 	// sumErrs counts packets whose stage components failed to sum to
 	// their measured latency — always zero unless the decomposition has
 	// a bug; the refsim differential tests pin it.
@@ -71,9 +64,8 @@ func (n *Network) AttachAttribution(a *obs.Attribution) error {
 			len(a.Routers), len(a.ChanBlame), n.R, len(n.channels))
 	}
 	n.at = &attribState{
-		a:         a,
-		pkts:      make([]pktAttrib, len(n.pkts), len(n.pkts)+1024),
-		stageSumR: make([]float64, n.R*obs.NumStages),
+		a:    a,
+		pkts: make([]pktAttrib, len(n.pkts), len(n.pkts)+1024),
 	}
 	return nil
 }
@@ -168,7 +160,7 @@ func (n *Network) atCreditStall(in, gv int32, r, out int) {
 	at.a.Routers[r].CreditStall++
 	at.a.Routers[n.channels[ch].dstRouter].Blamed++
 	at.a.ChanBlame[ch]++
-	if n.vcAttribHead[gv] {
+	if n.vcHead[gv] {
 		at.pkts[n.frontVC(in, gv).pkt].credHop++
 	}
 }
@@ -197,12 +189,12 @@ func (n *Network) atHeadForward(pkt int32, r, out int) {
 // atComplete finishes the decomposition at tail ejection: the cycles
 // since the head ejected are serialization (the wormhole body draining),
 // the egress pipeline and host link join traversal, and — for measured
-// packets — every component is observed into its stage histogram and
-// accumulated into the per-router stage sums keyed by the ejecting
-// router r (see stageSumR). The components must sum to the packet's
-// recorded latency exactly; a mismatch bumps sumErrs (and the invariant
-// checker when attached).
-func (n *Network) atComplete(pkt int32, pi *packetInfo, lat float64, r int) {
+// packets — every component is observed into its stage histogram. The
+// components are integers, so each stage histogram's running sum is
+// exact in any completion order (see Run's AvgLatency). They must sum
+// to the packet's recorded latency exactly; a mismatch bumps sumErrs
+// (and the invariant checker when attached).
+func (n *Network) atComplete(pkt int32, pi *packetInfo, lat float64) {
 	at := n.at
 	p := &at.pkts[pkt]
 	ser := n.now - p.lastTs
@@ -229,31 +221,6 @@ func (n *Network) atComplete(pkt int32, pi *packetInfo, lat float64, r int) {
 	a.Stages[obs.StageCreditStall].Observe(float64(p.credit))
 	a.Stages[obs.StageTraversal].Observe(float64(wire))
 	a.Stages[obs.StageSerialization].Observe(float64(ser))
-	s := at.stageSumR[r*obs.NumStages:]
-	s[obs.StageSrcQueue] += float64(p.srcQ)
-	s[obs.StageQueueWait] += float64(p.queue)
-	s[obs.StageRouteComp] += float64(p.rc)
-	s[obs.StageVCAlloc] += float64(p.va)
-	s[obs.StageSAStall] += float64(p.sa)
-	s[obs.StageCreditStall] += float64(p.credit)
-	s[obs.StageTraversal] += float64(wire)
-	s[obs.StageSerialization] += float64(ser)
-}
-
-// foldStageSums installs the canonical per-stage latency sums into the
-// attribution stage histograms: each stage's sum is the ascending-router
-// fold of stageSumR, replacing the completion-order running sum the
-// Observe calls accumulated. All components are integer-valued, so the
-// fold is exact in float64 and independent of completion order.
-func (n *Network) foldStageSums() {
-	at := n.at
-	for stage := 0; stage < obs.NumStages; stage++ {
-		var sum float64
-		for r := 0; r < n.R; r++ {
-			sum += at.stageSumR[r*obs.NumStages+stage]
-		}
-		at.a.Stages[stage].SetSum(sum)
-	}
 }
 
 // maxCongestionTrees bounds the trees a report carries (largest first);

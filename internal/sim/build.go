@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"log/slog"
 	"math/rand"
 	"sync"
 
@@ -78,13 +77,12 @@ type Network struct {
 	vcRCLeft  []int32
 	vcOutPort []int32
 	vcOutVC   []int32
-	// vcTraceHead marks that the next flit forwarded from a VC is the
-	// head of a freshly VC-allocated packet; only the tracer sets it.
-	// vcAttribHead is the attribution layer's equivalent mark: set at VA
-	// success, cleared at head forward, it tells the credit-stall site
-	// whether the stalled flit is the head being decomposed.
-	vcTraceHead  []bool
-	vcAttribHead []bool
+	// vcHead marks that the next flit forwarded from a VC is the head of
+	// a freshly VC-allocated packet: set at VA success while a tracer or
+	// attribution is attached, cleared at the head's forward. The tracer
+	// records the head's traversal from it, attribution closes the hop
+	// and charges credit stalls to the head being decomposed.
+	vcHead []bool
 
 	// Per-input-port VC scan state (one record at r*maxP+p, see
 	// portState): busy is the non-empty VCs, pipe the non-empty VCs not
@@ -109,8 +107,6 @@ type Network struct {
 	// sends its tail clears it when nothing else on the port is ready.
 	portPipeM  []uint64
 	portReadyM []uint64
-
-	feedCh []int32 // channel feeding input port, -1 if terminal/unused
 
 	// Per-output-port state, structure-of-arrays indexed r*maxP+p:
 	// downstream shared-buffer credits, the outgoing channel (-1 for the
@@ -153,8 +149,8 @@ type Network struct {
 	// record per slot scanned), and feedLP/outLP/termLP give each
 	// producer site its channel's packed (stripe position << 31 |
 	// latency class) so a ring write computes its slot from one loaded
-	// word. chanLatIdx/chanPos keep the per-channel-index view for the
-	// cold checker scans.
+	// word. chanPos keeps the per-channel-index view for the cold checker
+	// scans.
 	//
 	// ringFlitM and ringCredM are occupancy bitmaps over ringSlab, one
 	// bit per slot: bit j of ringFlitM is set while slot j holds a flit,
@@ -170,7 +166,6 @@ type Network struct {
 	classCnt      []int32
 	classSlotBase []int32
 	classHot      [][]chanHot
-	chanLatIdx    []int32
 	chanPos       []int32
 	feedLP        []int64 // input port -> feeding channel's packed slot, -1 if none
 	outLP         []int64 // output port -> outgoing channel's packed slot, -1 for sinks
@@ -179,13 +174,10 @@ type Network struct {
 	termChIn []int32 // terminal -> its injection channel
 
 	destRouter []int32 // terminal -> hosting router
-	// nextPorts and nextFlat point into the immutable routeSet shared by
-	// every Network built from a structurally identical topology (see
-	// routesFor): they are read-only after Build and survive Reset.
-	// nextFlat is computeRoute's flattened view of nextPorts
-	// (nextFlat[r*R+d] == nextPorts[r][d]): one indexed load instead of
-	// two dependent slice-header chases per route computation.
-	nextPorts  [][][]int32
+	// nextFlat[r*R+d] holds router r's candidate output ports toward
+	// router d: one indexed load per route computation. The table is
+	// shared read-only by every Network built from a structurally
+	// identical topology (see routesFor) and survives Reset.
 	nextFlat   [][]int32
 	egressPort []int32 // terminal -> output port on hosting router
 
@@ -237,50 +229,33 @@ type Network struct {
 
 	// Statistics accumulators (managed by run.go).
 	measStart, measEnd int64
-	// latSumR accumulates measured packet latencies per ejecting router.
-	// Each router completes its packets in cycle order, so the
-	// ascending-router fold of latSumR is the canonical float latency
-	// sum — the order the reference simulator folds in — installed into
-	// the final Stats and histogram.
-	latSumR      []float64
-	latHist      obs.Histogram // per measured packet, for percentiles; fixed memory
-	completed    int
-	measuredBorn int
-	ejectedFlits int64
-
-	// logger comes from Config and is checked once per cycle, never per
-	// flit.
-	logger *slog.Logger
+	latHist            obs.Histogram // per measured packet, for the mean and percentiles; fixed memory
+	completed          int
+	measuredBorn       int
+	ejectedFlits       int64
 
 	// The attached instruments; Reset detaches them all at once.
 	observers
 
-	// The timeline's scratch (see observe.go). tlChanFlits is the
-	// per-channel interval counter (reset every sampling window).
-	// tlLatSumR accumulates the latencies of packets retired in the open
-	// window per ejecting router; the window close folds it in ascending
-	// router order (the latSumR pattern), so the window's latency sum
-	// does not depend on the order packets retired in. Reset keeps both,
-	// zeroed, so reattaching a timeline to a warm network allocates
-	// nothing.
+	// tlChanFlits is the timeline's per-channel flit count of the open
+	// sampling window (see observe.go). Reset keeps it, zeroed, so
+	// reattaching a timeline to a warm network allocates nothing.
 	tlChanFlits []int32
-	tlLatSumR   []float64
 }
 
 // observers holds every instrument a Network can have attached. Each is
-// nil-checked (recordDeliv: flag-checked) on its event sites, so a run
-// without it pays only a predicted branch and the steady-state loop
-// stays at 0 allocs/op. Reset zeroes the whole struct, so an instrument
-// added here is detached by construction (TestResetDetachesEveryObserver).
+// nil-checked on its event sites, so a run without it pays only a
+// predicted branch and the steady-state loop stays at 0 allocs/op. Reset
+// zeroes the whole struct, so an instrument added here is detached by
+// construction (TestResetDetachesEveryObserver).
 type observers struct {
 	// probe collects per-router/per-channel counters (see probe.go).
 	probe *obs.Collector
 
 	// Verification (see check.go): the invariant checker and the
-	// delivery log.
-	chk         *checker
-	recordDeliv bool
-	deliveries  []Delivery
+	// delivery log, which records while non-nil.
+	chk        *checker
+	deliveries []Delivery
 
 	// ab is the early-abort saturation detector armed by SetAbort (see
 	// abort.go); it is checked once per cycle on the run loop, never on
@@ -335,49 +310,49 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 		}
 	}
 	T := t.ExternalPorts()
+	if T == 0 {
+		return nil, fmt.Errorf("sim: topology %s has no external ports, so no terminals", t.Name)
+	}
 	pw := bitWords(maxP)
 
 	nVC := R * maxP * cfg.NumVCs
 	n := &Network{
-		cfg:          cfg,
-		R:            R,
-		V:            cfg.NumVCs,
-		maxP:         maxP,
-		pw:           pw,
-		T:            T,
-		bufPP:        int32(cfg.BufPerPort),
-		numPorts:     numPorts,
-		rcOfIn:       make([]int32, R*maxP),
-		slots:        make([]uint64, R*maxP*cfg.BufPerPort),
-		freeSlots:    make([]uint16, R*maxP*cfg.BufPerPort),
-		alloc:        make([]slotAlloc, R*maxP),
-		vcQ:          make([]uint64, nVC),
-		vcStatus:     make([]uint8, nVC),
-		vcRCLeft:     make([]int32, nVC),
-		vcOutPort:    make([]int32, nVC),
-		vcOutVC:      make([]int32, nVC),
-		vcTraceHead:  make([]bool, nVC),
-		vcAttribHead: make([]bool, nVC),
-		inState:      make([]portState, R*maxP),
-		portPipeM:    make([]uint64, R*pw),
-		portReadyM:   make([]uint64, R*pw),
-		creditM:      make([]uint64, R*pw),
-		routerOcc:    make([]int32, R),
-		feedCh:       make([]int32, R*maxP),
-		outCredits:   make([]int32, R*maxP),
-		outCh:        make([]int32, R*maxP),
-		outRRVA:      make([]int32, R*maxP),
-		outFreeVC:    make([]uint64, R*maxP),
-		saWinner:     make([]int32, maxP),
-		saWinnerIn:   make([]int32, maxP),
-		saOpen:       make([]uint64, pw),
-		latSumR:      make([]float64, R),
-		termSeq:      make([]uint32, T),
-		logger:       cfg.Logger,
+		cfg:        cfg,
+		R:          R,
+		V:          cfg.NumVCs,
+		maxP:       maxP,
+		pw:         pw,
+		T:          T,
+		bufPP:      int32(cfg.BufPerPort),
+		numPorts:   numPorts,
+		rcOfIn:     make([]int32, R*maxP),
+		slots:      make([]uint64, R*maxP*cfg.BufPerPort),
+		freeSlots:  make([]uint16, R*maxP*cfg.BufPerPort),
+		alloc:      make([]slotAlloc, R*maxP),
+		vcQ:        make([]uint64, nVC),
+		vcStatus:   make([]uint8, nVC),
+		vcRCLeft:   make([]int32, nVC),
+		vcOutPort:  make([]int32, nVC),
+		vcOutVC:    make([]int32, nVC),
+		vcHead:     make([]bool, nVC),
+		inState:    make([]portState, R*maxP),
+		portPipeM:  make([]uint64, R*pw),
+		portReadyM: make([]uint64, R*pw),
+		creditM:    make([]uint64, R*pw),
+		routerOcc:  make([]int32, R),
+		outCredits: make([]int32, R*maxP),
+		outCh:      make([]int32, R*maxP),
+		outRRVA:    make([]int32, R*maxP),
+		outFreeVC:  make([]uint64, R*maxP),
+		saWinner:   make([]int32, maxP),
+		saWinnerIn: make([]int32, maxP),
+		saOpen:     make([]uint64, pw),
+		termSeq:    make([]uint32, T),
 	}
 	n.initTermRng(cfg.Seed)
-	for i := range n.feedCh {
-		n.feedCh[i] = -1
+	feedCh := make([]int32, R*maxP) // channel feeding each input port, -1 if none
+	for i := range feedCh {
+		feedCh[i] = -1
 	}
 	for i := range n.rcOfIn {
 		n.rcOfIn[i] = atLeast1(cfg.RCOther)
@@ -411,7 +386,7 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 			dstRouter: int32(dstR), dstPort: int32(dstP),
 		})
 		if dstR >= 0 {
-			n.feedCh[dstR*maxP+dstP] = ci
+			feedCh[dstR*maxP+dstP] = ci
 		}
 		if srcR >= 0 {
 			n.outCh[srcR*maxP+srcP] = ci
@@ -454,7 +429,6 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 	// Slab pass: group channels by latency class and lay each class's
 	// rings out slot-major in the shared slab (see the field docs on
 	// Network), publishing the hot per-channel fields as flat arrays.
-	nc := len(n.channels)
 	nClass := len(n.latVals)
 	n.classCnt = make([]int32, nClass)
 	for i := range n.channels {
@@ -472,13 +446,11 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 	n.ringSlab = make([]uint64, total)
 	n.ringFlitM = make([]uint64, bitWords(int(total)))
 	n.ringCredM = make([]uint64, bitWords(int(total)))
-	n.chanLatIdx = make([]int32, nc)
-	n.chanPos = make([]int32, nc)
+	n.chanPos = make([]int32, len(n.channels))
 	for i := range n.channels {
 		c := &n.channels[i]
 		k := c.latIdx
 		n.chanPos[i] = int32(len(n.classHot[k]))
-		n.chanLatIdx[i] = k
 		srcR, srcP := c.srcRouter, c.srcPort
 		if c.srcTerm >= 0 {
 			srcR = -(c.srcTerm + 1)
@@ -489,13 +461,13 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 		})
 	}
 	lpOf := func(ci int32) int64 {
-		return int64(n.chanPos[ci])<<31 | int64(n.chanLatIdx[ci])
+		return int64(n.chanPos[ci])<<31 | int64(n.channels[ci].latIdx)
 	}
 	n.feedLP = make([]int64, R*maxP)
 	n.outLP = make([]int64, R*maxP)
 	for i := range n.feedLP {
 		n.feedLP[i], n.outLP[i] = -1, -1
-		if ci := n.feedCh[i]; ci >= 0 {
+		if ci := feedCh[i]; ci >= 0 {
 			n.feedLP[i] = lpOf(ci)
 		}
 		if ci := n.outCh[i]; ci >= 0 {
@@ -530,12 +502,11 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 	}
 	n.npRot = make([]int32, len(n.npVals))
 
-	rs, err := routesFor(t)
+	next, err := routesFor(t)
 	if err != nil {
 		return nil, err
 	}
-	n.nextPorts = rs.nextPorts
-	n.nextFlat = rs.nextFlat
+	n.nextFlat = next
 	return n, nil
 }
 
@@ -614,51 +585,41 @@ func bitWords(n int) int { return (n + 63) / 64 }
 // all ones: 1<<64 is 0 on uint64, and 0-1 wraps).
 func fullVCMask(v int) uint64 { return uint64(1)<<v - 1 }
 
-// routeSet is the immutable half of a built network's routing state:
-// the per-(router, destination) candidate output ports and their
-// flattened view. It is a pure function of the topology's structure
-// (see topo.CanonicalHash), computed once per structurally distinct
-// topology and shared read-only across every Network built from it —
-// workers and sweep points all alias the same tables.
-type routeSet struct {
-	nextPorts [][][]int32
-	nextFlat  [][]int32
-}
-
-// routeCache maps topo.CanonicalHash -> *routeSet. Entries live for the
-// process; route tables are small relative to a built Network and the
-// set of distinct topologies per process is bounded by the experiment
-// grid. The cache is also the groundwork for keying simulation results
-// by topology identity (ROADMAP item 2).
+// routeCache maps topo.CanonicalHash -> the flat route table of every
+// Network built from a topology of that structure (see nextFlat): a pure
+// function of the structure, computed once and shared read-only across
+// workers and sweep points. Entries live for the process; route tables
+// are small relative to a built Network and the set of distinct
+// topologies per process is bounded by the experiment grid.
 var routeCache sync.Map
 
-// routesFor returns the shared route tables for t, computing and
-// caching them on first use. Concurrent first builds may compute the
-// tables twice; LoadOrStore keeps exactly one copy.
-func routesFor(t *topo.Topology) (*routeSet, error) {
+// routesFor returns the shared route table for t, computing and caching
+// it on first use. Concurrent first builds may compute the table twice;
+// LoadOrStore keeps exactly one copy.
+func routesFor(t *topo.Topology) ([][]int32, error) {
 	key := t.CanonicalHash()
 	if v, ok := routeCache.Load(key); ok {
-		return v.(*routeSet), nil
+		return v.([][]int32), nil
 	}
-	rs, err := computeRoutes(t)
+	next, err := computeRoutes(t)
 	if err != nil {
 		return nil, err
 	}
-	if v, loaded := routeCache.LoadOrStore(key, rs); loaded {
-		return v.(*routeSet), nil
+	if v, loaded := routeCache.LoadOrStore(key, next); loaded {
+		return v.([][]int32), nil
 	}
-	return rs, nil
+	return next, nil
 }
 
-// computeRoutes computes, for every (router, destination router) pair,
-// the set of output ports toward the destination: dimension-order next
-// hops for mesh topologies (deadlock-free wormhole routing),
-// shortest-path candidates from one BFS per destination otherwise (Clos
-// and the other indirect topologies are cycle-free under up/down
-// traversal). Port numbers mirror Build's assignment — terminals first,
+// computeRoutes computes, for every (router r, destination router d)
+// pair, the set of output ports toward the destination, at index r*R+d:
+// dimension-order next hops for mesh topologies (deadlock-free wormhole
+// routing), shortest-path candidates from one BFS per destination
+// otherwise (Clos and the other indirect topologies are cycle-free under
+// up/down traversal). Port numbers mirror Build's assignment — terminals first,
 // then link lanes in declared order — so the tables are valid for any
 // Network built from a topology with the same structure.
-func computeRoutes(t *topo.Topology) (*routeSet, error) {
+func computeRoutes(t *topo.Topology) ([][]int32, error) {
 	R := len(t.Nodes)
 	// Adjacency: for each router, its inter-router output ports and
 	// peers, in the order Build creates the corresponding channels (per
@@ -677,10 +638,7 @@ func computeRoutes(t *topo.Topology) (*routeSet, error) {
 		numPorts[l.A] += int32(l.Lanes)
 		numPorts[l.B] += int32(l.Lanes)
 	}
-	rs := &routeSet{nextPorts: make([][][]int32, R)}
-	for r := range rs.nextPorts {
-		rs.nextPorts[r] = make([][]int32, R)
-	}
+	next := make([][]int32, R*R)
 	if t.MeshRows > 0 && t.MeshCols > 0 {
 		// Dimension-order (X then Y) routing on the grid.
 		cols := t.MeshCols
@@ -704,15 +662,15 @@ func computeRoutes(t *topo.Topology) (*routeSet, error) {
 				}
 				for _, e := range adj[r] {
 					if int(e.peer) == want {
-						rs.nextPorts[r][d] = append(rs.nextPorts[r][d], e.port)
+						next[r*R+d] = append(next[r*R+d], e.port)
 					}
 				}
-				if len(rs.nextPorts[r][d]) == 0 {
+				if len(next[r*R+d]) == 0 {
 					return nil, fmt.Errorf("sim: mesh router %d has no DOR hop toward %d", r, d)
 				}
 			}
 		}
-		return rs.flatten(), nil
+		return next, nil
 	}
 	dist := make([]int32, R)
 	queue := make([]int32, 0, R)
@@ -742,22 +700,12 @@ func computeRoutes(t *topo.Topology) (*routeSet, error) {
 			}
 			for _, e := range adj[r] {
 				if dist[e.peer] == dist[r]-1 {
-					rs.nextPorts[r][d] = append(rs.nextPorts[r][d], e.port)
+					next[r*R+d] = append(next[r*R+d], e.port)
 				}
 			}
 		}
 	}
-	return rs.flatten(), nil
-}
-
-// flatten fills nextFlat from nextPorts and returns rs.
-func (rs *routeSet) flatten() *routeSet {
-	R := len(rs.nextPorts)
-	rs.nextFlat = make([][]int32, R*R)
-	for r := 0; r < R; r++ {
-		copy(rs.nextFlat[r*R:(r+1)*R], rs.nextPorts[r])
-	}
-	return rs
+	return next, nil
 }
 
 // Terminals returns the number of terminals attached to the network.

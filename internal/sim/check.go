@@ -523,7 +523,6 @@ type Delivery struct {
 // packet (measured or not). Call before Run; read with Deliveries.
 // Recording allocates, so it is for verification runs, not benchmarks.
 func (n *Network) RecordDeliveries() {
-	n.recordDeliv = true
 	if n.deliveries == nil {
 		n.deliveries = make([]Delivery, 0, 1024)
 	}

@@ -20,14 +20,8 @@ func (n *Network) AttachTimeline(t *obs.Timeline) {
 	n.tline = t
 	if t == nil {
 		n.tlChanFlits = nil
-		n.tlLatSumR = nil
-		return
-	}
-	if n.tlChanFlits == nil {
+	} else if n.tlChanFlits == nil {
 		n.tlChanFlits = make([]int32, len(n.channels))
-	}
-	if n.tlLatSumR == nil {
-		n.tlLatSumR = make([]float64, n.R)
 	}
 }
 
@@ -47,11 +41,10 @@ func (n *Network) tickTimeline() {
 }
 
 // closeTimelineWindow ends the open sampling window: the busiest
-// channel's flit count feeds the window's top utilization, the window's
-// latency sum is the ascending-router fold of tlLatSumR (the latSumR
-// pattern; latencies are integers, so the fold is exact in float64 and
-// independent of the order packets retired in), and both per-window
-// counters reset.
+// channel's flit count feeds the window's top utilization, and the
+// per-channel counters reset. The window's latency sum comes from the
+// timeline's window histogram; latencies are integers, so it is exact
+// whatever order the packets retired in (see Run's AvgLatency).
 func (n *Network) closeTimelineWindow() {
 	var maxFlits int32
 	for i, f := range n.tlChanFlits {
@@ -60,12 +53,7 @@ func (n *Network) closeTimelineWindow() {
 		}
 		n.tlChanFlits[i] = 0
 	}
-	var sum float64
-	for r, l := range n.tlLatSumR {
-		sum += l
-		n.tlLatSumR[r] = 0
-	}
-	n.tline.EndIntervalSum(int64(maxFlits), sum)
+	n.tline.EndInterval(int64(maxFlits))
 }
 
 // Trace starts recording packet-lifecycle events into rec: head-of-

@@ -9,6 +9,89 @@ import (
 	"waferswitch/internal/traffic"
 )
 
+// Every latency and stage component is an integer, so the running sums
+// the latency histogram, each timeline window and each attribution stage
+// keep are exact in float64 whatever order packets complete in. This
+// pins them against int64 sums recomputed from the delivery log, at a
+// drained and a saturated load (the reference simulator, which sums in
+// another order, does not model the timeline or attribution).
+func TestLatencySumsExact(t *testing.T) {
+	cl := testClos(t)
+	cfg := testConfig()
+	for _, tc := range []struct {
+		load    float64
+		drained bool
+	}{{0.3, true}, {0.95, false}} {
+		n, err := Build(cl, ConstantLatency(1), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.RecordDeliveries()
+		// 50-cycle windows overflow the 256-sample store at saturation,
+		// so coalesced windows are checked too.
+		tl := obs.NewTimeline(50, 0)
+		n.AttachTimeline(tl)
+		a := n.NewAttribution()
+		if err := n.AttachAttribution(a); err != nil {
+			t.Fatal(err)
+		}
+		inj, _ := SyntheticInjector(traffic.Uniform(128), cfg.PacketFlits)(tc.load)
+		st := n.Run(inj, tc.load)
+		if st.Drained != tc.drained {
+			t.Fatalf("load %g: Drained = %v, want %v", tc.load, st.Drained, tc.drained)
+		}
+		samples := tl.Snapshot().Samples
+		winSum := make([]int64, len(samples))
+		winCount := make([]int64, len(samples))
+		var sum, measured int64
+		w := 0
+		for _, d := range n.Deliveries() {
+			lat := d.Done + int64(cfg.PipeDelay+cfg.TermDelay) - d.Born
+			if d.Measured {
+				sum += lat
+				measured++
+			}
+			for w < len(samples) && d.Done >= samples[w].Start+samples[w].Cycles {
+				w++
+			}
+			if w == len(samples) || d.Done < samples[w].Start {
+				t.Fatalf("load %g: delivery at cycle %d outside every timeline window", tc.load, d.Done)
+			}
+			winSum[w] += lat
+			winCount[w]++
+		}
+		if measured != int64(st.Completed) {
+			t.Fatalf("load %g: %d measured deliveries, Completed = %d", tc.load, measured, st.Completed)
+		}
+		if h := n.LatencyHistogram(); h.Sum() != float64(sum) {
+			t.Errorf("load %g: latency histogram sum %v, exact sum %d", tc.load, h.Sum(), sum)
+		}
+		if want := float64(sum) / float64(st.Completed); st.AvgLatency != want {
+			t.Errorf("load %g: AvgLatency %v, exact mean %v", tc.load, st.AvgLatency, want)
+		}
+		// The snapshot exposes a window's sum only as LatSum/Retired; a
+		// sum off by one cycle would move that mean by 1/Retired.
+		for i, p := range samples {
+			if p.Retired != winCount[i] {
+				t.Errorf("load %g: window at cycle %d retired %d packets, deliveries say %d",
+					tc.load, p.Start, p.Retired, winCount[i])
+			} else if want := float64(winSum[i]) / float64(winCount[i]); winCount[i] > 0 && p.MeanLatency != want {
+				t.Errorf("load %g: window at cycle %d mean latency %v, exact %v", tc.load, p.Start, p.MeanLatency, want)
+			}
+		}
+		var stages float64
+		for i := range a.Stages {
+			stages += a.Stages[i].Sum()
+		}
+		if stages != float64(sum) {
+			t.Errorf("load %g: attribution stage sums add up to %v, exact latency sum %d", tc.load, stages, sum)
+		}
+		if m := n.AttribSumMismatches(); m != 0 {
+			t.Errorf("load %g: %d packets' stages do not sum to their latency", tc.load, m)
+		}
+	}
+}
+
 // Attaching a timeline and a flight recorder must not change simulation
 // results: both are observational (same contract as the probe), so
 // Stats and the latency histogram stay bit-identical.

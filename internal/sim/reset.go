@@ -8,13 +8,13 @@ import "waferswitch/internal/obs"
 // freeing a single backing array, so a warm network evaluates the next
 // point allocation-free. The split is:
 //
-//   - Immutable per topology structure: route tables (nextPorts /
-//     nextFlat), shared process-wide through the content-hash keyed
+//   - Immutable per topology structure: the flat route table
+//     (nextFlat), shared process-wide through the content-hash keyed
 //     route cache (see routesFor).
 //   - Immutable per network: the channel list, ring layout constants
-//     (latVals/classOff/classCnt/classHot, packed producer offsets),
-//     port wiring (feedCh/outCh, rcOfIn) and terminal wiring — none of
-//     it changes across runs.
+//     (latVals/classOff/classCnt/classHot/chanPos), port wiring (outCh,
+//     the packed producer slots feedLP/outLP/termLP, rcOfIn) and
+//     terminal wiring — none of it changes across runs.
 //   - Resettable: everything a cycle can write — VC queues and status,
 //     the input ports' slot-pool allocators, port masks, credits,
 //     channel ring slab, occupancy bitmaps, source queues, the packet
@@ -46,8 +46,7 @@ func (n *Network) Reset(seed int64) {
 	clear(n.vcRCLeft)
 	clear(n.vcOutPort)
 	clear(n.vcOutVC)
-	clear(n.vcTraceHead)
-	clear(n.vcAttribHead)
+	clear(n.vcHead)
 	clear(n.inState)
 	clear(n.portPipeM)
 	clear(n.portReadyM)
@@ -85,19 +84,17 @@ func (n *Network) Reset(seed int64) {
 	// Clock and statistics.
 	n.now = 0
 	n.measStart, n.measEnd = 0, 0
-	clear(n.latSumR)
 	n.latHist = obs.Histogram{}
 	n.completed = 0
 	n.measuredBorn = 0
 	n.ejectedFlits = 0
 
-	// Observers: detached, like a fresh Build. The timeline's backing
-	// arrays are kept (zeroed) so reattaching allocates nothing — the
+	// Observers: detached, like a fresh Build. The timeline's scratch
+	// array is kept (zeroed) so reattaching allocates nothing — the
 	// timeline is detached with the other observers rather than through
-	// AttachTimeline(nil), which would free them.
+	// AttachTimeline(nil), which would free it.
 	n.observers = observers{}
 	clear(n.tlChanFlits)
-	clear(n.tlLatSumR)
 
 	// Random streams, reseeded in place (see initTermRng).
 	n.cfg.Seed = seed

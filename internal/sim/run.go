@@ -83,14 +83,15 @@ const maxPendingPerTerm = 4096
 // one) before running it again.
 func (n *Network) Run(inj Injector, offered float64) Stats {
 	cfg := n.cfg
+	logger := cfg.Logger // checked once per cycle, never per flit
 	n.measStart = int64(cfg.WarmupCycles)
 	n.measEnd = int64(cfg.WarmupCycles + cfg.MeasureCycles)
 	drain := int64(cfg.DrainCycles)
 	if drain <= 0 {
 		drain = 10 * int64(cfg.MeasureCycles)
 	}
-	if n.logger != nil {
-		n.logger.Info("sim.run",
+	if logger != nil {
+		logger.Info("sim.run",
 			"routers", n.R, "terminals", n.T, "channels", len(n.channels),
 			"offered", offered, "warmup", cfg.WarmupCycles,
 			"measure", cfg.MeasureCycles, "probe", n.probe != nil)
@@ -101,8 +102,8 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 	}
 	for n.now = 0; n.now < n.measEnd; n.now++ {
 		n.step(inj)
-		if n.logger != nil && (n.now+1)%window == 0 {
-			n.logger.Debug("sim.progress",
+		if logger != nil && (n.now+1)%window == 0 {
+			logger.Debug("sim.progress",
 				"cycle", n.now+1, "of", n.measEnd,
 				"born", n.measuredBorn, "completed", n.completed,
 				"ejected_flits", n.ejectedFlits)
@@ -145,9 +146,6 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 		// root-cause walk at the final cycle for the post-mortem.
 		n.at.lastBP = n.AnalyzeBackpressure()
 	}
-	if n.at != nil {
-		n.foldStageSums()
-	}
 	st := Stats{
 		Offered:   offered,
 		Accepted:  float64(n.ejectedFlits) / float64(n.T) / float64(n.measEnd-n.measStart),
@@ -157,29 +155,30 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 		Cycles:    n.now,
 	}
 	if n.completed > 0 {
-		// Canonical latency sum: the ascending-router fold of latSumR,
-		// not the histogram's completion-order running sum. The reference
-		// simulator folds in the same order, so the two agree bitwise.
-		sum := n.foldLatSum()
-		n.latHist.SetSum(sum)
-		st.AvgLatency = sum / float64(n.completed)
+		// Every latency is an integer-valued float64, and float64 adds
+		// integers exactly while the sum stays at or below 2^53, so the
+		// histogram's completion-order running sum is the exact integer
+		// sum, whatever order the packets completed in (the reference
+		// simulator folds per router and must agree bit for bit). Past
+		// 2^53 it is still a pure function of the seed: Run is serial.
+		st.AvgLatency = n.latHist.Sum() / float64(n.completed)
 		st.P50Latency = n.latHist.Percentile(0.50)
 		st.P99Latency = n.latHist.Percentile(0.99)
 		st.P999Latency = n.latHist.Percentile(0.999)
 	}
-	if n.chk != nil && n.logger != nil && len(n.chk.violations) > 0 {
-		n.logger.Error("sim.check_failed",
+	if n.chk != nil && logger != nil && len(n.chk.violations) > 0 {
+		logger.Error("sim.check_failed",
 			"violations", len(n.chk.violations)+n.chk.dropped,
 			"first", n.chk.violations[0])
 	}
-	if n.logger != nil {
+	if logger != nil {
 		if st.Drained {
-			n.logger.Info("sim.drained",
+			logger.Info("sim.drained",
 				"offered", offered, "accepted", st.Accepted,
 				"avg_latency", st.AvgLatency, "p99_latency", st.P99Latency,
 				"drain_cycles", n.now-n.measEnd, "completed", st.Completed)
 		} else {
-			n.logger.Warn("sim.saturated",
+			logger.Warn("sim.saturated",
 				"offered", offered, "accepted", st.Accepted,
 				"completed", st.Completed, "born", n.measuredBorn,
 				"stranded", n.measuredBorn-st.Completed, "cycles", st.Cycles,
@@ -187,17 +186,6 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 		}
 	}
 	return st
-}
-
-// foldLatSum folds the per-router latency sums in ascending router
-// order — the canonical float-addition order the reference simulator
-// mirrors.
-func (n *Network) foldLatSum() float64 {
-	var sum float64
-	for r := 0; r < n.R; r++ {
-		sum += n.latSumR[r]
-	}
-	return sum
 }
 
 // percentile returns the p-quantile of sorted values using nearest-rank
@@ -501,12 +489,12 @@ func (n *Network) routerRCVA(r int) {
 						n.portReadyM[w] |= uint64(1) << (p & 63)
 						if n.at != nil {
 							n.atVADone(n.frontVC(in, gv).pkt, r)
-							n.vcAttribHead[gv] = true
+							n.vcHead[gv] = true
 						}
 						if n.tr != nil {
 							n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(in, gv).pkt,
 								Router: int32(r), Kind: obs.TraceVA, Arg: ov})
-							n.vcTraceHead[gv] = true
+							n.vcHead[gv] = true
 						}
 					} else if n.probe != nil {
 						n.probe.Routers[r].VAStalls++
@@ -683,10 +671,18 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 		n.vcQ[gv] = w>>32<<32 | q&0xffff0000 | left
 	}
 	n.routerOcc[r]--
-	if n.tr != nil && n.vcTraceHead[gv] {
-		n.vcTraceHead[gv] = false
-		n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: f.pkt,
-			Router: int32(r), Kind: obs.TraceST, Arg: int32(out)})
+	o := r*n.maxP + out
+	// The observer pointers are tested first, so an uninstrumented
+	// forward never loads the head mark.
+	if (n.tr != nil || n.at != nil) && n.vcHead[gv] {
+		n.vcHead[gv] = false
+		if n.tr != nil {
+			n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: f.pkt,
+				Router: int32(r), Kind: obs.TraceST, Arg: int32(out)})
+		}
+		if n.at != nil {
+			n.atHeadForward(f.pkt, r, o)
+		}
 	}
 	if lp := n.feedLP[inPort]; lp >= 0 {
 		// The credit shares the slot word with any flit written onto the
@@ -696,11 +692,6 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 	}
 	if n.probe != nil {
 		n.probe.Routers[r].Flits++
-	}
-	o := r*n.maxP + out
-	if n.at != nil && n.vcAttribHead[gv] {
-		n.vcAttribHead[gv] = false
-		n.atHeadForward(f.pkt, r, o)
 	}
 	if lp := n.outLP[o]; lp >= 0 {
 		n.postFlit(n.classSlotBase[lp&0x7fffffff]+int32(lp>>31), packEv(f.pkt, f.last, n.vcOutVC[gv]))
@@ -735,7 +726,7 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 			n.chk.noteForward(n.now, f, true)
 		}
 		if f.last {
-			n.completePacket(f.pkt, r)
+			n.completePacket(f.pkt)
 		}
 	}
 	if n.chk != nil && n.outCh[o] >= 0 {
@@ -783,16 +774,14 @@ func (n *Network) postCred(j int32) {
 
 // completePacket records the packet's latency (including the egress
 // pipeline and host link it still has to traverse) and frees its table
-// entry. r is the ejecting router, which keys the per-router latency
-// sum (see latSumR).
-func (n *Network) completePacket(pkt int32, r int) {
+// entry.
+func (n *Network) completePacket(pkt int32) {
 	pi := &n.pkts[pkt]
 	lat := float64(n.now + int64(n.cfg.PipeDelay+n.cfg.TermDelay) - pi.born)
 	if n.at != nil {
-		n.atComplete(pkt, pi, lat, r)
+		n.atComplete(pkt, pi, lat)
 	}
 	if pi.measured {
-		n.latSumR[r] += lat
 		n.latHist.Observe(lat)
 		n.completed++
 	}
@@ -801,12 +790,11 @@ func (n *Network) completePacket(pkt int32, r int) {
 		// packet counts, measured or not, so warmup and drain windows
 		// show real latencies too.
 		n.tline.NoteRetire(lat)
-		n.tlLatSumR[r] += lat
 	}
 	if n.chk != nil {
 		n.chk.noteComplete(pkt, pi, n.now)
 	}
-	if n.recordDeliv {
+	if n.deliveries != nil {
 		n.deliveries = append(n.deliveries, Delivery{
 			Src: pi.src, Dst: pi.dst, Size: pi.size,
 			Born: pi.born, Done: n.now, Measured: pi.measured,

@@ -258,8 +258,8 @@ func TestMeshDORRouting(t *testing.T) {
 			}
 			// 2 lanes per neighbor: exactly 2 candidate ports, both to
 			// the same DOR neighbor.
-			if got := len(n.nextPorts[r][d]); got != 2 {
-				t.Fatalf("mesh nextPorts[%d][%d] has %d candidates, want 2 (one DOR hop x 2 lanes)", r, d, got)
+			if got := len(n.nextFlat[r*n.R+d]); got != 2 {
+				t.Fatalf("mesh nextFlat[%d*R+%d] has %d candidates, want 2 (one DOR hop x 2 lanes)", r, d, got)
 			}
 		}
 	}

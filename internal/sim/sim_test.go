@@ -306,6 +306,25 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// A topology without external ports has no terminals to offer or accept
+// traffic; Build refuses it instead of letting Run divide by zero
+// terminals (Accepted = NaN, which JSON cannot encode).
+func TestBuildRefusesNoTerminals(t *testing.T) {
+	chip, err := ssc.MustTH5(200).Deradix(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := &topo.Topology{
+		Name:  "portless",
+		Kind:  "clos",
+		Nodes: []topo.Node{{ID: 0, Chiplet: chip}, {ID: 1, Chiplet: chip}},
+		Links: []topo.Link{{A: 0, B: 1, Lanes: 1}},
+	}
+	if _, err := Build(top, ConstantLatency(1), testConfig()); err == nil {
+		t.Error("topology with no external ports accepted")
+	}
+}
+
 func TestSyntheticInjectorLoadValidation(t *testing.T) {
 	injf := SyntheticInjector(traffic.Uniform(8), 4)
 	if _, err := injf(0); err == nil {
@@ -313,6 +332,11 @@ func TestSyntheticInjectorLoadValidation(t *testing.T) {
 	}
 	if _, err := injf(1.5); err == nil {
 		t.Error("load > 1 accepted")
+	}
+	for _, size := range []int{0, -1} {
+		if _, err := SyntheticInjector(traffic.Uniform(8), size)(0.3); err == nil {
+			t.Errorf("packet size %d accepted", size)
+		}
 	}
 }
 
@@ -376,7 +400,7 @@ func TestNetworkShape(t *testing.T) {
 	// tables are complete.
 	for r := 0; r < n.R; r++ {
 		for d := 0; d < n.R; d++ {
-			if r != d && len(n.nextPorts[r][d]) == 0 {
+			if r != d && len(n.nextFlat[r*n.R+d]) == 0 {
 				t.Fatalf("no route from router %d to %d", r, d)
 			}
 		}

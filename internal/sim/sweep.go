@@ -55,6 +55,9 @@ func SyntheticInjector(p traffic.Pattern, packetFlits int) InjectorFactory {
 		if !(load > 0 && load <= 1) { // NaN fails both comparisons
 			return nil, fmt.Errorf("sim: load %v out of (0,1]", load)
 		}
+		if packetFlits < 1 {
+			return nil, fmt.Errorf("sim: packet size %d flits is below 1", packetFlits)
+		}
 		return RateInjector{Load: load, Pattern: p, PacketFlits: packetFlits}, nil
 	}
 }
