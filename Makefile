@@ -59,11 +59,14 @@ fmt:
 # process-wide memo of Algorithm 1 placements that the grid workers
 # share; -short keeps mapping to 13-17 s on a 2-core host (76 s without
 # it, for the long oracle cases), and the memo's own tests never skip.
-# The last line repeats the pool's own tests ten times: several
-# goroutines reach its error slots, its dispatch counter and the
-# Progress calls, and one pass can miss an interleaving.
+# cmd/wsswitch joins them for the -http server: its handlers read the
+# one obs.Live that pool workers write, and TestServerEndpointsDuringRun
+# polls every endpoint mid-run (about 17 s of test time on a 2-core
+# host). The last line repeats the pool's own tests ten times: several
+# goroutines reach its error slots, its dispatch counter and the Live
+# calls, and one pass can miss an interleaving.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/obs/...
+	$(GO) test -race ./internal/sim/... ./internal/obs/... ./cmd/wsswitch/
 	$(GO) test -race -short ./internal/expt/... ./internal/mapping/... ./internal/core/...
 	$(GO) test -race -count=10 -run 'TestPoolEach|TestPoolOneWorker|TestSweepRecoversPanics' ./internal/sim/ ./internal/expt/
 

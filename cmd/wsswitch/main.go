@@ -45,7 +45,8 @@
 //	                           drain budget of saturated points and find
 //	                           saturation knees by bisection instead of
 //	                           walking the whole load grid (same
-//	                           saturation numbers, fraction of the time)
+//	                           saturation throughput, fraction of the
+//	                           time)
 package main
 
 import (
@@ -105,9 +106,9 @@ func run() int {
 	cpuprofile := flag.String("cpuprofile", "", "write CPU profile to `file`")
 	memprofile := flag.String("memprofile", "", "write heap profile to `file`")
 	replay := flag.String("replay", "", "re-run a differential-test `spec` (as printed by a failing equivalence test or fuzz run) through both simulators and report")
-	httpAddr := flag.String("http", "", "serve live introspection on `addr` (/metrics, /timeline, /debug/pprof, /debug/vars) while experiments run")
+	httpAddr := flag.String("http", "", "serve live introspection on `addr` (/metrics, /timeline, /attribution, /heatmap, /debug/pprof, /debug/vars) while experiments run")
 	timeline := flag.Int("timeline", 0, "attach time-resolved samplers to simulator sweeps, one window per `cycles` (implied 200 by -http)")
-	adaptive := flag.Bool("adaptive", false, "adaptive sweep engine: abort saturated points' drain budget early and locate saturation knees by bisection (same saturation results, fraction of the wall-clock)")
+	adaptive := flag.Bool("adaptive", false, "adaptive sweep engine: abort saturated points' drain budget early and locate saturation knees by bisection (same saturation throughput, fraction of the wall-clock)")
 	attribution := flag.Bool("attribution", false, "attach congestion attribution to simulator sweeps (implied by -http): per-stage latency decomposition, blame heatmap, backpressure root-cause reports")
 	trace := flag.String("trace", "", "with -replay: write the run's packet-lifecycle events as Chrome trace-event JSON to `file` (view in Perfetto)")
 	flag.Usage = usage
@@ -135,11 +136,9 @@ func run() int {
 		if opts.TimelineInterval <= 0 {
 			opts.TimelineInterval = 200 // live /timeline needs samplers
 		}
-		opts.Progress = &obs.Progress{}
-		opts.Live = &obs.LiveTimelines{}
 		opts.Attribution = true // live /attribution and /heatmap need collectors
-		opts.LiveAttrib = &obs.LiveAttribution{}
-		srv, err := startServer(*httpAddr, opts.Progress, opts.Live, opts.LiveAttrib)
+		opts.Live = &obs.Live{}
+		srv, err := startServer(*httpAddr, opts.Live)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wsswitch: %v\n", err)
 			return 1

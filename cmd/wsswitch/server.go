@@ -17,18 +17,15 @@ import (
 // Prometheus-text /metrics, streaming /timeline, and the congestion
 // /attribution and /heatmap views fed by the running experiment suite,
 // plus the stdlib /debug/pprof and /debug/vars (expvar) handlers.
-// Everything it reads is concurrency-safe snapshot state (obs.Progress,
-// obs.LiveTimelines, obs.LiveAttribution, and Timeline.Snapshot, which
-// tolerates the simulating goroutine writing), so serving a request
-// never perturbs simulation results. Handlers register on the server's
-// own mux (not http.DefaultServeMux), so a process can start servers
-// repeatedly (tests do) without handler-collision panics.
+// Everything it reads is concurrency-safe snapshot state of one
+// obs.Live, so serving a request never perturbs simulation results.
+// Handlers register on the server's own mux (not http.DefaultServeMux),
+// so a process can start servers repeatedly (tests do) without
+// handler-collision panics.
 type server struct {
 	ln   net.Listener
 	srv  *http.Server
-	prog *obs.Progress
-	live *obs.LiveTimelines
-	attr *obs.LiveAttribution
+	live *obs.Live
 }
 
 // expvar.Publish panics on duplicate names, so the progress/timeline
@@ -36,14 +33,14 @@ type server struct {
 // (tests do).
 var publishVars sync.Once
 
-// startServer listens on addr and serves in a background goroutine.
-// The returned server reports the bound address (Addr), so addr may use
-// port 0. attr may be nil; /attribution and /heatmap then report 404.
-func startServer(addr string, prog *obs.Progress, live *obs.LiveTimelines, attr *obs.LiveAttribution) (*server, error) {
-	s := &server{prog: prog, live: live, attr: attr}
+// startServer listens on addr and serves the live feed in a background
+// goroutine. The returned server reports the bound address (Addr), so
+// addr may use port 0.
+func startServer(addr string, live *obs.Live) (*server, error) {
+	s := &server{live: live}
 	publishVars.Do(func() {
-		expvar.Publish("wsswitch.progress", expvar.Func(func() any { return s.prog.Snapshot() }))
-		expvar.Publish("wsswitch.timelines", expvar.Func(func() any { return s.live.Names() }))
+		expvar.Publish("wsswitch.progress", expvar.Func(func() any { return s.live.Progress() }))
+		expvar.Publish("wsswitch.timelines", expvar.Func(func() any { return s.live.TimelineNames() }))
 	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.metrics)
@@ -81,10 +78,10 @@ func (s *server) Shutdown(ctx context.Context) error { return s.srv.Shutdown(ctx
 // metrics serves the experiment pool's progress in Prometheus text
 // exposition format: points completed/total, elapsed and extrapolated
 // remaining seconds, per-worker current experiment, the number of live
-// timeline series, and — with attribution enabled — per-stage latency
-// totals over the completed points.
+// timeline series, and — once a point has completed — per-stage
+// latency totals over the completed points.
 func (s *server) metrics(w http.ResponseWriter, _ *http.Request) {
-	snap := s.prog.Snapshot()
+	snap := s.live.Progress()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprintf(w, "# HELP wsswitch_points_total Simulation points announced by the experiment suite.\n")
 	fmt.Fprintf(w, "# TYPE wsswitch_points_total gauge\n")
@@ -105,11 +102,8 @@ func (s *server) metrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	fmt.Fprintf(w, "# HELP wsswitch_timelines Registered live timeline series.\n")
 	fmt.Fprintf(w, "# TYPE wsswitch_timelines gauge\n")
-	fmt.Fprintf(w, "wsswitch_timelines %d\n", len(s.live.Names()))
-	if s.attr == nil {
-		return
-	}
-	asnap := s.attr.Snapshot(0)
+	fmt.Fprintf(w, "wsswitch_timelines %d\n", len(s.live.TimelineNames()))
+	asnap := s.live.Attribution(0)
 	if asnap == nil {
 		return
 	}
@@ -144,7 +138,7 @@ func (s *server) timeline(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if name := r.URL.Query().Get("name"); name != "" {
-		snaps := s.live.Snapshot()
+		snaps := s.live.Timelines()
 		snap, ok := snaps[name]
 		if !ok {
 			http.Error(w, fmt.Sprintf("unknown timeline %q (see /timeline for all)", name), http.StatusNotFound)
@@ -153,7 +147,7 @@ func (s *server) timeline(w http.ResponseWriter, r *http.Request) {
 		enc.Encode(snap) //nolint:errcheck // client gone
 		return
 	}
-	enc.Encode(s.live.Snapshot()) //nolint:errcheck // client gone
+	enc.Encode(s.live.Timelines()) //nolint:errcheck // client gone
 }
 
 // attribution serves the live congestion attribution: the merged stage
@@ -161,11 +155,7 @@ func (s *server) timeline(w http.ResponseWriter, r *http.Request) {
 // backpressure root-cause reports of points that failed to drain, keyed
 // by point name. 404 until the first point completes.
 func (s *server) attribution(w http.ResponseWriter, _ *http.Request) {
-	if s.attr == nil {
-		http.Error(w, "attribution disabled (run with -attribution or -http)", http.StatusNotFound)
-		return
-	}
-	snap := s.attr.Snapshot(8)
+	snap := s.live.Attribution(8)
 	if snap == nil {
 		http.Error(w, "no sweep point completed yet", http.StatusNotFound)
 		return
@@ -173,7 +163,7 @@ func (s *server) attribution(w http.ResponseWriter, _ *http.Request) {
 	out := struct {
 		Attribution  *obs.AttributionSnapshot           `json:"attribution"`
 		Backpressure map[string]*obs.BackpressureReport `json:"backpressure,omitempty"`
-	}{snap, s.attr.Reports()}
+	}{snap, s.live.Reports()}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -184,11 +174,7 @@ func (s *server) attribution(w http.ResponseWriter, _ *http.Request) {
 // attribution — rows are routers, columns the stall/blame kinds — the
 // compact form a dashboard renders as a color matrix.
 func (s *server) heatmap(w http.ResponseWriter, _ *http.Request) {
-	if s.attr == nil {
-		http.Error(w, "attribution disabled (run with -attribution or -http)", http.StatusNotFound)
-		return
-	}
-	snap := s.attr.Snapshot(0)
+	snap := s.live.Attribution(0)
 	if snap == nil || snap.Heatmap == nil {
 		http.Error(w, "no sweep point completed yet", http.StatusNotFound)
 		return

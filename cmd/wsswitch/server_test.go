@@ -37,14 +37,11 @@ func get(t *testing.T, srv *server, path string) (int, string) {
 
 // The introspection server must expose /metrics (Prometheus text),
 // /timeline (series JSON), /attribution, /heatmap, expvar and pprof —
-// while an experiment runs and reports into the shared
-// Progress/LiveTimelines/LiveAttribution, without changing its results
-// relative to a plain run.
+// while an experiment runs and reports into the shared obs.Live,
+// without changing its results relative to a plain run.
 func TestServerEndpointsDuringRun(t *testing.T) {
-	prog := &obs.Progress{}
-	live := &obs.LiveTimelines{}
-	attr := &obs.LiveAttribution{}
-	srv, err := startServer("127.0.0.1:0", prog, live, attr)
+	live := &obs.Live{}
+	srv, err := startServer("127.0.0.1:0", live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +80,7 @@ func TestServerEndpointsDuringRun(t *testing.T) {
 		}
 	}()
 	served, err := expt.Run("fig21", expt.Options{Quick: true, Seed: 3, Workers: 2,
-		Progress: prog, Live: live, TimelineInterval: 100,
-		Attribution: true, LiveAttrib: attr})
+		Live: live, TimelineInterval: 100, Attribution: true})
 	close(done)
 	wg.Wait()
 	if err != nil {
@@ -110,7 +106,7 @@ func TestServerEndpointsDuringRun(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
 	}
-	if s := prog.Snapshot(); s.Done == 0 || s.Done != s.Total {
+	if s := live.Progress(); s.Done == 0 || s.Done != s.Total {
 		t.Errorf("progress after the run: %d/%d", s.Done, s.Total)
 	}
 
@@ -205,16 +201,11 @@ func TestServerEndpointsDuringRun(t *testing.T) {
 // in-flight request run to completion with a full response — the
 // SIGINT/SIGTERM drain path.
 func TestServerGracefulShutdown(t *testing.T) {
-	srv, err := startServer("127.0.0.1:0", &obs.Progress{}, &obs.LiveTimelines{}, nil)
+	srv, err := startServer("127.0.0.1:0", &obs.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	// With no LiveAttribution wired, the endpoint says so.
-	if code, body := get(t, srv, "/attribution"); code != http.StatusNotFound || !strings.Contains(body, "disabled") {
-		t.Errorf("/attribution with nil attr: status %d body %q", code, body)
-	}
 
 	// Put a request in flight: send the headers but hold back the final
 	// CRLF so the server has read bytes (the connection is active, not

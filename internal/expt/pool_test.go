@@ -40,8 +40,8 @@ func TestPoolEachRunsEveryIndex(t *testing.T) {
 	}{{1, nil}, {4, nil}, {0, nil}, {100, nil}, {4, reversed}}
 	for _, c := range cases {
 		hits := make([]int32, n)
-		var prog obs.Progress
-		err := sim.Pool{Workers: c.workers, Progress: &prog}.Each("test", n, c.order, stateless(func(i int) error {
+		var live obs.Live
+		err := sim.Pool{Workers: c.workers, Live: &live}.Each("test", n, c.order, stateless(func(i int) error {
 			atomic.AddInt32(&hits[i], 1)
 			return nil
 		}))
@@ -53,7 +53,7 @@ func TestPoolEachRunsEveryIndex(t *testing.T) {
 				t.Fatalf("workers=%d order=%v: index %d ran %d times", c.workers, c.order != nil, i, h)
 			}
 		}
-		if s := prog.Snapshot(); s.Total != n || s.Done != n || len(s.Workers) != 0 {
+		if s := live.Progress(); s.Total != n || s.Done != n || len(s.Workers) != 0 {
 			t.Errorf("workers=%d: progress total %d, done %d, busy workers %v; want %d, %d, none",
 				c.workers, s.Total, s.Done, s.Workers, n, n)
 		}
@@ -92,6 +92,24 @@ func TestPoolEachRecoversPanics(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "boom point 2") || !strings.Contains(err.Error(), "kaput") {
 			t.Errorf("workers=%d: panic not converted to a useful error: %v", workers, err)
 		}
+	}
+}
+
+// Exhaustive fig21 nests its load sweeps in a cell grid. Under a live
+// feed each load point is counted once, by its own cell's sweep (the
+// grid's pool stays off the feed), so the point ledger matches the
+// timeline series the cells register: 2 buffers x 2 latencies x 2
+// loads at -quick.
+func TestFig21LiveCountsLoadPoints(t *testing.T) {
+	multicore(t)
+	live := &obs.Live{}
+	if _, err := Run("fig21", Options{Quick: true, Workers: 2, Live: live, TimelineInterval: 100, Attribution: true}); err != nil {
+		t.Fatal(err)
+	}
+	s, names := live.Progress(), live.TimelineNames()
+	if s.Total != 8 || s.Done != 8 || len(names) != 8 || len(s.Workers) != 0 {
+		t.Errorf("points total %d, done %d, %d timelines, busy workers %v; want 8, 8, 8, none",
+			s.Total, s.Done, len(names), s.Workers)
 	}
 }
 

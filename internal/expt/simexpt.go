@@ -106,18 +106,16 @@ func sweepAttach(t *Table, o Options, series string, res *sim.SweepResult) {
 // runSweep executes one load sweep through the parallel sweep engine,
 // fanning load points across o.Workers goroutines, with probes when
 // o.Probe is set, timelines when o.TimelineInterval is set, and live
-// progress/series registration when o.Progress/o.Live are wired to an
-// introspection server. name keys the live timeline entries (points
-// append "/load=<load>").
+// reporting when o.Live is wired to an introspection server. name
+// names the sweep's pool and keys its live entries (points append
+// "/load=<load>").
 func runSweep(o Options, name string, build sim.Builder, injf sim.InjectorFactory, loads []float64) (*sim.SweepResult, error) {
 	return sim.Sweep(build, injf, loads, sim.SweepOptions{
 		Workers: o.Workers, Probe: o.Probe, Ctx: o.ctx,
 		TimelineInterval: o.TimelineInterval,
 		Live:             o.Live, LiveName: name,
-		Progress:    o.Progress,
 		Abort:       o.Adaptive,
 		Attribution: o.Attribution,
-		LiveAttrib:  o.LiveAttrib,
 	})
 }
 
@@ -152,12 +150,7 @@ func fig21(o Options) (*Table, error) {
 		loads = []float64{0.5, 0.9}
 	}
 	// The buffers x latencies grid is embarrassingly parallel: fan cells
-	// across the pool into index slots, then emit rows serially. Each cell
-	// runs its inner load sweep serially (Workers: 1) — the grid is the
-	// parallel axis — but still threads timeline/live options through, so
-	// a -http server can watch a cell's sweep saturate in real time. The
-	// pool already announces the cells to Progress, so the inner sweeps do
-	// not report (that would double-count).
+	// across the pool into index slots, then emit rows serially.
 	sats := make([]float64, len(buffers)*len(lats))
 	if o.Adaptive {
 		// Adaptive mode replaces each cell's exhaustive load grid with a
@@ -205,18 +198,18 @@ func fig21(o Options) (*Table, error) {
 		if o.Attribution {
 			cells = make([]cellAttrib, len(sats))
 		}
-		err = o.each("fig21", len(sats), func(idx int) error {
+		// Each cell runs its load sweep serially and unprobed: the grid
+		// is the parallel axis. The sweeps report to o.Live and the grid
+		// does not, so each load point is counted once.
+		sweep, grid := o, o
+		sweep.Workers, sweep.Probe = 1, false
+		grid.Live = nil
+		err = grid.each("fig21", len(sats), func(idx int) error {
 			buf, lat := buffers[idx/len(lats)], lats[idx%len(lats)]
 			cfg := o.waferscaleConfig(warm, measure, 8, buf, 4)
 			build := func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(lat), cfg) }
-			res, err := sim.Sweep(build, sim.SyntheticInjector(traffic.Uniform(ports), 4), loads, sim.SweepOptions{
-				Workers:          1,
-				TimelineInterval: o.TimelineInterval,
-				Live:             o.Live,
-				LiveName:         fmt.Sprintf("fig21/buf=%d/lat=%d", buf, lat),
-				Attribution:      o.Attribution,
-				LiveAttrib:       o.LiveAttrib,
-			})
+			res, err := runSweep(sweep, fmt.Sprintf("fig21/buf=%d/lat=%d", buf, lat), build,
+				sim.SyntheticInjector(traffic.Uniform(ports), 4), loads)
 			if err != nil {
 				return err
 			}

@@ -127,16 +127,14 @@ type Options struct {
 	// point order after the barrier.
 	Workers int
 
-	// Progress, when non-nil, receives point totals up front, a tick per
-	// completed point and each worker's current assignment from the
-	// worker pool — the feed behind the live
-	// introspection server's /metrics and expvar output. Reporting is
-	// off the simulator's cycle path, so results are unchanged.
-	Progress *obs.Progress
-	// Live, when non-nil, registers per-point timeline samplers (named
-	// "<series>/load=<load>") for the /timeline handler to stream while
-	// points are still running. Requires TimelineInterval > 0.
-	Live *obs.LiveTimelines
+	// Live, when non-nil, is the feed behind the live introspection
+	// server (wsswitch -http): the worker pools report point totals,
+	// ticks and each worker's current assignment, and simulator sweeps
+	// register their per-point timeline samplers (named
+	// "<series>/load=<load>", with TimelineInterval > 0) and fold in
+	// each completed point's attribution (with Attribution). Reporting
+	// is off the simulator's cycle path, so results are unchanged.
+	Live *obs.Live
 	// TimelineInterval, when positive, attaches a time-resolved sampler
 	// (window length in cycles) to every simulator sweep point; the
 	// merged series attaches to result tables as "<series>_timeline".
@@ -148,19 +146,16 @@ type Options struct {
 	// attach to result tables as "<series>_attribution", and saturated
 	// points add their post-mortem to the table notes.
 	Attribution bool
-	// LiveAttrib, when non-nil (and Attribution set), receives each
-	// completed point's attribution and each saturated point's
-	// backpressure report — the feed behind the introspection server's
-	// /attribution and /heatmap endpoints.
-	LiveAttrib *obs.LiveAttribution
 
 	// Adaptive switches simulator experiments to the adaptive sweep
 	// engine (wsswitch -adaptive): saturated sweep points abort their
 	// drain budget early once divergence is certain, and saturation-grid
 	// experiments locate the knee by bisection (sim.FindSaturation)
-	// instead of walking the whole load grid. Offered/Accepted and the
-	// saturation summary stay those of a full run; only wall-clock and
-	// the latency reported for non-drained points change.
+	// instead of walking the whole load grid. Offered/Accepted and
+	// saturation throughput stay those of a full run. Near the knee a
+	// point a full run drains can be aborted, which moves the knee and
+	// the drained-point summaries; the latency reported for non-drained
+	// points changes too.
 	Adaptive bool
 
 	// ctx carries the experiment's pprof label context, set by Run, so
@@ -170,11 +165,11 @@ type Options struct {
 }
 
 // each runs fn(0) … fn(n-1) on a sim.Pool of o.Workers workers, under
-// the experiment's pprof label and reporting to o.Progress, and returns
+// the experiment's pprof label and reporting to o.Live, and returns
 // the lowest-index error. fn must write only its own index slot (see
 // sim.Pool.Each); rows are emitted after each returns, in index order.
 func (o Options) each(name string, n int, fn func(i int) error) error {
-	pool := sim.Pool{Workers: o.Workers, Ctx: o.ctx, Progress: o.Progress}
+	pool := sim.Pool{Workers: o.Workers, Ctx: o.ctx, Live: o.Live}
 	return pool.Each(name, n, nil, func() func(int) error { return fn })
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Latency stages of the per-packet decomposition. Every retired packet's
@@ -321,68 +320,4 @@ func (r *BackpressureReport) Render() string {
 		return fmt.Sprintf("cycle %d: no credit-blocked VCs", r.Cycle)
 	}
 	return b.String()
-}
-
-// LiveAttribution is a registry the sweep engine folds each completed
-// point's attribution into, plus the backpressure reports of saturated
-// points, for the /attribution and /heatmap HTTP handlers to serve while
-// a sweep is still running. It is a live view only: points merge in
-// completion order (not point order), so its float sums may differ in
-// the last bits from the deterministic SweepResult aggregate — the
-// reported results never come from here.
-type LiveAttribution struct {
-	mu      sync.Mutex
-	agg     *Attribution
-	reports map[string]*BackpressureReport
-}
-
-// Add folds a completed point's attribution into the live aggregate.
-// The first Add fixes the expected sizing.
-func (l *LiveAttribution) Add(a *Attribution) error {
-	if a == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.agg == nil {
-		l.agg = NewAttribution(len(a.Routers), len(a.ChanBlame))
-	}
-	return l.agg.Merge(a)
-}
-
-// Report records a saturated point's backpressure root-cause report
-// under a caller-chosen name such as "fig22/baseline/load=0.9".
-func (l *LiveAttribution) Report(name string, r *BackpressureReport) {
-	if r == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.reports == nil {
-		l.reports = make(map[string]*BackpressureReport)
-	}
-	l.reports[name] = r
-}
-
-// Snapshot materializes the live aggregate (nil when no point has
-// completed yet).
-func (l *LiveAttribution) Snapshot(topN int) *AttributionSnapshot {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.agg == nil {
-		return nil
-	}
-	return l.agg.Snapshot(topN)
-}
-
-// Reports returns a copy of the recorded backpressure reports, keyed by
-// point name.
-func (l *LiveAttribution) Reports() map[string]*BackpressureReport {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[string]*BackpressureReport, len(l.reports))
-	for k, v := range l.reports {
-		out[k] = v
-	}
-	return out
 }

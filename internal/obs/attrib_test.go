@@ -175,33 +175,34 @@ func TestBackpressureReportRender(t *testing.T) {
 	}
 }
 
-func TestLiveAttribution(t *testing.T) {
-	var l LiveAttribution
-	if s := l.Snapshot(4); s != nil {
-		t.Errorf("snapshot before any Add: %+v", s)
+func TestLiveAddAttribution(t *testing.T) {
+	var l Live
+	if s := l.Attribution(4); s != nil {
+		t.Errorf("snapshot before any AddAttribution: %+v", s)
 	}
 	if got := l.Reports(); len(got) != 0 {
-		t.Errorf("reports before any Report: %v", got)
+		t.Errorf("reports before any AddAttribution: %v", got)
 	}
 	a := NewAttribution(3, 4)
 	fillAttrib(a, 2, 10)
-	if err := l.Add(a); err != nil {
+	if err := l.AddAttribution("fig21/load=0.5", a, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Add(nil); err != nil {
-		t.Errorf("adding nil: %v", err)
-	}
-	// The first Add fixes the sizing; mismatched points are rejected.
-	if err := l.Add(NewAttribution(4, 4)); err == nil {
+	// The first call fixes the sizing; mismatched points are rejected,
+	// and so is their report.
+	bad := &BackpressureReport{Cycle: 1}
+	if err := l.AddAttribution("bad", NewAttribution(4, 4), bad); err == nil {
 		t.Error("adding mismatched sizing succeeded")
 	}
-	s := l.Snapshot(4)
+	s := l.Attribution(4)
 	if s == nil || s.Packets != 10 {
 		t.Fatalf("live snapshot: %+v", s)
 	}
-	l.Report("fig21/load=0.9", &BackpressureReport{Cycle: 9, BlockedVCs: 3, BlockedRouters: 1})
-	l.Report("fig21/load=0.9", &BackpressureReport{Cycle: 11, BlockedVCs: 4, BlockedRouters: 2}) // latest wins
-	l.Report("ignored", nil)
+	for _, cycle := range []int64{9, 11} { // the latest report wins
+		if err := l.AddAttribution("fig21/load=0.9", NewAttribution(3, 4), &BackpressureReport{Cycle: cycle}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	reps := l.Reports()
 	if len(reps) != 1 || reps["fig21/load=0.9"].Cycle != 11 {
 		t.Errorf("reports: %+v", reps)
@@ -213,10 +214,10 @@ func TestLiveAttribution(t *testing.T) {
 	}
 }
 
-// The sweep engine's workers Add/Report concurrently with HTTP snapshot
-// reads; -race coverage for that path.
-func TestLiveAttributionConcurrent(t *testing.T) {
-	var l LiveAttribution
+// The sweep engine's workers add attributions concurrently with HTTP
+// snapshot reads; -race coverage for that path.
+func TestLiveAddAttributionConcurrent(t *testing.T) {
+	var l Live
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -225,18 +226,20 @@ func TestLiveAttributionConcurrent(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				a := NewAttribution(2, 2)
 				fillAttrib(a, int64(w+1), 1)
-				if err := l.Add(a); err != nil {
+				if err := l.AddAttribution(string(rune('a'+w)), a, &BackpressureReport{Cycle: int64(i)}); err != nil {
 					t.Errorf("add: %v", err)
 					return
 				}
-				l.Report(string(rune('a'+w)), &BackpressureReport{Cycle: int64(i)})
-				_ = l.Snapshot(2)
+				_ = l.Attribution(2)
 				_ = l.Reports()
 			}
 		}(w)
 	}
 	wg.Wait()
-	if s := l.Snapshot(2); s == nil || s.Packets != 200 {
+	if s := l.Attribution(2); s == nil || s.Packets != 200 {
 		t.Fatalf("after concurrent adds: %+v", s)
+	}
+	if got := len(l.Reports()); got != 4 {
+		t.Errorf("%d reports after concurrent adds, want 4", got)
 	}
 }

@@ -35,16 +35,13 @@ type ChannelCounters struct {
 }
 
 // ChannelMeta describes a channel's endpoints, filled in by the
-// simulator when it sizes a collector. Router and port indices are -1 on
-// the terminal side of injection channels.
+// simulator when it sizes a collector. The source router is -1 on
+// injection channels.
 type ChannelMeta struct {
-	SrcRouter, SrcPort int32
-	DstRouter, DstPort int32
+	SrcRouter, DstRouter int32
 	// Terminal is the injecting terminal's index for terminal-fed
 	// channels, -1 for inter-router channels.
 	Terminal int32
-	// Lat is the channel latency in cycles.
-	Lat int32
 }
 
 // Collector gathers per-router and per-channel counters for one
@@ -122,16 +119,6 @@ func (c *Collector) Merge(o *Collector) error {
 		c.Channels[i].Flits += o.Channels[i].Flits
 	}
 	return nil
-}
-
-// RoutedFlits returns the total flits forwarded across all routers (each
-// flit counts once per hop).
-func (c *Collector) RoutedFlits() int64 {
-	var t int64
-	for i := range c.Routers {
-		t += c.Routers[i].Flits
-	}
-	return t
 }
 
 // RouterSnapshot is the JSON-ready view of one router's counters.

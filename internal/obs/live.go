@@ -6,51 +6,93 @@ import (
 	"time"
 )
 
-// Progress is the shared completion ledger a running experiment suite
-// reports into: the worker pool (sim.Pool) adds each sweep's and grid's
-// point total up front and ticks points off as they finish, and each
-// worker publishes what it is currently running. The live introspection server
-// reads it for /metrics and expvar. All methods are safe for concurrent
-// use; none are on the simulator's cycle path.
-type Progress struct {
+// Live is the one feed a running experiment suite reports into for the
+// live introspection server (wsswitch -http). The worker pool
+// (sim.Pool) announces each fan-out's point total, publishes what each
+// worker is running and ticks points off as they finish. The sweep
+// engine attaches each point's timeline sampler before the point runs
+// and folds in each completed point's attribution. The server's
+// handlers read it all back. Every method is safe for concurrent use,
+// and none is on the simulator's cycle path. It is a live view only:
+// attributions merge in completion order, not point order, so no
+// reported result comes from here.
+type Live struct {
 	mu      sync.Mutex
 	start   time.Time
 	total   int64
 	done    int64
 	workers map[string]string
+	tls     map[string]*Timeline
+	attr    *Attribution
+	reports map[string]*BackpressureReport
 }
 
 // AddTotal announces n upcoming points (a sweep's loads, a grid's
 // cells). The first call starts the ETA clock.
-func (p *Progress) AddTotal(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.start.IsZero() {
-		p.start = time.Now()
+func (l *Live) AddTotal(n int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.start.IsZero() {
+		l.start = time.Now()
 	}
-	p.total += int64(n)
-}
-
-// PointDone ticks one point off.
-func (p *Progress) PointDone() {
-	p.mu.Lock()
-	p.done++
-	p.mu.Unlock()
+	l.total += int64(n)
 }
 
 // SetWorker publishes what the named worker is currently running; an
 // empty what clears the entry (the worker went idle).
-func (p *Progress) SetWorker(worker, what string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.workers == nil {
-		p.workers = make(map[string]string)
-	}
+func (l *Live) SetWorker(worker, what string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if what == "" {
-		delete(p.workers, worker)
+		delete(l.workers, worker)
 		return
 	}
-	p.workers[worker] = what
+	if l.workers == nil {
+		l.workers = make(map[string]string)
+	}
+	l.workers[worker] = what
+}
+
+// PointDone ticks one point off.
+func (l *Live) PointDone() {
+	l.mu.Lock()
+	l.done++
+	l.mu.Unlock()
+}
+
+// AttachTimeline registers (or replaces) the sampler of a point about
+// to run under a caller-chosen name such as
+// "fig21/buf=32/lat=1/load=0.8", so its series can be served while the
+// point still executes.
+func (l *Live) AttachTimeline(name string, t *Timeline) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.tls == nil {
+		l.tls = make(map[string]*Timeline)
+	}
+	l.tls[name] = t
+}
+
+// AddAttribution folds a completed point's non-nil attribution into
+// the live aggregate and, when bp is non-nil, records the point's
+// backpressure report under name. The first call fixes the expected
+// sizing.
+func (l *Live) AddAttribution(name string, a *Attribution, bp *BackpressureReport) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.attr == nil {
+		l.attr = NewAttribution(len(a.Routers), len(a.ChanBlame))
+	}
+	if err := l.attr.Merge(a); err != nil {
+		return err
+	}
+	if bp != nil {
+		if l.reports == nil {
+			l.reports = make(map[string]*BackpressureReport)
+		}
+		l.reports[name] = bp
+	}
+	return nil
 }
 
 // WorkerState is one worker's current assignment.
@@ -59,7 +101,7 @@ type WorkerState struct {
 	Running string `json:"running"`
 }
 
-// ProgressSnapshot is the JSON-ready view of a Progress.
+// ProgressSnapshot is the JSON-ready view of the point ledger.
 type ProgressSnapshot struct {
 	Total int64 `json:"points_total"`
 	Done  int64 `json:"points_done"`
@@ -71,77 +113,74 @@ type ProgressSnapshot struct {
 	Workers        []WorkerState `json:"workers,omitempty"`
 }
 
-// Snapshot returns a consistent copy for serving.
-func (p *Progress) Snapshot() ProgressSnapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := ProgressSnapshot{Total: p.total, Done: p.done}
-	if !p.start.IsZero() {
-		s.ElapsedSeconds = time.Since(p.start).Seconds()
+// Progress returns a consistent copy of the point ledger, workers
+// sorted by name.
+func (l *Live) Progress() ProgressSnapshot {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	s := ProgressSnapshot{Total: l.total, Done: l.done}
+	if !l.start.IsZero() {
+		s.ElapsedSeconds = time.Since(l.start).Seconds()
 	}
-	if p.done > 0 && p.total > p.done {
-		s.ETASeconds = s.ElapsedSeconds / float64(p.done) * float64(p.total-p.done)
+	if l.done > 0 && l.total > l.done {
+		s.ETASeconds = s.ElapsedSeconds / float64(l.done) * float64(l.total-l.done)
 	}
-	for w, r := range p.workers {
+	for w, r := range l.workers {
 		s.Workers = append(s.Workers, WorkerState{Worker: w, Running: r})
 	}
 	sort.Slice(s.Workers, func(i, j int) bool { return s.Workers[i].Worker < s.Workers[j].Worker })
 	return s
 }
 
-// LiveTimelines is a registry of timeline samplers belonging to running
-// (and recently finished) simulation points, keyed by a caller-chosen
-// name such as "fig21/buf=32/lat=1/load=0.8". The sweep engine attaches
-// each point's sampler before running it; the /timeline HTTP handler
-// snapshots the registry to stream the series of a simulation that is
-// still executing. Attach/Snapshot are concurrency-safe, and
-// Timeline.Snapshot itself tolerates a concurrent simulation writer, so
-// serving never perturbs results.
-type LiveTimelines struct {
-	mu sync.Mutex
-	m  map[string]*Timeline
-}
-
-// Attach registers (or replaces) a named timeline.
-func (l *LiveTimelines) Attach(name string, t *Timeline) {
+// TimelineNames returns the attached timelines' names, sorted.
+func (l *Live) TimelineNames() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.m == nil {
-		l.m = make(map[string]*Timeline)
-	}
-	l.m[name] = t
-}
-
-// Detach removes a named timeline.
-func (l *LiveTimelines) Detach(name string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.m, name)
-}
-
-// Names returns the registered names, sorted.
-func (l *LiveTimelines) Names() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	names := make([]string, 0, len(l.m))
-	for n := range l.m {
+	names := make([]string, 0, len(l.tls))
+	for n := range l.tls {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// Snapshot materializes every registered timeline, keyed by name.
-func (l *LiveTimelines) Snapshot() map[string]*TimelineSnapshot {
+// Timelines materializes every attached timeline, keyed by name.
+// Timeline.Snapshot tolerates the simulating goroutine writing, so
+// serving never perturbs results.
+func (l *Live) Timelines() map[string]*TimelineSnapshot {
 	l.mu.Lock()
-	tls := make(map[string]*Timeline, len(l.m))
-	for n, t := range l.m {
+	tls := make(map[string]*Timeline, len(l.tls))
+	for n, t := range l.tls {
 		tls[n] = t
 	}
 	l.mu.Unlock()
 	out := make(map[string]*TimelineSnapshot, len(tls))
 	for n, t := range tls {
 		out[n] = t.Snapshot()
+	}
+	return out
+}
+
+// Attribution materializes the live aggregate, keeping the topN
+// most-blamed routers and channels (nil before the first
+// AddAttribution).
+func (l *Live) Attribution(topN int) *AttributionSnapshot {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.attr == nil {
+		return nil
+	}
+	return l.attr.Snapshot(topN)
+}
+
+// Reports returns a copy of the recorded backpressure reports, keyed by
+// point name.
+func (l *Live) Reports() map[string]*BackpressureReport {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make(map[string]*BackpressureReport, len(l.reports))
+	for k, v := range l.reports {
+		out[k] = v
 	}
 	return out
 }

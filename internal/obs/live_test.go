@@ -10,8 +10,8 @@ import (
 )
 
 func TestProgressSnapshot(t *testing.T) {
-	var p Progress
-	s := p.Snapshot()
+	var p Live
+	s := p.Progress()
 	if s.Total != 0 || s.Done != 0 || s.ElapsedSeconds != 0 || len(s.Workers) != 0 {
 		t.Errorf("zero-value snapshot not empty: %+v", s)
 	}
@@ -22,7 +22,7 @@ func TestProgressSnapshot(t *testing.T) {
 	}
 	p.SetWorker("fig21/w1", "fig21/point=3")
 	p.SetWorker("fig21/w0", "fig21/point=2")
-	s = p.Snapshot()
+	s = p.Progress()
 	if s.Total != 15 || s.Done != 6 {
 		t.Errorf("progress %d/%d, want 6/15", s.Done, s.Total)
 	}
@@ -34,7 +34,7 @@ func TestProgressSnapshot(t *testing.T) {
 		t.Errorf("workers wrong: %+v", s.Workers)
 	}
 	p.SetWorker("fig21/w0", "") // idle clears the entry
-	if s = p.Snapshot(); len(s.Workers) != 1 {
+	if s = p.Progress(); len(s.Workers) != 1 {
 		t.Errorf("idle worker not cleared: %+v", s.Workers)
 	}
 	if _, err := json.Marshal(s); err != nil {
@@ -42,10 +42,10 @@ func TestProgressSnapshot(t *testing.T) {
 	}
 }
 
-// Progress is shared by pool workers and the HTTP handler; hammer it
-// from several goroutines under -race.
+// The point ledger is shared by pool workers and the HTTP handler;
+// hammer it from several goroutines under -race.
 func TestProgressConcurrent(t *testing.T) {
-	var p Progress
+	var p Live
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -57,29 +57,29 @@ func TestProgressConcurrent(t *testing.T) {
 				p.SetWorker(name, "point")
 				p.PointDone()
 				p.SetWorker(name, "")
-				_ = p.Snapshot()
+				_ = p.Progress()
 			}
 		}(w)
 	}
 	wg.Wait()
-	if s := p.Snapshot(); s.Total != 400 || s.Done != 400 {
+	if s := p.Progress(); s.Total != 400 || s.Done != 400 {
 		t.Errorf("progress %d/%d after concurrent run, want 400/400", s.Done, s.Total)
 	}
 }
 
-func TestLiveTimelines(t *testing.T) {
-	var l LiveTimelines
-	if n := l.Names(); len(n) != 0 {
+func TestLiveTimelineRegistry(t *testing.T) {
+	var l Live
+	if n := l.TimelineNames(); len(n) != 0 {
 		t.Errorf("empty registry lists %v", n)
 	}
 	a, b := NewTimeline(4, 8), NewTimeline(4, 8)
 	feedTimeline(a, 12, 1, func(int) float64 { return 5 })
-	l.Attach("fig21/buf=8/lat=1/load=0.5", a)
-	l.Attach("fig21/buf=8/lat=1/load=0.9", b)
-	if got := l.Names(); !reflect.DeepEqual(got, []string{"fig21/buf=8/lat=1/load=0.5", "fig21/buf=8/lat=1/load=0.9"}) {
+	l.AttachTimeline("fig21/buf=8/lat=1/load=0.5", a)
+	l.AttachTimeline("fig21/buf=8/lat=1/load=0.9", b)
+	if got := l.TimelineNames(); !reflect.DeepEqual(got, []string{"fig21/buf=8/lat=1/load=0.5", "fig21/buf=8/lat=1/load=0.9"}) {
 		t.Errorf("names = %v", got)
 	}
-	snaps := l.Snapshot()
+	snaps := l.Timelines()
 	if len(snaps) != 2 {
 		t.Fatalf("snapshot has %d series, want 2", len(snaps))
 	}
@@ -89,17 +89,17 @@ func TestLiveTimelines(t *testing.T) {
 	if s := snaps["fig21/buf=8/lat=1/load=0.9"]; len(s.Samples) != 0 {
 		t.Errorf("unfed series has %d samples, want 0", len(s.Samples))
 	}
-	l.Detach("fig21/buf=8/lat=1/load=0.5")
-	if got := l.Names(); len(got) != 1 {
-		t.Errorf("detach left %v", got)
+	l.AttachTimeline("fig21/buf=8/lat=1/load=0.5", b) // the latest attach wins
+	if s := l.Timelines()["fig21/buf=8/lat=1/load=0.5"]; len(s.Samples) != 0 {
+		t.Errorf("replaced series has %d samples, want 0", len(s.Samples))
 	}
 }
 
 // Registry reads must tolerate concurrent attaches and snapshots of
 // timelines that simulating goroutines are feeding (-race coverage for
 // the live serving path).
-func TestLiveTimelinesConcurrent(t *testing.T) {
-	var l LiveTimelines
+func TestLiveTimelineConcurrent(t *testing.T) {
+	var l Live
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -112,7 +112,7 @@ func TestLiveTimelinesConcurrent(t *testing.T) {
 			default:
 			}
 			tl := NewTimeline(2, 8)
-			l.Attach(string(rune('a'+i%8)), tl)
+			l.AttachTimeline(string(rune('a'+i%8)), tl)
 			tl.NoteInject()
 			if tl.Tick(1) {
 				tl.EndInterval(1)
@@ -120,8 +120,8 @@ func TestLiveTimelinesConcurrent(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		_ = l.Snapshot()
-		_ = l.Names()
+		_ = l.Timelines()
+		_ = l.TimelineNames()
 	}
 	close(done)
 	wg.Wait()
@@ -131,19 +131,19 @@ func TestLiveTimelinesConcurrent(t *testing.T) {
 // labels of retired workers must not linger: each worker clears its
 // entry on exit, so a later snapshot lists only the live pool.
 func TestProgressWorkerLifecycleAfterResize(t *testing.T) {
-	var p Progress
+	var p Live
 	// First experiment: a 4-worker pool.
 	for w := 0; w < 4; w++ {
 		p.SetWorker(fmt.Sprintf("fig21/w%d", w), fmt.Sprintf("fig21/point=%d", w))
 	}
-	if got := len(p.Snapshot().Workers); got != 4 {
+	if got := len(p.Progress().Workers); got != 4 {
 		t.Fatalf("4-worker pool publishes %d entries", got)
 	}
 	// Pool drains: every worker clears its label on exit.
 	for w := 0; w < 4; w++ {
 		p.SetWorker(fmt.Sprintf("fig21/w%d", w), "")
 	}
-	if got := p.Snapshot().Workers; len(got) != 0 {
+	if got := p.Progress().Workers; len(got) != 0 {
 		t.Fatalf("drained pool leaves stale entries: %+v", got)
 	}
 	// Second experiment resizes to 2 workers under a different prefix;
@@ -151,7 +151,7 @@ func TestProgressWorkerLifecycleAfterResize(t *testing.T) {
 	for w := 0; w < 2; w++ {
 		p.SetWorker(fmt.Sprintf("fig22/w%d", w), "fig22/point=0")
 	}
-	s := p.Snapshot()
+	s := p.Progress()
 	if len(s.Workers) != 2 {
 		t.Fatalf("2-worker pool publishes %d entries: %+v", len(s.Workers), s.Workers)
 	}
@@ -162,51 +162,7 @@ func TestProgressWorkerLifecycleAfterResize(t *testing.T) {
 	}
 	// Clearing a never-registered worker is a harmless no-op.
 	p.SetWorker("fig22/w9", "")
-	if got := len(p.Snapshot().Workers); got != 2 {
+	if got := len(p.Progress().Workers); got != 2 {
 		t.Errorf("no-op clear changed the ledger to %d entries", got)
-	}
-}
-
-// Attach and Detach race against Snapshot/Names when sweep points start
-// and finish while the HTTP handler reads; -race coverage for the full
-// registry lifecycle (TestLiveTimelinesConcurrent covers attach-only).
-func TestLiveTimelinesAttachDetachRace(t *testing.T) {
-	var l LiveTimelines
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			name := fmt.Sprintf("series-%d", w)
-			for i := 0; ; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				tl := NewTimeline(2, 8)
-				l.Attach(name, tl)
-				tl.NoteInject()
-				if tl.Tick(1) {
-					tl.EndInterval(1)
-				}
-				l.Detach(name)
-			}
-		}(w)
-	}
-	for i := 0; i < 300; i++ {
-		for name, snap := range l.Snapshot() {
-			if snap == nil {
-				t.Errorf("nil snapshot for %q", name)
-			}
-		}
-		_ = l.Names()
-	}
-	close(done)
-	wg.Wait()
-	// All workers detached on exit; the registry must be empty.
-	if got := l.Names(); len(got) != 0 {
-		t.Errorf("registry not empty after detach: %v", got)
 	}
 }

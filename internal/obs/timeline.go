@@ -181,14 +181,6 @@ func (t *Timeline) compact() {
 	t.interval *= 2
 }
 
-// Finish closes a partial open window at the end of a run (no-op when
-// the window is empty), so tail events are not lost.
-func (t *Timeline) Finish(maxChanFlits int64) {
-	if t.cur.Cycles > 0 {
-		t.EndInterval(maxChanFlits)
-	}
-}
-
 // MarkTruncated flags the series as covering only a prefix of its run —
 // the simulator calls it when early-abort saturation detection cuts the
 // drain phase short, so downstream readers can tell a short series from

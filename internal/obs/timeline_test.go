@@ -20,7 +20,7 @@ func feedTimeline(tl *Timeline, cycles int, occ int64, lat func(cycle int) float
 			tl.EndInterval(1)
 		}
 	}
-	tl.Finish(1)
+	tl.EndInterval(1) // flush the partial final window, as Network.Run does
 }
 
 func TestTimelineWindows(t *testing.T) {

@@ -13,10 +13,12 @@ package sim
 // the measured-packet completion rate can still retire the stranded
 // backlog before the deadline. The measurement window always runs to
 // completion, so Offered and Accepted (and therefore
-// SaturationThroughput and FirstSaturatedLoad) are exactly those of a
-// full run; only the drain budget — 3-10x the measurement window in the
-// stock configurations, and the most expensive cycles of all since
-// every buffer is full — is cut short.
+// SaturationThroughput) are exactly those of a full run; only the drain
+// budget — 3-10x the measurement window in the stock configurations,
+// and the most expensive cycles of all since every buffer is full — is
+// cut short. Both phases can misjudge a point near the knee whose
+// queues would still empty within the budget; it then reports
+// Drained=false, which moves FirstSaturatedLoad (DESIGN.md §10.1).
 const (
 	// abortEvery is the detector cadence in cycles. Checks are
 	// O(terminals), so the amortized cost is negligible; the cadence is

@@ -80,7 +80,8 @@ func abortFamilies(t *testing.T) []struct {
 // drain (Aborted=true, Drained=false, fewer cycles) while Offered,
 // Accepted and the whole Summarize reduction stay bit-identical to the
 // full run — the measurement window always completes, so only the
-// wasted drain cycles disappear.
+// wasted drain cycles disappear. The loads sit far from each fabric's
+// knee; near it Drained can flip (DESIGN.md §10.1).
 func TestAbortMatchesFullRun(t *testing.T) {
 	for _, fam := range abortFamilies(t) {
 		t.Run(fam.name, func(t *testing.T) {

@@ -297,19 +297,19 @@ func TestSweepAttributionParallelMatchesSerial(t *testing.T) {
 
 // The live attribution fed from a sweep must aggregate every point and
 // record the saturated points' reports under their LiveName keys.
-func TestSweepLiveAttribution(t *testing.T) {
+func TestSweepLiveFeedAttribution(t *testing.T) {
 	mesh := testMesh(t)
 	cfg := sweepTestConfig()
 	build := func() (*Network, error) { return Build(mesh, ConstantLatency(1), cfg) }
 	injf := SyntheticInjector(traffic.Uniform(72), cfg.PacketFlits)
-	live := &obs.LiveAttribution{}
+	live := &obs.Live{}
 	res, err := Sweep(build, injf, []float64{0.05, 0.3}, SweepOptions{
-		Workers: 2, Attribution: true, LiveAttrib: live, LiveName: "meshsweep",
+		Workers: 2, Attribution: true, Live: live, LiveName: "meshsweep",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := live.Snapshot(4)
+	snap := live.Attribution(4)
 	if snap == nil {
 		t.Fatal("live attribution empty after the sweep")
 	}

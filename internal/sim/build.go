@@ -708,8 +708,5 @@ func computeRoutes(t *topo.Topology) ([][]int32, error) {
 	return next, nil
 }
 
-// Terminals returns the number of terminals attached to the network.
-func (n *Network) Terminals() int { return n.T }
-
 // Routers returns the number of routers in the network.
 func (n *Network) Routers() int { return n.R }

@@ -30,7 +30,7 @@ func TestCheckerCleanRun(t *testing.T) {
 	if err := n.Check(CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	inj := RateInjector{Load: 0.4, Pattern: traffic.Uniform(n.Terminals()), PacketFlits: cfg.PacketFlits}
+	inj := RateInjector{Load: 0.4, Pattern: traffic.Uniform(n.T), PacketFlits: cfg.PacketFlits}
 	st := n.Run(inj, 0.4)
 	if err := n.CheckErr(); err != nil {
 		t.Fatalf("checker flagged a healthy run: %v", err)

@@ -25,9 +25,6 @@ func (n *Network) AttachTimeline(t *obs.Timeline) {
 	}
 }
 
-// Timeline returns the attached sampler (nil when detached).
-func (n *Network) Timeline() *obs.Timeline { return n.tline }
-
 // tickTimeline advances the sampler by one cycle and closes the window
 // at interval boundaries. Runs only with a timeline attached.
 func (n *Network) tickTimeline() {
@@ -65,9 +62,6 @@ func (n *Network) closeTimelineWindow() {
 // costs one predicted branch per event site. Attaching nil detaches.
 // Call before Run.
 func (n *Network) Trace(rec *obs.FlightRecorder) { n.tr = rec }
-
-// Recorder returns the attached flight recorder (nil when detached).
-func (n *Network) Recorder() *obs.FlightRecorder { return n.tr }
 
 // WriteTrace renders the flight recorder's retained events as Chrome
 // trace-event JSON (Perfetto-compatible). It errors when no recorder is

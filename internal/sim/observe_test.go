@@ -135,8 +135,8 @@ func TestTimelineMatchesProbeTotals(t *testing.T) {
 	}
 	tl := obs.NewTimeline(100, 0)
 	n.AttachTimeline(tl)
-	if n.Timeline() != tl {
-		t.Fatal("Timeline() does not return the attached sampler")
+	if n.tline != tl {
+		t.Fatal("AttachTimeline did not attach the sampler")
 	}
 	inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.6)
 	st := n.Run(inj, 0.6)
@@ -226,8 +226,8 @@ func TestTraceLifecycleAndChromeExport(t *testing.T) {
 	}
 	rec := obs.NewFlightRecorder(1 << 16)
 	n.Trace(rec)
-	if n.Recorder() != rec {
-		t.Fatal("Recorder() does not return the attached recorder")
+	if n.tr != rec {
+		t.Fatal("Trace did not attach the recorder")
 	}
 	inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.2)
 	st := n.Run(inj, 0.2)
@@ -299,11 +299,11 @@ func TestAttachTimelineDetach(t *testing.T) {
 	}
 	n.AttachTimeline(obs.NewTimeline(10, 8))
 	n.AttachTimeline(nil)
-	if n.Timeline() != nil || n.tlChanFlits != nil {
+	if n.tline != nil || n.tlChanFlits != nil {
 		t.Error("detaching the timeline left state behind")
 	}
 	n.Trace(nil)
-	if n.Recorder() != nil {
+	if n.tr != nil {
 		t.Error("detaching the tracer left state behind")
 	}
 }

@@ -24,16 +24,13 @@ import (
 type Probe = obs.Collector
 
 // NewProbe returns a collector sized for this network with channel
-// metadata (endpoints, latency) filled in. Attach it with AttachProbe.
+// metadata (endpoint routers, injecting terminal) filled in. Attach it
+// with AttachProbe.
 func (n *Network) NewProbe() *Probe {
 	c := obs.NewCollector(n.R, len(n.channels))
 	for ci := range n.channels {
 		ch := &n.channels[ci]
-		c.Meta[ci] = obs.ChannelMeta{
-			SrcRouter: ch.srcRouter, SrcPort: ch.srcPort,
-			DstRouter: ch.dstRouter, DstPort: ch.dstPort,
-			Terminal: ch.srcTerm, Lat: ch.lat,
-		}
+		c.Meta[ci] = obs.ChannelMeta{SrcRouter: ch.srcRouter, DstRouter: ch.dstRouter, Terminal: ch.srcTerm}
 	}
 	return c
 }

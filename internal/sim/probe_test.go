@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -42,13 +43,16 @@ func TestProbeFlitConservation(t *testing.T) {
 	}
 	// Routed == ejected + flits placed on inter-router channels: every
 	// crossbar traversal ends on a channel or at a terminal sink.
-	var interFlits int64
+	var interFlits, routed int64
 	for ci := range p.Channels {
 		if p.Meta[ci].Terminal < 0 {
 			interFlits += p.Channels[ci].Flits
 		}
 	}
-	if routed := p.RoutedFlits(); routed != p.Ejected+interFlits {
+	for r := range p.Routers {
+		routed += p.Routers[r].Flits
+	}
+	if routed != p.Ejected+interFlits {
 		t.Errorf("routed %d != ejected %d + inter-router channel flits %d",
 			routed, p.Ejected, interFlits)
 	}
@@ -163,6 +167,23 @@ func TestHistogramMatchesExactPercentiles(t *testing.T) {
 			t.Errorf("P%v: histogram %v vs exact %v — more than one bucket apart", p*100, got, exact)
 		}
 	}
+}
+
+// percentile is the exact oracle: the p-quantile of sorted values by
+// nearest rank (index ceil(p*n)-1), the convention the histogram in
+// internal/obs follows.
+func percentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(math.Ceil(p*float64(len(sorted)))) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(sorted) {
+		i = len(sorted) - 1
+	}
+	return sorted[i]
 }
 
 func sortFloats(v []float64) {
@@ -355,18 +376,19 @@ func TestSweepSummary(t *testing.T) {
 	}
 }
 
-// LatencyVsLoadProbed must return one snapshot per load point with live
-// counters.
+// A probed serial load sweep must return one snapshot per load point
+// with live counters.
 func TestLatencyVsLoadProbed(t *testing.T) {
 	cl := testClos(t)
 	cfg := testConfig()
 	cfg.WarmupCycles, cfg.MeasureCycles = 200, 400
 	build := func() (*Network, error) { return Build(cl, ConstantLatency(1), cfg) }
 	injf := SyntheticInjector(traffic.Uniform(128), 4)
-	pts, err := LatencyVsLoadProbed(build, injf, []float64{0.2, 0.4})
+	res, err := Sweep(build, injf, []float64{0.2, 0.4}, SweepOptions{Workers: 1, Probe: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pts := res.Points
 	if len(pts) != 2 {
 		t.Fatalf("got %d points, want 2", len(pts))
 	}

@@ -140,9 +140,10 @@ type network struct {
 	now     int64
 
 	measStart, measEnd int64
-	// latSumR mirrors the optimized simulator's per-ejecting-router
-	// latency sums; the ascending-router fold is the canonical float
-	// latency sum both engines report.
+	// latSumR holds per-ejecting-router latency sums, folded in
+	// ascending router order: refsim's own summation order, kept as a
+	// second order against the optimized simulator's completion-order
+	// histogram sum (DESIGN §9.2).
 	latSumR      []float64
 	latHist      obs.Histogram
 	completed    int

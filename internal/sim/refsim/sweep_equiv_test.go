@@ -68,12 +68,17 @@ func TestShardEquivalence(t *testing.T) {
 		sweep := func(workers int) (*sim.SweepResult, string) {
 			res, err := sim.Sweep(build, injf, grid, sim.SweepOptions{
 				Workers:          workers,
-				TimelineInterval: diffTimelineInterval,
-				TimelineSamples:  diffTimelineSamples,
+				TimelineInterval: 2,
 				Attribution:      true,
 			})
 			if err != nil {
 				t.Fatalf("sweep %s at %d workers: %v", fam, workers, err)
+			}
+			// 2-cycle windows overflow the default sample store, so the
+			// merged series covers compaction and the merging of
+			// mismatched intervals.
+			if res.Timeline.Interval <= 2 {
+				t.Fatalf("sweep %s at %d workers: merged timeline interval %d never compacted", fam, workers, res.Timeline.Interval)
 			}
 			merged, err := json.Marshal([]any{res.Aggregate, res.Timeline, res.Attribution})
 			if err != nil {

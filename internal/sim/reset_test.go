@@ -171,7 +171,7 @@ func TestResetDetachesEveryObserver(t *testing.T) {
 	n.RecordDeliveries()
 	n.SetAbort(true)
 	const load = 0.95
-	if st := n.Run(RateInjector{Load: load, Pattern: traffic.Uniform(n.Terminals()), PacketFlits: cfg.PacketFlits}, load); st.Drained {
+	if st := n.Run(RateInjector{Load: load, Pattern: traffic.Uniform(n.T), PacketFlits: cfg.PacketFlits}, load); st.Drained {
 		t.Fatalf("load %g drained; the test needs a saturated point", load)
 	}
 	n.Reset(cfg.Seed)

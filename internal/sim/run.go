@@ -188,24 +188,6 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 	return st
 }
 
-// percentile returns the p-quantile of sorted values using nearest-rank
-// (index ceil(p*n)-1). The histogram in internal/obs follows the same
-// convention so Stats percentiles agree with an exact recomputation to
-// within one histogram bucket.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
 // step advances the network by one cycle: channel arrivals, router
 // pipelines (RC/VA then SA), and terminal injection.
 func (n *Network) step(inj Injector) {

@@ -390,8 +390,8 @@ func TestNetworkShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Terminals() != 128 {
-		t.Errorf("terminals = %d, want 128", n.Terminals())
+	if n.T != 128 {
+		t.Errorf("terminals = %d, want 128", n.T)
 	}
 	if n.Routers() != 12 {
 		t.Errorf("routers = %d, want 12", n.Routers())

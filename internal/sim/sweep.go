@@ -108,25 +108,24 @@ type SweepOptions struct {
 	// TimelineInterval, when positive, attaches a time-resolved sampler
 	// to every point (window length in cycles). Per-point series merge in
 	// ascending point order into SweepResult.Timeline, so the merged
-	// series is byte-identical for any worker count. TimelineSamples
-	// bounds each sampler's memory (0 means the obs default).
+	// series is byte-identical for any worker count.
 	TimelineInterval int
-	TimelineSamples  int
-	// Live, when non-nil, registers each point's sampler under
-	// "LiveName/load=<load>" before the point runs, so an introspection
-	// server can stream the series of points still executing. LiveName
-	// also names the sweep's worker pool.
-	Live     *obs.LiveTimelines
+	// Live, when non-nil, is the introspection feed the sweep reports
+	// into: the pool's point total, current points and ticks (see
+	// Pool.Live), each point's sampler before the point runs, and each
+	// completed point's attribution and backpressure report. Points are
+	// keyed "LiveName/load=<load>"; LiveName also names the sweep's
+	// worker pool.
+	Live     *obs.Live
 	LiveName string
-	// Progress, when non-nil, receives this sweep's point total up front,
-	// each worker's current point and a tick per finished point.
-	Progress *obs.Progress
 
 	// Abort arms the early-abort saturation detector on every point
 	// (see Network.SetAbort). The measurement window always runs to
-	// completion, so Offered, Accepted and the Summarize reduction match
-	// a full sweep; saturated points skip the drain budget and report
-	// Stats.Aborted alongside Drained=false.
+	// completion, so Offered, Accepted and SaturationThroughput match a
+	// full sweep; saturated points skip the drain budget and report
+	// Stats.Aborted alongside Drained=false. A point near the knee that a
+	// full sweep drains can be cut short too, so Drained and the
+	// Summarize figures built on it can differ (DESIGN.md §10.1).
 	Abort bool
 
 	// Attribution attaches a congestion-attribution collector to every
@@ -135,11 +134,6 @@ type SweepOptions struct {
 	// points that fail to drain carry a backpressure root-cause report
 	// and a saturation post-mortem.
 	Attribution bool
-	// LiveAttrib, when non-nil (and Attribution set), receives each
-	// completed point's attribution and each saturated point's
-	// backpressure report, for an introspection server to stream
-	// mid-sweep.
-	LiveAttrib *obs.LiveAttribution
 }
 
 // SweepResult is the outcome of a load sweep: per-point stats (and probe
@@ -191,6 +185,10 @@ func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOption
 		if err != nil {
 			return err
 		}
+		var key string
+		if opt.Live != nil {
+			key = fmt.Sprintf("%s/load=%g", opt.LiveName, loads[i])
+		}
 		n.SetAbort(opt.Abort)
 		inj, err := injf(loads[i])
 		if err != nil {
@@ -202,10 +200,10 @@ func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOption
 			}
 		}
 		if opt.TimelineInterval > 0 {
-			tls[i] = obs.NewTimeline(opt.TimelineInterval, opt.TimelineSamples)
+			tls[i] = obs.NewTimeline(opt.TimelineInterval, 0)
 			n.AttachTimeline(tls[i])
 			if opt.Live != nil {
-				opt.Live.Attach(fmt.Sprintf("%s/load=%g", opt.LiveName, loads[i]), tls[i])
+				opt.Live.AttachTimeline(key, tls[i])
 			}
 		}
 		if opt.Attribution {
@@ -223,12 +221,9 @@ func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOption
 		if opt.Attribution {
 			points[i].Backpressure = n.Backpressure()
 			points[i].PostMortem = n.SaturationPostMortem(st)
-			if opt.LiveAttrib != nil {
-				if err := opt.LiveAttrib.Add(ats[i]); err != nil {
+			if opt.Live != nil {
+				if err := opt.Live.AddAttribution(key, ats[i], points[i].Backpressure); err != nil {
 					return err
-				}
-				if points[i].Backpressure != nil {
-					opt.LiveAttrib.Report(fmt.Sprintf("%s/load=%g", opt.LiveName, loads[i]), points[i].Backpressure)
 				}
 			}
 		}
@@ -250,7 +245,7 @@ func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOption
 	if name == "" {
 		name = "sweep"
 	}
-	pool := Pool{Workers: opt.Workers, Ctx: opt.Ctx, Progress: opt.Progress}
+	pool := Pool{Workers: opt.Workers, Ctx: opt.Ctx, Live: opt.Live}
 	if err := pool.Each(name, len(loads), order, func() func(int) error {
 		var wn workerNet
 		return func(i int) error { return runPoint(&wn, i) }
@@ -284,7 +279,7 @@ func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOption
 		res.Aggregate = &obs.Snapshot{Latency: aggHist.Snapshot()}
 	}
 	if opt.TimelineInterval > 0 {
-		aggTL := obs.NewTimeline(opt.TimelineInterval, opt.TimelineSamples)
+		aggTL := obs.NewTimeline(opt.TimelineInterval, 0)
 		for i := range loads {
 			if err := aggTL.Merge(tls[i]); err != nil {
 				return nil, err
@@ -313,18 +308,6 @@ func LatencyVsLoad(build Builder, injf InjectorFactory, loads []float64) ([]Stat
 		return nil, err
 	}
 	return res.Stats(), nil
-}
-
-// LatencyVsLoadProbed is LatencyVsLoad with a fresh probe attached to
-// every run, returning per-point stats plus per-router/per-channel
-// counter snapshots and the latency histogram — the machine-readable
-// form behind wsswitch -json.
-func LatencyVsLoadProbed(build Builder, injf InjectorFactory, loads []float64) ([]SweepPoint, error) {
-	res, err := Sweep(build, injf, loads, SweepOptions{Workers: 1, Probe: true})
-	if err != nil {
-		return nil, err
-	}
-	return res.Points, nil
 }
 
 // SaturationThroughput extracts the saturation throughput from a load

@@ -159,28 +159,26 @@ func TestSweepTimelineParallelMatchesSerial(t *testing.T) {
 	injf := SyntheticInjector(traffic.Uniform(cl.ExternalPorts()), cfg.PacketFlits)
 	loads := []float64{0.1, 0.25, 0.4, 0.55}
 
-	run := func(workers int) (*SweepResult, *obs.LiveTimelines, *obs.Progress) {
-		live := &obs.LiveTimelines{}
-		prog := &obs.Progress{}
+	run := func(workers int) (*SweepResult, *obs.Live) {
+		live := &obs.Live{}
 		res, err := Sweep(build, injf, loads, SweepOptions{
-			Workers: workers, Probe: true,
-			TimelineInterval: 100, TimelineSamples: 32,
-			Live: live, LiveName: "test/sweep", Progress: prog,
+			Workers: workers, Probe: true, TimelineInterval: 100,
+			Live: live, LiveName: "test/sweep",
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, live, prog
+		return res, live
 	}
 
-	serial, sLive, sProg := run(1)
+	serial, sLive := run(1)
 	if serial.Timeline == nil || len(serial.Timeline.Samples) == 0 {
 		t.Fatal("sweep with TimelineInterval returned no merged timeline")
 	}
-	if names := sLive.Names(); len(names) != len(loads) || names[0] != "test/sweep/load=0.1" {
+	if names := sLive.TimelineNames(); len(names) != len(loads) || names[0] != "test/sweep/load=0.1" {
 		t.Fatalf("live registrations wrong: %v", names)
 	}
-	if s := sProg.Snapshot(); s.Total != int64(len(loads)) || s.Done != int64(len(loads)) {
+	if s := sLive.Progress(); s.Total != int64(len(loads)) || s.Done != int64(len(loads)) {
 		t.Errorf("progress %d/%d, want %d/%d", s.Done, s.Total, len(loads), len(loads))
 	}
 	sj, err := json.Marshal(serial)
@@ -188,7 +186,7 @@ func TestSweepTimelineParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, 0} {
-		par, pLive, _ := run(workers)
+		par, pLive := run(workers)
 		pj, err := json.Marshal(par)
 		if err != nil {
 			t.Fatal(err)
@@ -197,8 +195,8 @@ func TestSweepTimelineParallelMatchesSerial(t *testing.T) {
 			t.Errorf("workers=%d: sweep JSON (points + timeline) diverges from serial", workers)
 		}
 		// The per-point live series must match the serial run's too.
-		slj, _ := json.Marshal(sLive.Snapshot())
-		plj, _ := json.Marshal(pLive.Snapshot())
+		slj, _ := json.Marshal(sLive.Timelines())
+		plj, _ := json.Marshal(pLive.Timelines())
 		if string(slj) != string(plj) {
 			t.Errorf("workers=%d: live per-point timelines diverge from serial", workers)
 		}

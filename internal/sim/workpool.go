@@ -28,10 +28,10 @@ type Pool struct {
 	// labels; pass one carrying an experiment label and profile samples
 	// keep it. It is used only for labels; cancellation is not observed.
 	Ctx context.Context
-	// Progress, when non-nil, receives the item total up front, each
+	// Live, when non-nil, receives the item total up front, each
 	// worker's current item while it runs, and a tick per finished
 	// item, failed or not.
-	Progress *obs.Progress
+	Live *obs.Live
 }
 
 // workers returns the number of worker goroutines for n items.
@@ -63,8 +63,8 @@ func (p Pool) Each(name string, n int, order []int, newWorker func() func(i int)
 	if n <= 0 {
 		return nil
 	}
-	if p.Progress != nil {
-		p.Progress.AddTotal(n)
+	if p.Live != nil {
+		p.Live.AddTotal(n)
 	}
 	errs := make([]error, n)
 	workers := p.workers(n)
@@ -111,24 +111,24 @@ func (p Pool) Each(name string, n int, order []int, newWorker func() func(i int)
 	return nil
 }
 
-// workerName is worker w's key in Progress; it is built only when there
-// is a Progress to report to, so a pool without one allocates nothing
-// per worker or item.
+// workerName is worker w's key in Live; it is built only when there
+// is a Live to report to, so a pool without one allocates nothing per
+// worker or item.
 func (p Pool) workerName(name string, w int) string {
-	if p.Progress == nil {
+	if p.Live == nil {
 		return ""
 	}
 	return name + "/w" + strconv.Itoa(w)
 }
 
-// item runs item i on a worker, publishing the assignment to Progress
+// item runs item i on a worker, publishing the assignment to Live
 // around it, and turns a panic into an error that names the item.
 func (p Pool) item(name, worker string, i int, run func(i int) error) (err error) {
-	if p.Progress != nil {
-		p.Progress.SetWorker(worker, fmt.Sprintf("%s/point=%d", name, i))
+	if p.Live != nil {
+		p.Live.SetWorker(worker, fmt.Sprintf("%s/point=%d", name, i))
 		defer func() {
-			p.Progress.SetWorker(worker, "")
-			p.Progress.PointDone()
+			p.Live.SetWorker(worker, "")
+			p.Live.PointDone()
 		}()
 	}
 	defer func() {
