@@ -62,13 +62,16 @@ fmt:
 # cmd/wsswitch joins them for the -http server: its handlers read the
 # one obs.Live that pool workers write, and TestServerEndpointsDuringRun
 # polls every endpoint mid-run (about 17 s of test time on a 2-core
-# host). The last line repeats the pool's own tests ten times: several
-# goroutines reach its error slots, its dispatch counter and the Live
-# calls, and one pass can miss an interleaving.
+# host). The last line repeats the pool's own tests ten times, and the
+# Sweeps tests with them (about 28 s of test time on a 2-core host):
+# several goroutines reach the pool's error slots, its dispatch counter
+# and the Live calls, and Sweeps' workers write into the per-series
+# result slots of every series at once; one pass can miss an
+# interleaving.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/obs/... ./cmd/wsswitch/
 	$(GO) test -race -short ./internal/expt/... ./internal/mapping/... ./internal/core/...
-	$(GO) test -race -count=10 -run 'TestPoolEach|TestPoolOneWorker|TestSweepRecoversPanics' ./internal/sim/ ./internal/expt/
+	$(GO) test -race -count=10 -run 'TestPoolEach|TestPoolOneWorker|TestSweepRecoversPanics|TestSweeps' ./internal/sim/ ./internal/expt/
 
 # fuzz-smoke gives each differential fuzz target a short budget on top
 # of the committed seed corpus: FuzzSimEquivalence diffs the optimized

@@ -290,13 +290,16 @@ func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 4) }
 // steady-state allocation floor (per-point slices, injectors, stats).
 func BenchmarkSweepReuse(b *testing.B) {
 	build, injf, loads := sweepFixture(b)
-	rb := sim.ReusableBuilder(build)
-	if _, err := rb(); err != nil { // warm the network outside the timer
+	n, err := build() // warm the network outside the timer
+	if err != nil {
 		b.Fatal(err)
 	}
+	// reuse hands out the one network, Reset to its built state.
+	base := n.BaseSeed()
+	reuse := func() (*sim.Network, error) { n.Reset(base); return n, nil }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Sweep(rb, injf, loads, sim.SweepOptions{Workers: 1})
+		res, err := sim.Sweep(reuse, injf, loads, sim.SweepOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -138,8 +138,7 @@ func (s *server) timeline(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if name := r.URL.Query().Get("name"); name != "" {
-		snaps := s.live.Timelines()
-		snap, ok := snaps[name]
+		snap, ok := s.live.Timeline(name)
 		if !ok {
 			http.Error(w, fmt.Sprintf("unknown timeline %q (see /timeline for all)", name), http.StatusNotFound)
 			return

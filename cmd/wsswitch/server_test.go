@@ -143,6 +143,13 @@ func TestServerEndpointsDuringRun(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &one); err != nil {
 		t.Fatalf("single-series /timeline not valid JSON: %v", err)
 	}
+	// The run is over, so the series is final: the named request serves
+	// exactly its entry of the full listing.
+	oneJSON, _ := json.Marshal(&one)
+	allJSON, _ := json.Marshal(all[name])
+	if string(oneJSON) != string(allJSON) {
+		t.Errorf("/timeline?name=%s differs from its /timeline entry:\n%s\n%s", name, oneJSON, allJSON)
+	}
 	if code, _ = get(t, srv, "/timeline?name=nope"); code != http.StatusNotFound {
 		t.Errorf("unknown series returned status %d, want 404", code)
 	}

@@ -17,8 +17,8 @@ import (
 var update = flag.Bool("update", false, "rewrite "+goldenFile+" from this run's tables")
 
 // goldenFile holds the sha256 of every experiment table's JSON at
-// Options{Quick: true, Seed: 1}, keyed by id, and of the goldenObserved
-// tables at observedOptions, keyed by id + observedKey.
+// Options{Quick: true, Seed: 1}, keyed by id, and of each goldenVariants
+// experiment's table at that variant's options, keyed by id + key.
 const goldenFile = "testdata/golden_quick_seed1.json"
 
 // goldenSkip names the experiments whose tables are not a pure function
@@ -27,26 +27,34 @@ var goldenSkip = map[string]string{
 	"ext-optimizers": "its table prints wall-clock milliseconds",
 }
 
-// goldenObserved names the simulator experiments hashed a second time
-// with every observer attached: their timeline, attribution and probe
-// attachments appear only then. ext-meshsim ignores these options, so
-// its default digest already covers it.
-var goldenObserved = map[string]bool{"fig21": true, "fig22": true, "fig24": true, "ext-tail": true}
-
-// observedOptions are the options of `wsswitch -quick -json -attribution
-// -timeline 200` (probes are on in -json mode), the figs workload of
-// wsbench. observedKey suffixes their golden keys and names their
-// subtests.
-var observedOptions = Options{Quick: true, Seed: 1, Probe: true, Attribution: true, TimelineInterval: 200}
-
-const observedKey = "/observed"
+// goldenVariants are the option sets some simulator experiments are
+// hashed at again; key suffixes their golden keys and, without its
+// slash, names their subtests.
+//   - "/observed" is `wsswitch -quick -json -attribution -timeline 200`
+//     (probes are on in -json mode), the figs workload of wsbench: the
+//     timeline, attribution and probe attachments appear only then.
+//     ext-meshsim ignores these options, so its default digest already
+//     covers it.
+//   - "/adaptive" is `wsswitch -quick -json -adaptive`: bisection in
+//     fig21, early abort in the sweeps of fig22 and fig24.
+//     fig23 stays out for time (3.1-3.4 s in this mode on two workers).
+var goldenVariants = []struct {
+	key  string
+	opts Options
+	ids  map[string]bool
+}{
+	{"/observed", Options{Quick: true, Seed: 1, Probe: true, Attribution: true, TimelineInterval: 200},
+		map[string]bool{"fig21": true, "fig22": true, "fig24": true, "ext-tail": true}},
+	{"/adaptive", Options{Quick: true, Seed: 1, Probe: true, Adaptive: true},
+		map[string]bool{"fig21": true, "fig22": true, "fig24": true}},
+}
 
 // TestAllExperimentsRun executes every registered experiment in Quick
 // mode, sanity-checks the output shape, and compares the sha256 of each
 // table's JSON with goldenFile, so any change to any experiment's output
-// names the experiments it moved; the goldenObserved ones are compared
-// again at observedOptions in an "observed" subtest. After an intended
-// output change, run
+// names the experiments it moved; the goldenVariants ones are compared
+// again at each variant's options in a subtest named after it. After an
+// intended output change, run
 //
 //	go test ./internal/expt -run TestAllExperimentsRun -update
 //
@@ -110,16 +118,25 @@ func TestAllExperimentsRun(t *testing.T) {
 			if out := tab.Render(); !strings.Contains(out, id) {
 				t.Error("Render() missing experiment id")
 			}
-			if goldenObserved[id] {
-				t.Run("observed", func(t *testing.T) { digest(t, id+observedKey, id, observedOptions) })
+			for _, v := range goldenVariants {
+				if v.ids[id] {
+					t.Run(v.key[1:], func(t *testing.T) { digest(t, id+v.key, id, v.opts) })
+				}
 			}
 		})
 	}
 	if *update {
 		for key := range golden {
-			id, observed := strings.CutSuffix(key, observedKey)
-			if _, ok := registry[id]; !ok || observed && !goldenObserved[id] {
-				delete(golden, key) // experiment or observed digest no longer wanted
+			id, variant, _ := strings.Cut(key, "/")
+			wanted := false
+			if _, ok := registry[id]; ok {
+				wanted = variant == ""
+				for _, v := range goldenVariants {
+					wanted = wanted || v.key == "/"+variant && v.ids[id]
+				}
+			}
+			if !wanted {
+				delete(golden, key) // experiment or variant digest no longer wanted
 			}
 		}
 		b, err := json.MarshalIndent(golden, "", "  ")

@@ -138,18 +138,24 @@ func extMeshSim(o Options) (*Table, error) {
 		f := fabrics[i]
 		terms := f.topo.ExternalPorts()
 		injf := sim.SyntheticInjector(traffic.Uniform(terms), 4)
-		// Both evaluations below are strictly serial (LatencyVsLoad runs
-		// Workers: 1), so one warm network serves the zero-load probe and
-		// every sweep point, Reset between runs instead of rebuilt.
-		build := sim.ReusableBuilder(func() (*sim.Network, error) { return sim.Build(f.topo, sim.ConstantLatency(1), cfg) })
-		zl, err := sim.ZeroLoadLatency(build, injf)
+		build := func() (*sim.Network, error) { return sim.Build(f.topo, sim.ConstantLatency(1), cfg) }
+		// The fabrics are the parallel axis; each runs its zero-load
+		// probe and its load sweep serially. All four series on one pool
+		// measured slower: the mesh's 0.3 point is long although its
+		// load is low, so longest-first dispatch starts it late.
+		name := "ext-meshsim/" + f.name
+		res, err := sim.Sweeps([]sim.Series{
+			{Name: name + "/zero_load", Build: build, Inject: injf, Loads: []float64{sim.ZeroLoad}},
+			{Name: name, Build: build, Inject: injf, Loads: loads},
+		}, sim.SweepOptions{Workers: 1, LiveName: name})
 		if err != nil {
 			return err
 		}
-		stats, err := sim.LatencyVsLoad(build, injf, loads)
+		zl, err := sim.ZeroLoadLatencyOf(res[0].Points[0].Stats)
 		if err != nil {
 			return err
 		}
+		stats := res[1].Stats()
 		rows[i] = []interface{}{f.name, terms, zl, sim.SaturationThroughput(stats), stats[0].P99Latency}
 		return nil
 	})
@@ -180,23 +186,24 @@ func extTailLatency(o Options) (*Table, error) {
 	wsCfg := o.waferscaleConfig(warm, measure, 16, 32, 4)
 	netCfg := o.baselineConfig(warm, measure, 16, 32, 4)
 	injf := sim.SyntheticInjector(traffic.Uniform(ports), 4)
-	for _, f := range []struct {
-		name string
-		cfg  sim.Config
-		lat  int
-	}{{"waferscale", wsCfg, 1}, {"discrete network", netCfg, 8}} {
-		n, err := sim.Build(cl, sim.ConstantLatency(f.lat), f.cfg)
-		if err != nil {
-			return nil, err
-		}
-		inj, err := injf(0.5)
-		if err != nil {
-			return nil, err
-		}
-		st := n.Run(inj, 0.5)
-		t.AddRow(f.name, st.AvgLatency, st.P50Latency, st.P99Latency, st.P999Latency)
-		if o.Probe {
-			t.Attach(f.name+"_latency", n.Snapshot().Latency)
+	names := []string{"waferscale", "discrete network"}
+	// One point per system, both on one pool. The table reads latencies
+	// only, so no observer is attached; the latency histogram is the
+	// one-point aggregate.
+	res, err := sim.Sweeps([]sim.Series{
+		{Name: "ext-tail/" + names[0], Build: func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(1), wsCfg) },
+			Inject: injf, Loads: []float64{0.5}},
+		{Name: "ext-tail/" + names[1], Build: func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(8), netCfg) },
+			Inject: injf, Loads: []float64{0.5}},
+	}, sim.SweepOptions{Workers: o.Workers, Ctx: o.ctx, Live: o.Live, LiveName: "ext-tail"})
+	if err != nil {
+		return nil, err
+	}
+	for k, r := range res {
+		st := r.Points[0].Stats
+		t.AddRow(names[k], st.AvgLatency, st.P50Latency, st.P99Latency, st.P999Latency)
+		if o.Probe && r.Aggregate != nil {
+			t.Attach(names[k]+"_latency", r.Aggregate.Latency)
 		}
 	}
 	return t, nil

@@ -95,11 +95,10 @@ func TestPoolEachRecoversPanics(t *testing.T) {
 	}
 }
 
-// Exhaustive fig21 nests its load sweeps in a cell grid. Under a live
-// feed each load point is counted once, by its own cell's sweep (the
-// grid's pool stays off the feed), so the point ledger matches the
-// timeline series the cells register: 2 buffers x 2 latencies x 2
-// loads at -quick.
+// Exhaustive fig21 runs every cell's load sweep as one series of a
+// single Sweeps call. Under a live feed each load point is counted once,
+// by that call's pool, so the point ledger matches the timeline series
+// the cells register: 2 buffers x 2 latencies x 2 loads at -quick.
 func TestFig21LiveCountsLoadPoints(t *testing.T) {
 	multicore(t)
 	live := &obs.Live{}
@@ -129,14 +128,16 @@ func smallSweep(t *testing.T, workers int) *sim.SweepResult {
 		WarmupCycles: 200, MeasureCycles: 400, Seed: 11,
 	}
 	o := Options{Probe: true, Workers: workers}
-	res, err := runSweep(o, "test/small",
-		func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(1), cfg) },
-		sim.SyntheticInjector(traffic.Uniform(128), 4),
-		[]float64{0.1, 0.25, 0.4, 0.55})
+	res, err := runSweeps(o, "test/small", []sim.Series{{
+		Name:   "test/small",
+		Build:  func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(1), cfg) },
+		Inject: sim.SyntheticInjector(traffic.Uniform(128), 4),
+		Loads:  []float64{0.1, 0.25, 0.4, 0.55},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res[0]
 }
 
 func TestParallelSweepRace(t *testing.T) {

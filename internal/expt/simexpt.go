@@ -103,14 +103,15 @@ func sweepAttach(t *Table, o Options, series string, res *sim.SweepResult) {
 	}
 }
 
-// runSweep executes one load sweep through the parallel sweep engine,
-// fanning load points across o.Workers goroutines, with probes when
-// o.Probe is set, timelines when o.TimelineInterval is set, and live
-// reporting when o.Live is wired to an introspection server. name
-// names the sweep's pool and keys its live entries (points append
-// "/load=<load>").
-func runSweep(o Options, name string, build sim.Builder, injf sim.InjectorFactory, loads []float64) (*sim.SweepResult, error) {
-	return sim.Sweep(build, injf, loads, sim.SweepOptions{
+// runSweeps runs an experiment's load sweeps on one sim.Sweeps call
+// whose pool is named name: every point of every series fans across
+// o.Workers goroutines, longest first, with probes when o.Probe is set,
+// timelines when o.TimelineInterval is set, early abort under
+// o.Adaptive, attribution under o.Attribution, and live reporting when
+// o.Live is wired to an introspection server. It returns one result per
+// series.
+func runSweeps(o Options, name string, series []sim.Series) ([]*sim.SweepResult, error) {
+	return sim.Sweeps(series, sim.SweepOptions{
 		Workers: o.Workers, Probe: o.Probe, Ctx: o.ctx,
 		TimelineInterval: o.TimelineInterval,
 		Live:             o.Live, LiveName: name,
@@ -198,25 +199,30 @@ func fig21(o Options) (*Table, error) {
 		if o.Attribution {
 			cells = make([]cellAttrib, len(sats))
 		}
-		// Each cell runs its load sweep serially and unprobed: the grid
-		// is the parallel axis. The sweeps report to o.Live and the grid
-		// does not, so each load point is counted once.
-		sweep, grid := o, o
-		sweep.Workers, sweep.Probe = 1, false
-		grid.Live = nil
-		err = grid.each("fig21", len(sats), func(idx int) error {
+		// Every cell's load sweep is one series of a single Sweeps call,
+		// unprobed, so the whole grid's points share one pool.
+		sweep := o
+		sweep.Probe = false
+		injf := sim.SyntheticInjector(traffic.Uniform(ports), 4)
+		series := make([]sim.Series, len(sats))
+		for idx := range series {
 			buf, lat := buffers[idx/len(lats)], lats[idx%len(lats)]
 			cfg := o.waferscaleConfig(warm, measure, 8, buf, 4)
-			build := func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(lat), cfg) }
-			res, err := runSweep(sweep, fmt.Sprintf("fig21/buf=%d/lat=%d", buf, lat), build,
-				sim.SyntheticInjector(traffic.Uniform(ports), 4), loads)
-			if err != nil {
-				return err
+			series[idx] = sim.Series{
+				Name:   fmt.Sprintf("fig21/buf=%d/lat=%d", buf, lat),
+				Build:  func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(lat), cfg) },
+				Inject: injf, Loads: loads,
 			}
-			sats[idx] = sim.SaturationThroughput(res.Stats())
+		}
+		res, err := runSweeps(sweep, "fig21", series)
+		if err != nil {
+			return nil, err
+		}
+		for idx, r := range res {
+			sats[idx] = sim.SaturationThroughput(r.Stats())
 			if o.Attribution {
-				cell := cellAttrib{Buffer: buf, LinkLat: lat, Attribution: res.Attribution}
-				for _, p := range res.Points {
+				cell := cellAttrib{Buffer: buffers[idx/len(lats)], LinkLat: lats[idx%len(lats)], Attribution: r.Attribution}
+				for _, p := range r.Points {
 					if p.PostMortem != "" {
 						cell.PostMortems = append(cell.PostMortems, p.PostMortem)
 					}
@@ -226,10 +232,6 @@ func fig21(o Options) (*Table, error) {
 				}
 				cells[idx] = cell
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 		if o.Attribution {
 			t.Attach("attribution_cells", cells)
@@ -274,14 +276,16 @@ func fig22(o Options) (*Table, error) {
 	prop := base
 	prop.RCIngress, prop.RCOther = 2, 1
 	injf := sim.SyntheticInjector(traffic.Uniform(ports), 4)
-	rBase, err := runSweep(o, "fig22/baseline", func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(1), base) }, injf, o.simLoads())
+	res, err := runSweeps(o, "fig22", []sim.Series{
+		{Name: "fig22/baseline", Build: func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(1), base) },
+			Inject: injf, Loads: o.simLoads()},
+		{Name: "fig22/proprietary", Build: func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(1), prop) },
+			Inject: injf, Loads: o.simLoads()},
+	})
 	if err != nil {
 		return nil, err
 	}
-	rProp, err := runSweep(o, "fig22/proprietary", func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(1), prop) }, injf, o.simLoads())
-	if err != nil {
-		return nil, err
-	}
+	rBase, rProp := res[0], res[1]
 	sBase, sProp := rBase.Stats(), rProp.Stats()
 	for i := range sBase {
 		t.AddRow(sBase[i].Offered, sBase[i].AvgLatency, sProp[i].AvgLatency,
@@ -321,27 +325,40 @@ func fig23(o Options) (*Table, error) {
 	}
 	wsCfg := o.waferscaleConfig(warm, measure, 16, 32, 4)
 	netCfg := o.baselineConfig(warm, measure, 16, 32, 4)
-	var wsZeroUniform, netZeroUniform float64
+	wsBuild := func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(1), wsCfg) }
+	netBuild := func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(8), netCfg) }
+	// Four series per pattern, all on one Sweeps call: each system's
+	// zero-load probe (one point at sim.ZeroLoad, seeded like a
+	// standalone run) and its load sweep.
+	var series []sim.Series
 	for _, pat := range pats {
 		injf := sim.SyntheticInjector(pat, 4)
-		wsBuild := func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(1), wsCfg) }
-		netBuild := func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(8), netCfg) }
-		wsZL, err := sim.ZeroLoadLatency(wsBuild, injf)
+		for _, sys := range []struct {
+			name  string
+			build sim.Builder
+		}{{"waferscale_", wsBuild}, {"network_", netBuild}} {
+			name := "fig23/" + sys.name + pat.Name
+			series = append(series,
+				sim.Series{Name: name + "/zero_load", Build: sys.build, Inject: injf, Loads: []float64{sim.ZeroLoad}},
+				sim.Series{Name: name, Build: sys.build, Inject: injf, Loads: o.simLoads()})
+		}
+	}
+	res, err := runSweeps(o, "fig23", series)
+	if err != nil {
+		return nil, err
+	}
+	var wsZeroUniform, netZeroUniform float64
+	for k, pat := range pats {
+		r := res[4*k : 4*k+4] // waferscale zero-load, sweep; network zero-load, sweep
+		wsZL, err := sim.ZeroLoadLatencyOf(r[0].Points[0].Stats)
 		if err != nil {
 			return nil, err
 		}
-		netZL, err := sim.ZeroLoadLatency(netBuild, injf)
+		netZL, err := sim.ZeroLoadLatencyOf(r[2].Points[0].Stats)
 		if err != nil {
 			return nil, err
 		}
-		wsRes, err := runSweep(o, "fig23/waferscale_"+pat.Name, wsBuild, injf, o.simLoads())
-		if err != nil {
-			return nil, err
-		}
-		netRes, err := runSweep(o, "fig23/network_"+pat.Name, netBuild, injf, o.simLoads())
-		if err != nil {
-			return nil, err
-		}
+		wsRes, netRes := r[1], r[3]
 		if pat.Name == "uniform" {
 			wsZeroUniform, netZeroUniform = wsZL, netZL
 		}
@@ -384,16 +401,21 @@ func fig24(o Options) (*Table, error) {
 	// injection-limited.
 	wsCfg := o.waferscaleConfig(warm, measure, 16, 24, 4)
 	netCfg := o.baselineConfig(warm, measure, 16, 24, 4)
+	wsBuild := func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(1), wsCfg) }
+	netBuild := func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(8), netCfg) }
+	var series []sim.Series
 	for _, trc := range traces {
 		injf := sim.TraceInjectorFactory(trc)
-		wsRes, err := runSweep(o, "fig24/waferscale_"+trc.Name, func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(1), wsCfg) }, injf, o.simLoads())
-		if err != nil {
-			return nil, err
-		}
-		netRes, err := runSweep(o, "fig24/network_"+trc.Name, func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(8), netCfg) }, injf, o.simLoads())
-		if err != nil {
-			return nil, err
-		}
+		series = append(series,
+			sim.Series{Name: "fig24/waferscale_" + trc.Name, Build: wsBuild, Inject: injf, Loads: o.simLoads()},
+			sim.Series{Name: "fig24/network_" + trc.Name, Build: netBuild, Inject: injf, Loads: o.simLoads()})
+	}
+	res, err := runSweeps(o, "fig24", series)
+	if err != nil {
+		return nil, err
+	}
+	for k, trc := range traces {
+		wsRes, netRes := res[2*k], res[2*k+1]
 		sweepAttach(t, o, "waferscale_"+trc.Name, wsRes)
 		sweepAttach(t, o, "network_"+trc.Name, netRes)
 		ws, net := sim.SaturationThroughput(wsRes.Stats()), sim.SaturationThroughput(netRes.Stats())

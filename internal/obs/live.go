@@ -161,6 +161,18 @@ func (l *Live) Timelines() map[string]*TimelineSnapshot {
 	return out
 }
 
+// Timeline materializes the one timeline attached under name, and
+// reports whether there is one.
+func (l *Live) Timeline(name string) (*TimelineSnapshot, bool) {
+	l.mu.Lock()
+	t, ok := l.tls[name]
+	l.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	return t.Snapshot(), true
+}
+
 // Attribution materializes the live aggregate, keeping the topN
 // most-blamed routers and channels (nil before the first
 // AddAttribution).

@@ -89,6 +89,12 @@ func TestLiveTimelineRegistry(t *testing.T) {
 	if s := snaps["fig21/buf=8/lat=1/load=0.9"]; len(s.Samples) != 0 {
 		t.Errorf("unfed series has %d samples, want 0", len(s.Samples))
 	}
+	if one, ok := l.Timeline("fig21/buf=8/lat=1/load=0.5"); !ok || !reflect.DeepEqual(one, snaps["fig21/buf=8/lat=1/load=0.5"]) {
+		t.Errorf("Timeline(name) = %v, %v; want its Timelines entry", one, ok)
+	}
+	if one, ok := l.Timeline("fig21/buf=8/lat=1/load=0.7"); ok || one != nil {
+		t.Errorf("Timeline(unknown) = %v, %v; want nil, false", one, ok)
+	}
 	l.AttachTimeline("fig21/buf=8/lat=1/load=0.5", b) // the latest attach wins
 	if s := l.Timelines()["fig21/buf=8/lat=1/load=0.5"]; len(s.Samples) != 0 {
 		t.Errorf("replaced series has %d samples, want 0", len(s.Samples))

@@ -208,7 +208,7 @@ func (n *Network) atComplete(pkt int32, pi *packetInfo, lat float64) {
 				n.now, total, pkt, lat)
 		}
 	}
-	if !pi.measured {
+	if !n.inWindow(pi.born) {
 		return
 	}
 	a := at.a

@@ -20,12 +20,14 @@ func ConstantLatency(cycles int) LinkLatency {
 	return func(a, b int) int { return cycles }
 }
 
-// pendingPkt is a generated but not yet fully injected packet.
+// pendingPkt is a generated but not yet fully injected packet: 16
+// bytes, so a saturated point's backlog (most of its heap) costs two
+// words per packet. Whether it is measured follows from born (see
+// Network.inWindow).
 type pendingPkt struct {
-	dst      int32
-	size     int32
-	born     int64
-	measured bool
+	dst  int32
+	size int32
+	born int64
 }
 
 // Network is a simulable switch fabric instantiated from a logical

@@ -101,28 +101,3 @@ func (n *Network) Reset(seed int64) {
 	n.initTermRng(seed)
 	clear(n.termSeq)
 }
-
-// ReusableBuilder wraps build into a Builder that constructs one
-// network on first call and Resets it back to the built state on every
-// later call — the drop-in upgrade for serial evaluation loops that
-// call their Builder once per point (ZeroLoadLatency + LatencyVsLoad
-// pairs, bisection searches). The returned Builder hands out the same
-// *Network every time, so it must only be used where evaluations are
-// strictly sequential; parallel sweeps manage per-worker networks
-// themselves (see Sweep).
-func ReusableBuilder(build Builder) Builder {
-	var n *Network
-	var base int64
-	return func() (*Network, error) {
-		if n == nil {
-			nn, err := build()
-			if err != nil {
-				return nil, err
-			}
-			n, base = nn, nn.BaseSeed()
-			return n, nil
-		}
-		n.Reset(base)
-		return n, nil
-	}
-}

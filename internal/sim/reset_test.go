@@ -234,12 +234,12 @@ func TestRouteCacheShared(t *testing.T) {
 }
 
 // TestSweepReuseAllocs is the differential allocation gate on warm
-// sweeps: once a ReusableBuilder's network is warm (built and swept
-// once, so every internal slice has reached steady capacity), a further
-// identical sweep must allocate almost nothing — no Build, no Reset
-// allocations, just the sweep engine's per-point result slices and the
-// boxed per-point injectors — and in particular far less than a cold
-// sweep that constructs its worker network.
+// sweeps: once a network is warm (built and swept once, so every
+// internal slice has reached steady capacity), a further identical
+// sweep served by Resetting it must allocate almost nothing — no Build,
+// no Reset allocations, just the sweep engine's per-point result slices
+// and the boxed per-point injectors — and in particular far less than a
+// cold sweep that constructs its worker network.
 func TestSweepReuseAllocs(t *testing.T) {
 	top := testClos(t)
 	cfg := shortTestConfig()
@@ -268,9 +268,15 @@ func TestSweepReuseAllocs(t *testing.T) {
 	}
 
 	cold := mallocs(sweep(build))
-	rb := ReusableBuilder(build)
-	sweep(rb)() // warm: build the network and let every slice reach steady capacity
-	warm := mallocs(sweep(rb))
+	n, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// reuse hands out the one network, Reset to its built state.
+	base := n.BaseSeed()
+	reuse := func() (*Network, error) { n.Reset(base); return n, nil }
+	sweep(reuse)() // warm: let every slice reach steady capacity
+	warm := mallocs(sweep(reuse))
 	if warm*4 > cold {
 		t.Errorf("warm sweep allocated %d objects vs %d cold; reuse must eliminate per-sweep construction", warm, cold)
 	}

@@ -691,7 +691,7 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 	} else {
 		// Terminal ejection: the flit leaves through the egress pipeline
 		// and the host link.
-		if n.now >= n.measStart && n.now < n.measEnd {
+		if n.inWindow(n.now) {
 			n.ejectedFlits++
 		}
 		if n.probe != nil {
@@ -754,6 +754,15 @@ func (n *Network) postCred(j int32) {
 	n.ringCredM[j>>6] |= uint64(1) << (j & 63)
 }
 
+// inWindow reports whether cycle c lies in the measurement window. A
+// packet is measured when it is born there, and counts from birth:
+// source-queue time is part of its latency, and a saturated network
+// whose backlog never injects must not report a clean drain. The window
+// is fixed for a whole Run, so inWindow(born) is the flag the packet
+// had at birth, and neither the source queue nor the packet table
+// stores it.
+func (n *Network) inWindow(c int64) bool { return c >= n.measStart && c < n.measEnd }
+
 // completePacket records the packet's latency (including the egress
 // pipeline and host link it still has to traverse) and frees its table
 // entry.
@@ -763,7 +772,8 @@ func (n *Network) completePacket(pkt int32) {
 	if n.at != nil {
 		n.atComplete(pkt, pi, lat)
 	}
-	if pi.measured {
+	measured := n.inWindow(pi.born)
+	if measured {
 		n.latHist.Observe(lat)
 		n.completed++
 	}
@@ -779,7 +789,7 @@ func (n *Network) completePacket(pkt int32) {
 	if n.deliveries != nil {
 		n.deliveries = append(n.deliveries, Delivery{
 			Src: pi.src, Dst: pi.dst, Size: pi.size,
-			Born: pi.born, Done: n.now, Measured: pi.measured,
+			Born: pi.born, Done: n.now, Measured: measured,
 		})
 	}
 	n.freePkts = append(n.freePkts, pkt)
@@ -800,12 +810,8 @@ func (n *Network) inject(inj Injector) {
 // births gives every terminal below maxPendingPerTerm its chance of a
 // new packet. RateInjector's Bernoulli trial is drawn inline from the
 // terminal's stream (see bernoulli), which saves an interface call per
-// terminal-cycle; any other injector gets its Generate call. Packets
-// born in the measurement window count as measured immediately —
-// source-queue time is part of their latency, and a saturated network
-// whose backlog never injects must not report a clean drain.
+// terminal-cycle; any other injector gets its Generate call.
 func (n *Network) births(inj Injector) {
-	measured := n.now >= n.measStart && n.now < n.measEnd
 	ri, inline := inj.(RateInjector)
 	p := ri.Load / float64(ri.PacketFlits)
 	for t := 0; t < n.T; t++ {
@@ -815,10 +821,10 @@ func (n *Network) births(inj Injector) {
 		}
 		if inline {
 			if bernoulli(&n.termSrc[t], p) {
-				n.enqueue(t, ri.Pattern.Dest(t, n.termRng[t]), ri.PacketFlits, measured)
+				n.enqueue(t, ri.Pattern.Dest(t, n.termRng[t]), ri.PacketFlits)
 			}
 		} else if dst, flits, ok := inj.Generate(t, n.now, n.termRng[t]); ok {
-			n.enqueue(t, dst, flits, measured)
+			n.enqueue(t, dst, flits)
 		}
 	}
 }
@@ -844,18 +850,16 @@ func bernoulli(src *splitmix64, p float64) bool {
 // bound: a full queue at least half dead is compacted first — each copy
 // frees cap/2 appends' worth of room, keeping the amortized cost O(1)
 // per packet while bounding capacity at ~2x the pending cap.
-func (n *Network) enqueue(t, dst, flits int, measured bool) {
+func (n *Network) enqueue(t, dst, flits int) {
 	q := n.srcQ[t]
 	if head := int(n.srcQHead[t]); len(q) == cap(q) && head >= cap(q)/2 {
 		q = q[:copy(q, q[head:])]
 		n.srcQHead[t] = 0
 	}
-	if measured {
+	if n.inWindow(n.now) {
 		n.measuredBorn++
 	}
-	n.srcQ[t] = append(q, pendingPkt{
-		dst: int32(dst), size: int32(flits), born: n.now, measured: measured,
-	})
+	n.srcQ[t] = append(q, pendingPkt{dst: int32(dst), size: int32(flits), born: n.now})
 	n.srcPendM[t>>6] |= uint64(1) << (t & 63)
 }
 
@@ -925,10 +929,7 @@ func (n *Network) allocPacket(t int, pp *pendingPkt) int32 {
 		n.pktSalt = append(n.pktSalt, 0)
 		pkt = int32(len(n.pkts) - 1)
 	}
-	n.pkts[pkt] = packetInfo{
-		src: int32(t), dst: pp.dst, size: pp.size,
-		born: pp.born, measured: pp.measured,
-	}
+	n.pkts[pkt] = packetInfo{src: int32(t), dst: pp.dst, size: pp.size, born: pp.born}
 	n.pktRoute[pkt] = n.destRouter[pp.dst] | n.egressPort[pp.dst]<<16
 	n.pktSalt[pkt] = PacketSalt(int32(t), n.termSeq[t])
 	n.termSeq[t]++

@@ -95,7 +95,7 @@ func FindSaturation(build Builder, injf InjectorFactory, opt SaturationSearchOpt
 	// evaluation.
 	var wn workerNet
 	eval := func(load float64) (Stats, error) {
-		n, err := wn.get(build, res.Evaluations)
+		n, err := wn.get(build, 0, res.Evaluations)
 		if err != nil {
 			return Stats{}, err
 		}

@@ -216,7 +216,6 @@ type packetInfo struct {
 	src, dst int32
 	size     int32
 	born     int64
-	measured bool
 }
 
 // Stats is the outcome of one simulation run. The struct is comparable

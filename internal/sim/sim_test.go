@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"waferswitch/internal/ssc"
 	"waferswitch/internal/topo"
@@ -51,6 +52,19 @@ func testConfig() Config {
 		NumVCs: 4, BufPerPort: 32, PacketFlits: 4,
 		RCIngress: 2, RCOther: 1, PipeDelay: 3, TermDelay: 8,
 		WarmupCycles: 1000, MeasureCycles: 2000, Seed: 7,
+	}
+}
+
+// A saturated point's heap is mostly its source queues, so their entry
+// stays two words; the packet table's entry stays three. Neither
+// stores whether the packet is measured: that follows from its birth
+// cycle (Network.inWindow).
+func TestPacketRecordSizes(t *testing.T) {
+	if s := unsafe.Sizeof(pendingPkt{}); s != 16 {
+		t.Errorf("pendingPkt is %d bytes, want 16", s)
+	}
+	if s := unsafe.Sizeof(packetInfo{}); s != 24 {
+		t.Errorf("packetInfo is %d bytes, want 24", s)
 	}
 }
 

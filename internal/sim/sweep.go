@@ -11,37 +11,42 @@ import (
 )
 
 // Builder constructs a network for one run. A Run consumes the
-// network's state; run it again only after Network.Reset (which the
-// sweep engines do internally — each worker builds once and Resets
-// between points), or wrap a build with ReusableBuilder for serial
-// evaluation loops.
+// network's state; run it again only after Network.Reset, which the
+// sweep engine does internally: each worker keeps one network and
+// Resets it between points of the same series.
 type Builder func() (*Network, error)
 
-// workerNet is one sweep worker's reusable network: built on the
-// worker's first point, Reset to pristine for every later point. base
-// is the builder's configured seed, captured at build time — Reseed and
-// Reset overwrite cfg.Seed, so per-point seeds must always derive from
-// the original via PointSeed.
+// workerNet is one sweep worker's warm network: built for the worker's
+// first point of a series, Reset to pristine for each later point of
+// that series, and dropped for a new build when the worker moves to
+// another series. A worker holds one network, not one per series: a
+// saturated point leaves its source queues grown, and keeping those of
+// every series a worker has visited would hold the heaviest points'
+// backlogs at once. base is the builder's configured seed, captured at
+// build time — Reseed and Reset overwrite cfg.Seed, so per-point seeds
+// must always derive from the original via PointSeed.
 type workerNet struct {
-	n    *Network
-	base int64
+	n      *Network
+	base   int64
+	series int
 }
 
-// get returns the worker's network ready to run point i: seeded with
-// PointSeed(base, i) and otherwise indistinguishable from a fresh
-// build.
-func (w *workerNet) get(build Builder, i int) (*Network, error) {
-	if w.n == nil {
-		n, err := build()
-		if err != nil {
-			return nil, err
-		}
-		w.n, w.base = n, n.BaseSeed()
-		n.Reseed(PointSeed(w.base, i))
-		return n, nil
+// get returns the worker's network ready to run point i of series s:
+// seeded with PointSeed(base, i) and otherwise indistinguishable from a
+// fresh build.
+func (w *workerNet) get(build Builder, s, i int) (*Network, error) {
+	if w.n != nil && w.series == s {
+		w.n.Reset(PointSeed(w.base, i))
+		return w.n, nil
 	}
-	w.n.Reset(PointSeed(w.base, i))
-	return w.n, nil
+	w.n = nil // let the old network go before building the next
+	n, err := build()
+	if err != nil {
+		return nil, err
+	}
+	w.n, w.base, w.series = n, n.BaseSeed(), s
+	n.Reseed(PointSeed(w.base, i))
+	return n, nil
 }
 
 // InjectorFactory builds an injector for a given offered load in
@@ -91,7 +96,8 @@ type SweepPoint struct {
 	PostMortem   string                  `json:"post_mortem,omitempty"`
 }
 
-// SweepOptions configures a Sweep.
+// SweepOptions configures a Sweep or Sweeps call; its observers apply
+// to every point of every series.
 type SweepOptions struct {
 	// Workers bounds the goroutines running sweep points (see
 	// Pool.Workers); 1 runs serially on the calling goroutine. Results
@@ -114,8 +120,8 @@ type SweepOptions struct {
 	// into: the pool's point total, current points and ticks (see
 	// Pool.Live), each point's sampler before the point runs, and each
 	// completed point's attribution and backpressure report. Points are
-	// keyed "LiveName/load=<load>"; LiveName also names the sweep's
-	// worker pool.
+	// keyed "<series name>/load=<load>"; LiveName names the worker pool,
+	// and is Sweep's series name too.
 	Live     *obs.Live
 	LiveName string
 
@@ -164,110 +170,168 @@ func (r *SweepResult) Stats() []Stats {
 	return out
 }
 
-// Sweep runs the network at each offered load, fanning points across a
-// worker Pool named opt.LiveName ("sweep" when empty). Each worker
-// builds one Network on its first point and Resets it between points
-// (reseeding with PointSeed), and each point gets its own collector, so
-// workers share nothing mutable; build and injf must therefore be safe
-// for concurrent use, which the stock builders and injector factories
-// are. Results are bit-identical to building fresh per point: Reset
-// provably rewinds to the built state, and every point's traffic
-// depends only on its PointSeed.
+// Series is one load sweep of a Sweeps call: Build constructs its
+// network, Inject makes its traffic at each of Loads, and Name keys its
+// live entries ("<Name>/load=<load>").
+type Series struct {
+	Name   string
+	Build  Builder
+	Inject InjectorFactory
+	Loads  []float64
+}
+
+// Sweep runs the network at each offered load: Sweeps with one series
+// named opt.LiveName, on a pool of the same name ("sweep" when empty).
 func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOptions) (*SweepResult, error) {
-	points := make([]SweepPoint, len(loads))
-	colls := make([]*obs.Collector, len(loads))
-	hists := make([]obs.Histogram, len(loads))
-	tls := make([]*obs.Timeline, len(loads))
-	ats := make([]*obs.Attribution, len(loads))
-
-	runPoint := func(w *workerNet, i int) error {
-		n, err := w.get(build, i)
-		if err != nil {
-			return err
-		}
-		var key string
-		if opt.Live != nil {
-			key = fmt.Sprintf("%s/load=%g", opt.LiveName, loads[i])
-		}
-		n.SetAbort(opt.Abort)
-		inj, err := injf(loads[i])
-		if err != nil {
-			return err
-		}
-		if opt.Probe {
-			if err := n.AttachProbe(n.NewProbe()); err != nil {
-				return err
-			}
-		}
-		if opt.TimelineInterval > 0 {
-			tls[i] = obs.NewTimeline(opt.TimelineInterval, 0)
-			n.AttachTimeline(tls[i])
-			if opt.Live != nil {
-				opt.Live.AttachTimeline(key, tls[i])
-			}
-		}
-		if opt.Attribution {
-			ats[i] = n.NewAttribution()
-			if err := n.AttachAttribution(ats[i]); err != nil {
-				return err
-			}
-		}
-		st := n.Run(inj, loads[i])
-		points[i] = SweepPoint{Stats: st}
-		if opt.Probe {
-			points[i].Probe = n.Snapshot()
-			colls[i] = n.probe
-		}
-		if opt.Attribution {
-			points[i].Backpressure = n.Backpressure()
-			points[i].PostMortem = n.SaturationPostMortem(st)
-			if opt.Live != nil {
-				if err := opt.Live.AddAttribution(key, ats[i], points[i].Backpressure); err != nil {
-					return err
-				}
-			}
-		}
-		hists[i] = n.LatencyHistogram()
-		return nil
+	res, err := Sweeps([]Series{{Name: opt.LiveName, Build: build, Inject: injf, Loads: loads}}, opt)
+	if err != nil {
+		return nil, err
 	}
+	return res[0], nil
+}
 
-	// Longest first: a point's run time grows with its offered load, so
-	// parallel workers take points in descending load order (ties in
-	// index order). Handing out the highest loads last would leave the
-	// other workers idle while one finishes the sweep's longest point.
-	// Results stay slotted by index, so the order is unobservable.
-	order := make([]int, len(loads))
-	for i := range order {
-		order[i] = i
+// Sweeps runs every point of every series on one worker Pool named
+// opt.LiveName ("sweep" when empty), so no worker idles at the end of
+// one series while another still has points to run, and returns one
+// result per series. Points are handed out longest first: a point's
+// run time grows with its offered load, so workers take them in
+// descending load, ties in series order and then point order. Each
+// worker keeps one warm network (see workerNet) and each point gets its
+// own collectors, so workers share nothing mutable; every Build and
+// Inject must be safe for concurrent use, which the stock builders and
+// injector factories are. A point's result depends only on its series'
+// builder and injector, its load and PointSeed, and each series is
+// reduced in ascending point order after the barrier, so results are
+// bit-identical to building fresh per point, for any worker count and
+// any mix of series. With one worker, points run in series order.
+func Sweeps(series []Series, opt SweepOptions) ([]*SweepResult, error) {
+	type ref struct{ s, i int } // series, point within it
+	var refs []ref
+	runs := make([]sweepRun, len(series))
+	for s, sr := range series {
+		runs[s] = sweepRun{points: make([]SweepPoint, len(sr.Loads)), outs: make([]pointOut, len(sr.Loads))}
+		for i := range sr.Loads {
+			refs = append(refs, ref{s, i})
+		}
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(loads[b], loads[a]) })
+	load := func(g int) float64 { return series[refs[g].s].Loads[refs[g].i] }
+	order := make([]int, len(refs))
+	for g := range order {
+		order[g] = g
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(load(b), load(a)) })
 	name := opt.LiveName
 	if name == "" {
 		name = "sweep"
 	}
 	pool := Pool{Workers: opt.Workers, Ctx: opt.Ctx, Live: opt.Live}
-	if err := pool.Each(name, len(loads), order, func() func(int) error {
+	if err := pool.Each(name, len(refs), order, func() func(int) error {
 		var wn workerNet
-		return func(i int) error { return runPoint(&wn, i) }
+		return func(g int) error {
+			r := refs[g]
+			return runs[r.s].runPoint(&wn, &series[r.s], r.s, r.i, opt)
+		}
 	}); err != nil {
 		return nil, err
 	}
+	out := make([]*SweepResult, len(series))
+	for s := range runs {
+		res, err := runs[s].reduce(opt)
+		if err != nil {
+			return nil, err
+		}
+		out[s] = res
+	}
+	return out, nil
+}
 
-	// Reduction. Always in ascending point order on this goroutine, so
-	// the merged result is independent of worker scheduling.
-	res := &SweepResult{Points: points}
+// sweepRun holds one series' per-point results. Each slot is written by
+// the worker that ran the point and read by reduce after the barrier.
+type sweepRun struct {
+	points []SweepPoint
+	outs   []pointOut
+}
+
+// pointOut is what reduce merges of a point besides its SweepPoint.
+type pointOut struct {
+	coll *obs.Collector
+	hist obs.Histogram
+	tl   *obs.Timeline
+	at   *obs.Attribution
+}
+
+// runPoint runs point i of series s (sr) on the worker's network with
+// the observers opt asks for, and stores its results in slot i.
+func (r *sweepRun) runPoint(w *workerNet, sr *Series, s, i int, opt SweepOptions) error {
+	n, err := w.get(sr.Build, s, i)
+	if err != nil {
+		return err
+	}
+	load, out := sr.Loads[i], &r.outs[i]
+	var key string
+	if opt.Live != nil {
+		key = fmt.Sprintf("%s/load=%g", sr.Name, load)
+	}
+	n.SetAbort(opt.Abort)
+	inj, err := sr.Inject(load)
+	if err != nil {
+		return err
+	}
+	if opt.Probe {
+		if err := n.AttachProbe(n.NewProbe()); err != nil {
+			return err
+		}
+	}
+	if opt.TimelineInterval > 0 {
+		out.tl = obs.NewTimeline(opt.TimelineInterval, 0)
+		n.AttachTimeline(out.tl)
+		if opt.Live != nil {
+			opt.Live.AttachTimeline(key, out.tl)
+		}
+	}
+	if opt.Attribution {
+		out.at = n.NewAttribution()
+		if err := n.AttachAttribution(out.at); err != nil {
+			return err
+		}
+	}
+	st := n.Run(inj, load)
+	p := &r.points[i]
+	*p = SweepPoint{Stats: st}
+	if opt.Probe {
+		p.Probe = n.Snapshot()
+		out.coll = n.probe
+	}
+	if opt.Attribution {
+		p.Backpressure = n.Backpressure()
+		p.PostMortem = n.SaturationPostMortem(st)
+		if opt.Live != nil {
+			if err := opt.Live.AddAttribution(key, out.at, p.Backpressure); err != nil {
+				return err
+			}
+		}
+	}
+	out.hist = n.LatencyHistogram()
+	return nil
+}
+
+// reduce merges the series' points in ascending point order, so the
+// result is independent of worker scheduling.
+func (r *sweepRun) reduce(opt SweepOptions) (*SweepResult, error) {
+	res := &SweepResult{Points: r.points}
 	var aggHist obs.Histogram
 	var agg *obs.Collector
-	for i := range loads {
-		aggHist.Merge(&hists[i])
-		if colls[i] == nil {
+	for i := range r.outs {
+		out := &r.outs[i]
+		aggHist.Merge(&out.hist)
+		if out.coll == nil {
 			continue
 		}
 		if agg == nil {
-			agg = obs.NewCollector(len(colls[i].Routers), len(colls[i].Channels))
-			copy(agg.Meta, colls[i].Meta)
+			agg = obs.NewCollector(len(out.coll.Routers), len(out.coll.Channels))
+			copy(agg.Meta, out.coll.Meta)
 		}
-		if err := agg.Merge(colls[i]); err != nil {
+		if err := agg.Merge(out.coll); err != nil {
 			return nil, err
 		}
 	}
@@ -280,17 +344,18 @@ func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOption
 	}
 	if opt.TimelineInterval > 0 {
 		aggTL := obs.NewTimeline(opt.TimelineInterval, 0)
-		for i := range loads {
-			if err := aggTL.Merge(tls[i]); err != nil {
+		for i := range r.outs {
+			if err := aggTL.Merge(r.outs[i].tl); err != nil {
 				return nil, err
 			}
 		}
 		res.Timeline = aggTL.Snapshot()
 	}
-	if opt.Attribution && len(loads) > 0 {
-		aggAt := obs.NewAttribution(len(ats[0].Routers), len(ats[0].ChanBlame))
-		for i := range loads {
-			if err := aggAt.Merge(ats[i]); err != nil {
+	if opt.Attribution && len(r.outs) > 0 {
+		first := r.outs[0].at
+		aggAt := obs.NewAttribution(len(first.Routers), len(first.ChanBlame))
+		for i := range r.outs {
+			if err := aggAt.Merge(r.outs[i].at); err != nil {
 				return nil, err
 			}
 		}
@@ -374,18 +439,26 @@ func Summarize(stats []Stats) SweepSummary {
 	return sum
 }
 
-// ZeroLoadLatency runs the network at a near-zero load and returns the
-// average packet latency.
+// ZeroLoad is the near-zero offered load a zero-load latency is
+// measured at.
+const ZeroLoad = 0.01
+
+// ZeroLoadLatency runs the network at ZeroLoad, seeded as a sweep's
+// point 0 (the builder's own seed), and returns the average packet
+// latency. Experiments that sweep the same network run that point as a
+// one-point series of their Sweeps call instead and read it with
+// ZeroLoadLatencyOf.
 func ZeroLoadLatency(build Builder, injf InjectorFactory) (float64, error) {
-	n, err := build()
+	res, err := Sweep(build, injf, []float64{ZeroLoad}, SweepOptions{Workers: 1})
 	if err != nil {
 		return 0, err
 	}
-	inj, err := injf(0.01)
-	if err != nil {
-		return 0, err
-	}
-	st := n.Run(inj, 0.01)
+	return ZeroLoadLatencyOf(res.Points[0].Stats)
+}
+
+// ZeroLoadLatencyOf returns the average packet latency of a run at
+// ZeroLoad, or an error when no packet completed.
+func ZeroLoadLatencyOf(st Stats) (float64, error) {
 	if st.Completed == 0 {
 		return 0, fmt.Errorf("sim: no packets completed at zero load")
 	}

@@ -3,6 +3,9 @@ package sim
 import (
 	"encoding/json"
 	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"waferswitch/internal/obs"
@@ -208,5 +211,144 @@ func TestSweepTimelineParallelMatchesSerial(t *testing.T) {
 func TestPointSeed(t *testing.T) {
 	if PointSeed(7, 0) != 7 || PointSeed(7, 3) != 10 || PointSeed(-2, 5) != 3 {
 		t.Error("PointSeed must be base + index")
+	}
+}
+
+// multicore raises GOMAXPROCS to at least 2 until the test ends, so the
+// pool's worker goroutines run even on a one-core host, where it would
+// otherwise collapse to its serial path.
+func multicore(t *testing.T) {
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// sweepsFixture returns a mix of series for the Sweeps tests: two
+// builders with different configs sharing their loads (one point
+// saturates, so its backpressure report and post-mortem are compared
+// too), a trace-driven series and a one-point series.
+func sweepsFixture(t *testing.T) []Series {
+	t.Helper()
+	top := testClos(t)
+	cfgA := sweepTestConfig()
+	// Short windows: make race runs this ten times.
+	cfgA.WarmupCycles, cfgA.MeasureCycles, cfgA.DrainCycles = 40, 120, 120
+	cfgB := cfgA
+	cfgB.RCOther, cfgB.BufPerPort, cfgB.Seed = 2, 8, 3
+	buildA := func() (*Network, error) { return Build(top, ConstantLatency(1), cfgA) }
+	buildB := func() (*Network, error) { return Build(top, ConstantLatency(4), cfgB) }
+	uniform := SyntheticInjector(traffic.Uniform(top.ExternalPorts()), cfgA.PacketFlits)
+	traces, err := traffic.NERSCTraces(top.ExternalPorts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []Series{
+		{Name: "a", Build: buildA, Inject: uniform, Loads: []float64{0.1, 0.35, 0.9}},
+		{Name: "b", Build: buildB, Inject: uniform, Loads: []float64{0.1, 0.35, 0.9}},
+		{Name: "trace", Build: buildA, Inject: TraceInjectorFactory(traces[0]), Loads: []float64{0.35, 0.2}},
+		{Name: "one", Build: buildB, Inject: uniform, Loads: []float64{0.25}},
+	}
+}
+
+// Running several series on one pool must not change any of them: each
+// series' result, with every observer attached, is byte-identical JSON
+// to its own one-series Sweep on one worker, for any worker count. A
+// worker keeps one warm network, so one worker builds once per series,
+// and a one-series call builds at most one network per worker.
+func TestSweepsMatchSweep(t *testing.T) {
+	multicore(t)
+	series := sweepsFixture(t)
+	opt := SweepOptions{Probe: true, TimelineInterval: 100, Attribution: true}
+	marshal := func(r *SweepResult) string {
+		t.Helper()
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	want := make([]string, len(series))
+	for k, sr := range series {
+		o := opt
+		o.Workers = 1
+		r, err := Sweep(sr.Build, sr.Inject, sr.Loads, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = marshal(r)
+	}
+	if !strings.Contains(want[0], `"post_mortem"`) {
+		t.Fatal("no point of series a saturates, so backpressure and post-mortems go uncompared")
+	}
+	// counted wraps every series' builder with one shared build counter.
+	counted := func(src []Series) ([]Series, *atomic.Int32) {
+		var builds atomic.Int32
+		out := make([]Series, len(src))
+		for k, sr := range src {
+			build := sr.Build
+			sr.Build = func() (*Network, error) { builds.Add(1); return build() }
+			out[k] = sr
+		}
+		return out, &builds
+	}
+	for _, workers := range []int{1, 2, 4} {
+		o := opt
+		o.Workers = workers
+		cs, builds := counted(series)
+		res, err := Sweeps(cs, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range series {
+			if got := marshal(res[k]); got != want[k] {
+				t.Errorf("workers=%d: series %q diverges from its own one-worker Sweep", workers, series[k].Name)
+			}
+		}
+		if workers == 1 && builds.Load() != int32(len(series)) {
+			t.Errorf("one worker built %d networks for %d series", builds.Load(), len(series))
+		}
+		one, builds := counted(series[:1])
+		if _, err := Sweeps(one, SweepOptions{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if b := builds.Load(); b > int32(workers) {
+			t.Errorf("workers=%d: a one-series call built %d networks", workers, b)
+		}
+	}
+}
+
+// Sweeps announces every point of every series to the live feed before
+// the first one starts, so the live total never climbs during a run and
+// the ETA covers the whole call: every injector build, one per point,
+// reads the final total.
+func TestSweepsAnnounceTotalUpFront(t *testing.T) {
+	multicore(t)
+	series := sweepsFixture(t)
+	points := 0
+	live := &obs.Live{}
+	var mu sync.Mutex
+	var totals []int64
+	for k := range series {
+		points += len(series[k].Loads)
+		inject := series[k].Inject
+		series[k].Inject = func(load float64) (Injector, error) {
+			mu.Lock()
+			totals = append(totals, live.Progress().Total)
+			mu.Unlock()
+			return inject(load)
+		}
+	}
+	if _, err := Sweeps(series, SweepOptions{Workers: 2, Live: live, LiveName: "test"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(totals) != points {
+		t.Fatalf("%d injector builds for %d points", len(totals), points)
+	}
+	for i, total := range totals {
+		if total != int64(points) {
+			t.Errorf("injector build %d read total %d, want %d", i, total, points)
+		}
+	}
+	if s := live.Progress(); s.Done != int64(points) {
+		t.Errorf("points done %d, want %d", s.Done, points)
 	}
 }

@@ -13,9 +13,9 @@ import (
 )
 
 // Pool is the worker pool every fan-out of independent points runs on:
-// a sweep's load points (Sweep) and an experiment's grid cells, fabrics
-// and sizes (internal/expt). It is the only code under internal/ that
-// starts worker goroutines. (It is unrelated to the slot pool an input
+// the load points of a set of sweeps (Sweeps) and an experiment's grid
+// cells, fabrics and sizes (internal/expt). It is the only code under
+// internal/ that starts worker goroutines. (It is unrelated to the slot pool an input
 // port keeps its flits in.)
 type Pool struct {
 	// Workers bounds the worker goroutines: 0 means GOMAXPROCS. The
