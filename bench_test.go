@@ -143,9 +143,10 @@ func BenchmarkMappingOptimize(b *testing.B) {
 }
 
 // BenchmarkMappingConvergedPass measures one full pairwise-exchange sweep
-// over a converged placement: every cell pair is swap-evaluated and
-// reverted, exercising the incremental channel-load accounting the
-// optimizer depends on (DESIGN.md ablation).
+// over a converged placement: every cell pair is scored without moving a
+// node (routed into the placement's scratch difference arrays and scanned
+// for its peak load) and none is made, exercising the incremental
+// channel-load accounting the optimizer depends on (DESIGN.md ablation).
 func BenchmarkMappingConvergedPass(b *testing.B) {
 	cl, err := topo.HomogeneousClos(4096, ssc.MustTH5(200))
 	if err != nil {

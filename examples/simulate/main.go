@@ -45,18 +45,19 @@ func main() {
 	injf := sim.SyntheticInjector(traffic.Uniform(ports), 4)
 	loads := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 
-	wsStats, err := sim.LatencyVsLoad(func() (*sim.Network, error) {
-		return sim.Build(clos, sim.ConstantLatency(1), wsCfg)
-	}, injf, loads)
+	// Both fabrics' points run on one worker pool, longest first.
+	res, err := sim.Sweeps([]sim.Series{
+		{Name: "waferscale", Inject: injf, Loads: loads, Build: func() (*sim.Network, error) {
+			return sim.Build(clos, sim.ConstantLatency(1), wsCfg)
+		}},
+		{Name: "network", Inject: injf, Loads: loads, Build: func() (*sim.Network, error) {
+			return sim.Build(clos, sim.ConstantLatency(8), netCfg)
+		}},
+	}, sim.SweepOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	netStats, err := sim.LatencyVsLoad(func() (*sim.Network, error) {
-		return sim.Build(clos, sim.ConstantLatency(8), netCfg)
-	}, injf, loads)
-	if err != nil {
-		log.Fatal(err)
-	}
+	wsStats, netStats := res[0].Stats(), res[1].Stats()
 
 	fmt.Println("load   WS latency  WS accepted   net latency  net accepted")
 	for i := range loads {

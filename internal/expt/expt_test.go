@@ -21,12 +21,6 @@ var update = flag.Bool("update", false, "rewrite "+goldenFile+" from this run's 
 // experiment's table at that variant's options, keyed by id + key.
 const goldenFile = "testdata/golden_quick_seed1.json"
 
-// goldenSkip names the experiments whose tables are not a pure function
-// of the seed, with the reason.
-var goldenSkip = map[string]string{
-	"ext-optimizers": "its table prints wall-clock milliseconds",
-}
-
 // goldenVariants are the option sets some simulator experiments are
 // hashed at again; key suffixes their golden keys and, without its
 // slash, names their subtests.
@@ -85,9 +79,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if why, ok := goldenSkip[id]; ok {
-			t.Logf("golden digest skipped: %s", why)
-		} else if b, err := json.Marshal(tab); err != nil {
+		if b, err := json.Marshal(tab); err != nil {
 			t.Errorf("table JSON: %v", err)
 		} else if sum := sha256.Sum256(b); *update {
 			golden[key] = hex.EncodeToString(sum[:])

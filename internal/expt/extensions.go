@@ -2,7 +2,7 @@ package expt
 
 import (
 	"fmt"
-	"time"
+	"strings"
 
 	"waferswitch/internal/mapping"
 	"waferswitch/internal/sim"
@@ -62,38 +62,47 @@ func extYield(o Options) (*Table, error) {
 
 // extOptimizers is the mapping-optimizer ablation: the paper's pairwise
 // exchange (Algorithm 1) vs simulated annealing at comparable budgets.
+// Each optimizer's work is the number of swaps it scores over all of its
+// restarts, which, unlike a timing, is the same on every host.
 func extOptimizers(o Options) (*Table, error) {
 	t := &Table{
 		ID:      "ext-optimizers",
 		Title:   "Placement optimizer ablation: pairwise exchange (Algorithm 1) vs simulated annealing",
-		Headers: []string{"Clos ports", "pairwise max load", "pairwise ms", "annealed max load", "annealed ms"},
+		Headers: []string{"Clos ports", "pairwise max load", "pairwise swaps scored", "annealed max load", "annealed swaps scored"},
 	}
 	chip := ssc.MustTH5(200)
 	sizes := []int{2048, 4096}
 	if !o.Quick {
 		sizes = append(sizes, 8192)
 	}
+	var ratios []string // annealed over pairwise swaps scored, per size
+	fewer := 0          // sizes where pairwise exchange scores fewer swaps
 	for _, ports := range sizes {
 		cl, err := topo.HomogeneousClos(ports, chip)
 		if err != nil {
 			return nil, err
 		}
 		rows, cols := topo.NearSquare(len(cl.Nodes))
-		start := time.Now()
 		greedy, err := mapping.Best(cl, rows, cols, o.restarts(), o.seed())
 		if err != nil {
 			return nil, err
 		}
-		gms := time.Since(start).Milliseconds()
-		start = time.Now()
 		annealed, err := mapping.BestAnnealed(cl, rows, cols, o.restarts(), 80, o.seed())
 		if err != nil {
 			return nil, err
 		}
-		ams := time.Since(start).Milliseconds()
-		t.AddRow(ports, greedy.MaxLoad(), gms, annealed.MaxLoad(), ams)
+		g, a := greedy.SwapEvaluations(), annealed.SwapEvaluations()
+		t.AddRow(ports, greedy.MaxLoad(), g, annealed.MaxLoad(), a)
+		ratios = append(ratios, fmt.Sprintf("%.2f at %d ports", float64(a)/float64(g), ports))
+		if g < a {
+			fewer++
+		}
 	}
-	t.Notes = append(t.Notes, "both land in the same quality band; pairwise exchange converges faster on this cost surface, supporting the paper's choice")
+	verdict := fmt.Sprintf("pairwise exchange converges in fewer swap evaluations at %d of %d sizes", fewer, len(sizes))
+	if fewer == len(sizes) {
+		verdict = "pairwise exchange converges in fewer swap evaluations at every size, supporting the paper's choice"
+	}
+	t.Notes = append(t.Notes, "annealed / pairwise swaps scored: "+strings.Join(ratios, ", "), verdict)
 	return t, nil
 }
 

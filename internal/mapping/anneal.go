@@ -16,7 +16,9 @@ import (
 //
 // The energy is the same lexicographic cost as Optimize: bottleneck
 // channel load first, total lane-hops as a dense tie-breaker (scaled so
-// it never outweighs one unit of bottleneck load).
+// it never outweighs one unit of bottleneck load). Every probe and move
+// is scored by swapCost at its exact energy, which the Metropolis test
+// needs, and a move is made only once the test accepts it.
 func (p *Placement) Anneal(sweeps int, rng *rand.Rand) {
 	if p.externalRouted {
 		panic("mapping: Anneal called after RouteExternal")
@@ -25,11 +27,10 @@ func (p *Placement) Anneal(sweeps int, rng *rand.Rand) {
 	if cells < 2 || sweeps < 1 {
 		return
 	}
-	energy := func() float64 {
-		c := p.Cost()
+	energy := func(c Cost) float64 {
 		return float64(c.MaxLoad) + float64(c.LaneHops)*1e-7
 	}
-	cur := energy()
+	cur := energy(p.Cost())
 	bestPos := append([]int(nil), p.pos...)
 	best := cur
 
@@ -42,12 +43,9 @@ func (p *Placement) Anneal(sweeps int, rng *rand.Rand) {
 		if ca == cb {
 			continue
 		}
-		p.swapCells(ca, cb)
-		e := energy()
-		if d := e - cur; d > 0 {
+		if d := energy(p.swapCost(ca, cb, worstCost)) - cur; d > 0 {
 			deltaSum += d
 		}
-		p.swapCells(ca, cb)
 	}
 	t0 := deltaSum/probes + 1
 	moves := sweeps * cells
@@ -58,17 +56,16 @@ func (p *Placement) Anneal(sweeps int, rng *rand.Rand) {
 		if ca == cb || (p.cell[ca] == -1 && p.cell[cb] == -1) {
 			continue
 		}
-		p.swapCells(ca, cb)
-		e := energy()
+		c := p.swapCost(ca, cb, worstCost)
+		e := energy(c)
 		d := e - cur
 		if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
+			p.commitSwap(ca, cb, c.LaneHops)
 			cur = e
 			if cur < best {
 				best = cur
 				copy(bestPos, p.pos)
 			}
-		} else {
-			p.swapCells(ca, cb)
 		}
 	}
 	// Restore the best placement seen.
@@ -91,21 +88,5 @@ func (p *Placement) restorePositions(positions []int) {
 // BestAnnealed runs annealing from `restarts` random initial placements
 // and returns the best result, mirroring Best for the greedy optimizer.
 func BestAnnealed(t *topo.Topology, rows, cols, restarts, sweeps int, seed int64) (*Placement, error) {
-	if restarts < 1 {
-		restarts = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var best *Placement
-	var bestCost Cost
-	for i := 0; i < restarts; i++ {
-		p, err := New(t, rows, cols, rng)
-		if err != nil {
-			return nil, err
-		}
-		p.Anneal(sweeps, rng)
-		if c := p.Cost(); best == nil || c.Less(bestCost) {
-			best, bestCost = p, c
-		}
-	}
-	return best, nil
+	return bestOf(t, rows, cols, restarts, seed, func(p *Placement, rng *rand.Rand) { p.Anneal(sweeps, rng) })
 }

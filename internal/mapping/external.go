@@ -93,7 +93,7 @@ func (p *Placement) RouteExternal(capacities []int) error {
 			remaining[b] -= take
 			need -= take
 			if b != cell {
-				p.route(b, cell, take)
+				p.totalLaneHops += p.route(p.hDiff, p.vDiff, b, cell, take)
 			}
 		}
 		if need > 0 {

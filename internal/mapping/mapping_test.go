@@ -9,6 +9,13 @@ import (
 	"waferswitch/internal/topo"
 )
 
+// swapCells exchanges the contents of two cells (either may be empty)
+// the way Optimize and Anneal make a swap: scored by swapCost, then
+// committed.
+func (p *Placement) swapCells(ca, cb int) {
+	p.commitSwap(ca, cb, p.swapCost(ca, cb, worstCost).LaneHops)
+}
+
 func smallClos(t *testing.T, ports int) *topo.Topology {
 	t.Helper()
 	c, err := topo.HomogeneousClos(ports, ssc.MustTH5(200))
@@ -401,5 +408,63 @@ func TestNewWithPositionsValidation(t *testing.T) {
 		Links: []topo.Link{{A: 0, B: 5, Lanes: 1}}}
 	if _, err := NewWithPositions(dangling, 2, 2, []int{0, 1}); err == nil {
 		t.Error("link to a missing node did not fail")
+	}
+}
+
+// TestSwapEvaluationsCount pins the work count ext-optimizers reports: a
+// pass over a converged placement scores every pair of cells except two
+// empty ones and two nodes of one class, and Best and BestAnnealed sum
+// the counts of all their restarts.
+func TestSwapEvaluationsCount(t *testing.T) {
+	c := smallClos(t, 2048)
+	const rows, cols, restarts, seed = 6, 6, 3, 13
+	p, err := Best(c, rows, cols, 1, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := 0
+	for ca := range p.cell {
+		for cb := ca + 1; cb < len(p.cell); cb++ {
+			na, nb := p.cell[ca], p.cell[cb]
+			if na != nb && (na == -1 || nb == -1 || p.class[na] != p.class[nb]) {
+				pairs++
+			}
+		}
+	}
+	before := p.SwapEvaluations()
+	if p.Optimize(1); p.SwapEvaluations()-before != pairs {
+		t.Errorf("a converged pass scored %d swaps, want %d", p.SwapEvaluations()-before, pairs)
+	}
+
+	for _, o := range []struct {
+		name string
+		best func() (*Placement, error)
+		run  func(*Placement, *rand.Rand)
+	}{
+		{"Best", func() (*Placement, error) { return Best(c, rows, cols, restarts, seed) },
+			func(p *Placement, _ *rand.Rand) { p.Optimize(50) }},
+		{"BestAnnealed", func() (*Placement, error) { return BestAnnealed(c, rows, cols, restarts, 20, seed) },
+			func(p *Placement, rng *rand.Rand) { p.Anneal(20, rng) }},
+	} {
+		got, err := o.best()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		want := 0
+		for i := 0; i < restarts; i++ {
+			p, err := New(c, rows, cols, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.run(p, rng)
+			if p.SwapEvaluations() == 0 {
+				t.Fatalf("%s: restart %d scored no swap", o.name, i)
+			}
+			want += p.SwapEvaluations()
+		}
+		if got.SwapEvaluations() != want {
+			t.Errorf("%s: %d swap evaluations, want %d summed over %d restarts", o.name, got.SwapEvaluations(), want, restarts)
+		}
 	}
 }

@@ -64,7 +64,8 @@ func Optimized(t *topo.Topology, rows, cols int, seed int64) (*Placement, error)
 }
 
 // clone returns a copy of p placed for t. The copy owns its positions and
-// loads and shares p's read-only grid and link tables.
+// loads, starts with no scratch arrays of its own, and shares p's
+// read-only grid and link tables.
 func (p *Placement) clone(t *topo.Topology) *Placement {
 	c := *p
 	c.Topo = t
@@ -72,5 +73,6 @@ func (p *Placement) clone(t *topo.Topology) *Placement {
 	c.cell = slices.Clone(p.cell)
 	c.hDiff = slices.Clone(p.hDiff)
 	c.vDiff = slices.Clone(p.vDiff)
+	c.sh, c.sv = nil, nil
 	return &c
 }

@@ -39,6 +39,15 @@ func samePlacement(t *testing.T, what string, got, want *Placement) {
 		t.Fatalf("%s: cost %+v (%d lane-hops), want %+v (%d)",
 			what, got.Cost(), got.TotalLaneHops(), want.Cost(), want.TotalLaneHops())
 	}
+	if got.SwapEvaluations() != want.SwapEvaluations() {
+		t.Fatalf("%s: %d swap evaluations, want %d", what, got.SwapEvaluations(), want.SwapEvaluations())
+	}
+}
+
+// sharesArray reports whether two non-empty slices start at the same
+// element.
+func sharesArray(a, b []int) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
 // forget drops a key's memo entry, so the next call computes it even
@@ -117,7 +126,7 @@ func TestOptimizedCopiesAreIsolated(t *testing.T) {
 	a := optimized(t, c, rows, cols, seed)
 	b := optimized(t, c, rows, cols, seed)
 	for _, s := range [][2][]int{{a.pos, b.pos}, {a.cell, b.cell}, {a.hDiff, b.hDiff}, {a.vDiff, b.vDiff}} {
-		if &s[0][0] == &s[1][0] {
+		if sharesArray(s[0], s[1]) {
 			t.Fatal("two copies share a positions or loads backing array")
 		}
 	}
@@ -126,6 +135,26 @@ func TestOptimizedCopiesAreIsolated(t *testing.T) {
 	// because Optimize refuses to run after it.
 	a.swapCells(a.pos[0], slices.Index(a.cell, -1))
 	a.Optimize(1)
+	// The entry's placement ran Optimize, so it has scratch arrays: a
+	// copy must not inherit them, and two copies that score swaps must
+	// each get their own.
+	v, _ := optimizedMemo.Load(optimizedKey{c.CanonicalHash(), rows, cols, seed})
+	memo := v.(*optimizedEntry).p
+	if memo.sh == nil {
+		t.Fatal("the memo's placement has no scratch arrays after Optimize")
+	}
+	e := optimized(t, c, rows, cols, seed)
+	e.Optimize(1)
+	arrays := func(p *Placement) [][]int { return [][]int{p.hDiff, p.vDiff, p.sh, p.sv} }
+	for _, pair := range [][2]*Placement{{a, e}, {a, memo}, {e, memo}} {
+		for _, x := range arrays(pair[0]) {
+			for _, y := range arrays(pair[1]) {
+				if sharesArray(x, y) {
+					t.Fatal("two placements share a loads or scratch backing array")
+				}
+			}
+		}
+	}
 	ext := c.ExternalPorts()
 	if err := a.RouteExternal(SpreadEscape(ext, len(a.BoundaryCells()), ext)); err != nil {
 		t.Fatal(err)
@@ -158,7 +187,8 @@ func TestOptimizedKeysOnStructure(t *testing.T) {
 }
 
 // TestOptimizedConcurrentColdKey has 8 goroutines race to compute one
-// cold key; run it under -race.
+// cold key, then re-optimize their copies at the same time, each
+// scoring swaps in its own scratch arrays; run it under -race.
 func TestOptimizedConcurrentColdKey(t *testing.T) {
 	c := smallClos(t, 4096)
 	const rows, cols, seed = 7, 7, 401
@@ -171,10 +201,14 @@ func TestOptimizedConcurrentColdKey(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			got[i], errs[i] = Optimized(c, rows, cols, seed)
+			if errs[i] == nil {
+				got[i].Optimize(1)
+			}
 		}()
 	}
 	wg.Wait()
 	want := freshOptimized(t, c, rows, cols, seed)
+	want.Optimize(1)
 	for i, p := range got {
 		if errs[i] != nil {
 			t.Fatal(errs[i])

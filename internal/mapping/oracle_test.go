@@ -320,6 +320,15 @@ func oracleCases(tb testing.TB) []oracleCase {
 		directed.Links = append(directed.Links, topo.Link{A: peer, B: 1, Lanes: peer})
 	}
 	directed.Links = append(directed.Links, topo.Link{A: 5, B: 2, Lanes: 1})
+	// Self-links have no path wherever their node sits; the reference
+	// routes them like any link.
+	selfLinks := &topo.Topology{Name: "self-links", Nodes: make([]topo.Node, 6)}
+	for i := range selfLinks.Nodes {
+		selfLinks.Nodes[i] = topo.Node{ID: i, Chiplet: small}
+	}
+	for _, l := range [][3]int{{0, 1, 2}, {1, 1, 4}, {1, 2, 3}, {2, 3, 1}, {3, 3, 2}, {3, 4, 2}, {4, 5, 1}, {5, 0, 3}, {2, 5, 2}, {4, 4, 1}} {
+		selfLinks.Links = append(selfLinks.Links, topo.Link{A: l[0], B: l[1], Lanes: l[2]})
+	}
 	seeds := []int64{1, 2, 7, 31, 4242}
 	return []oracleCase{
 		// 12 nodes, also on a single row and a single column.
@@ -334,6 +343,7 @@ func oracleCases(tb testing.TB) []oracleCase {
 		{"dragonfly", dfly, near(dfly), seeds[:3], false},
 		{"mesh", mesh, near(mesh), seeds[:3], false},
 		{"directed", directed, near(directed, [2]int{1, 6}, [2]int{6, 1}), seeds, false},
+		{"self-links", selfLinks, near(selfLinks, [2]int{1, 6}), seeds, false},
 	}
 }
 

@@ -101,11 +101,8 @@ func TestZeroLoadPatternInvariance(t *testing.T) {
 		func() traffic.Pattern { return traffic.Tornado(128) },
 		func() traffic.Pattern { p, _ := traffic.Shuffle(128); return p },
 	} {
-		zl, err := ZeroLoadLatency(func() (*Network, error) { return Build(cl, ConstantLatency(1), cfg) },
+		zl := zeroLoadLatency(t, func() (*Network, error) { return Build(cl, ConstantLatency(1), cfg) },
 			SyntheticInjector(mk(), 4))
-		if err != nil {
-			t.Fatal(err)
-		}
 		if i == 0 {
 			base = zl
 			continue
@@ -123,12 +120,8 @@ func TestPacketLengthSerialization(t *testing.T) {
 	zl := func(flits int) float64 {
 		cfg := testConfig()
 		cfg.PacketFlits = flits
-		v, err := ZeroLoadLatency(func() (*Network, error) { return Build(cl, ConstantLatency(1), cfg) },
+		return zeroLoadLatency(t, func() (*Network, error) { return Build(cl, ConstantLatency(1), cfg) },
 			SyntheticInjector(traffic.Uniform(128), flits))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
 	}
 	l4, l8 := zl(4), zl(8)
 	if math.Abs((l8-l4)-4) > 1.5 {

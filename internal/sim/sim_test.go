@@ -68,15 +68,38 @@ func TestPacketRecordSizes(t *testing.T) {
 	}
 }
 
+// zeroLoadLatency returns the average packet latency of build at
+// ZeroLoad, run as a one-point serial sweep.
+func zeroLoadLatency(t *testing.T, build Builder, injf InjectorFactory) float64 {
+	t.Helper()
+	res, err := Sweep(build, injf, []float64{ZeroLoad}, SweepOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zl, err := ZeroLoadLatencyOf(res.Points[0].Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return zl
+}
+
+// serialStats runs build at each offered load as a serial sweep and
+// returns the stats per point.
+func serialStats(t *testing.T, build Builder, injf InjectorFactory, loads []float64) []Stats {
+	t.Helper()
+	res, err := Sweep(build, injf, loads, SweepOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Stats()
+}
+
 func TestZeroLoadLatencyMatchesAnalytic(t *testing.T) {
 	cl := testClos(t)
 	cfg := testConfig()
 	build := func() (*Network, error) { return Build(cl, ConstantLatency(1), cfg) }
 	injf := SyntheticInjector(traffic.Uniform(128), cfg.PacketFlits)
-	zl, err := ZeroLoadLatency(build, injf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	zl := zeroLoadLatency(t, build, injf)
 	// Terminal->leaf->spine->leaf->terminal: 2 term-link hops, 3 router
 	// pipeline stages, 2 on-wafer links, RC delays, serialization.
 	analytic := float64(2*cfg.TermDelay + 3*cfg.PipeDelay + 2*1 +
@@ -91,10 +114,7 @@ func TestAcceptedTracksOfferedBelowSaturation(t *testing.T) {
 	cfg := testConfig()
 	build := func() (*Network, error) { return Build(cl, ConstantLatency(1), cfg) }
 	injf := SyntheticInjector(traffic.Uniform(128), cfg.PacketFlits)
-	stats, err := LatencyVsLoad(build, injf, []float64{0.1, 0.3, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := serialStats(t, build, injf, []float64{0.1, 0.3, 0.5})
 	for _, s := range stats {
 		if math.Abs(s.Accepted-s.Offered) > 0.02 {
 			t.Errorf("load %.2f: accepted %.3f, want within 0.02 of offered", s.Offered, s.Accepted)
@@ -117,10 +137,7 @@ func TestSaturationPlateau(t *testing.T) {
 	cfg := testConfig()
 	build := func() (*Network, error) { return Build(cl, ConstantLatency(1), cfg) }
 	injf := SyntheticInjector(traffic.Uniform(128), cfg.PacketFlits)
-	stats, err := LatencyVsLoad(build, injf, []float64{0.6, 0.8, 0.95})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := serialStats(t, build, injf, []float64{0.6, 0.8, 0.95})
 	sat := SaturationThroughput(stats)
 	if sat < 0.5 || sat > 1.0 {
 		t.Errorf("saturation throughput = %.3f, want in [0.5, 1.0]", sat)
@@ -142,26 +159,16 @@ func TestProprietaryRoutingHelps(t *testing.T) {
 	prop.RCIngress, prop.RCOther = 2, 1
 
 	injf := SyntheticInjector(traffic.Uniform(128), 4)
-	zlBase, err := ZeroLoadLatency(func() (*Network, error) { return Build(cl, ConstantLatency(1), base) }, injf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zlProp, err := ZeroLoadLatency(func() (*Network, error) { return Build(cl, ConstantLatency(1), prop) }, injf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buildBase := func() (*Network, error) { return Build(cl, ConstantLatency(1), base) }
+	buildProp := func() (*Network, error) { return Build(cl, ConstantLatency(1), prop) }
+	zlBase := zeroLoadLatency(t, buildBase, injf)
+	zlProp := zeroLoadLatency(t, buildProp, injf)
 	if zlProp >= zlBase {
 		t.Errorf("proprietary zero-load %.1f not below baseline %.1f", zlProp, zlBase)
 	}
 	loads := []float64{0.6, 0.8, 0.95}
-	sBase, err := LatencyVsLoad(func() (*Network, error) { return Build(cl, ConstantLatency(1), base) }, injf, loads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sProp, err := LatencyVsLoad(func() (*Network, error) { return Build(cl, ConstantLatency(1), prop) }, injf, loads)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sBase := serialStats(t, buildBase, injf, loads)
+	sProp := serialStats(t, buildProp, injf, loads)
 	if SaturationThroughput(sProp) < SaturationThroughput(sBase)-0.02 {
 		t.Errorf("proprietary saturation %.3f below baseline %.3f",
 			SaturationThroughput(sProp), SaturationThroughput(sBase))
@@ -173,14 +180,8 @@ func TestLinkLatencyRaisesLatency(t *testing.T) {
 	cl := testClos(t)
 	cfg := testConfig()
 	injf := SyntheticInjector(traffic.Uniform(128), 4)
-	zlWafer, err := ZeroLoadLatency(func() (*Network, error) { return Build(cl, ConstantLatency(1), cfg) }, injf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zlRack, err := ZeroLoadLatency(func() (*Network, error) { return Build(cl, ConstantLatency(8), cfg) }, injf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	zlWafer := zeroLoadLatency(t, func() (*Network, error) { return Build(cl, ConstantLatency(1), cfg) }, injf)
+	zlRack := zeroLoadLatency(t, func() (*Network, error) { return Build(cl, ConstantLatency(8), cfg) }, injf)
 	if want := zlWafer + 13; math.Abs(zlRack-want) > 2 {
 		t.Errorf("rack-link zero-load = %.1f, want %.1f (+2x7 cycles of link latency)", zlRack, want)
 	}

@@ -364,17 +364,6 @@ func (r *sweepRun) reduce(opt SweepOptions) (*SweepResult, error) {
 	return res, nil
 }
 
-// LatencyVsLoad runs the network at each offered load and returns the
-// stats per point — the raw data of the paper's load-latency figures
-// (Figs 22-24). It is Sweep with one worker and no probe.
-func LatencyVsLoad(build Builder, injf InjectorFactory, loads []float64) ([]Stats, error) {
-	res, err := Sweep(build, injf, loads, SweepOptions{Workers: 1})
-	if err != nil {
-		return nil, err
-	}
-	return res.Stats(), nil
-}
-
 // SaturationThroughput extracts the saturation throughput from a load
 // sweep: the highest accepted throughput observed (accepted throughput
 // plateaus at saturation as offered load keeps rising).
@@ -442,19 +431,6 @@ func Summarize(stats []Stats) SweepSummary {
 // ZeroLoad is the near-zero offered load a zero-load latency is
 // measured at.
 const ZeroLoad = 0.01
-
-// ZeroLoadLatency runs the network at ZeroLoad, seeded as a sweep's
-// point 0 (the builder's own seed), and returns the average packet
-// latency. Experiments that sweep the same network run that point as a
-// one-point series of their Sweeps call instead and read it with
-// ZeroLoadLatencyOf.
-func ZeroLoadLatency(build Builder, injf InjectorFactory) (float64, error) {
-	res, err := Sweep(build, injf, []float64{ZeroLoad}, SweepOptions{Workers: 1})
-	if err != nil {
-		return 0, err
-	}
-	return ZeroLoadLatencyOf(res.Points[0].Stats)
-}
 
 // ZeroLoadLatencyOf returns the average packet latency of a run at
 // ZeroLoad, or an error when no packet completed.

@@ -89,15 +89,12 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 				}
 			}
 
-			// LatencyVsLoad is Sweep{Workers:1} without probes; its stats
-			// must match the probed serial sweep point for point.
-			lv, err := LatencyVsLoad(build, injf, loads)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// A serial sweep without probes must match the probed serial
+			// sweep point for point.
+			lv := serialStats(t, build, injf, loads)
 			for i, st := range serial.Stats() {
 				if lv[i] != st {
-					t.Errorf("LatencyVsLoad point %d diverges from Sweep", i)
+					t.Errorf("unprobed serial sweep point %d diverges from Sweep", i)
 				}
 			}
 		})
