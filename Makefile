@@ -81,12 +81,14 @@ race:
 # dirties a network, Resets it and requires the rerun to match both a
 # fresh build and the reference bit for bit, FuzzSweepDeterminism diffs
 # parallel sweeps against serial ones. Failures print a replay spec for
-# `wsswitch -replay`.
+# `wsswitch -replay`; FuzzParseSpec checks that ParseSpec never panics
+# and that every spec it accepts prints a tuple that parses back equal.
 fuzz-smoke:
 	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzSimEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzObservedEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzResetEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzSweepDeterminism$$' -fuzztime 10s
+	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzParseSpec$$' -fuzztime 10s
 
 # cover enforces the total -short coverage floor (COVER_FLOOR).
 cover:

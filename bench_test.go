@@ -202,20 +202,11 @@ func benchSimCycle(b *testing.B, attach func(*sim.Network)) {
 // cycles per second on the Fig 23 waferscale configuration.
 func BenchmarkSimCycle(b *testing.B) { benchSimCycle(b, nil) }
 
-// BenchmarkSimTimelineOff and BenchmarkSimTracerOff pin the cost of the
-// detached timeline/tracer nil checks in the simulation loop: both must
-// match BenchmarkSimCycle at 0 allocs/op (the observability contract —
-// one predicted branch per event site when disabled). The On variants
-// make the attached overhead visible in the same snapshot; they too
-// must stay at 0 allocs/op since both instruments preallocate.
-func BenchmarkSimTimelineOff(b *testing.B) {
-	benchSimCycle(b, func(n *sim.Network) { n.AttachTimeline(nil) })
-}
-
-func BenchmarkSimTracerOff(b *testing.B) {
-	benchSimCycle(b, func(n *sim.Network) { n.Trace(nil) })
-}
-
+// BenchmarkSimTimelineOn and BenchmarkSimTracerOn run BenchmarkSimCycle's
+// loop with the instrument attached, so the attached overhead is the
+// difference from BenchmarkSimCycle, whose loop pays the unattached nil
+// checks (one predicted branch per event site). Both must stay at 0
+// allocs/op, since both instruments preallocate.
 func BenchmarkSimTimelineOn(b *testing.B) {
 	benchSimCycle(b, func(n *sim.Network) { n.AttachTimeline(obs.NewTimeline(200, 512)) })
 }

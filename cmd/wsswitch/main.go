@@ -23,9 +23,10 @@
 //	                           through the optimized and reference
 //	                           simulators and report agreement
 //	wsswitch -replay "spec" -trace f.json
-//	                           additionally record the run's packet
-//	                           lifecycle and write Chrome trace-event
-//	                           JSON (open in ui.perfetto.dev)
+//	                           additionally record the optimized run's
+//	                           packet lifecycle and write Chrome
+//	                           trace-event JSON (open in ui.perfetto.dev);
+//	                           -replay takes no other flag or argument
 //	wsswitch -http :8080 ...   serve live introspection while running:
 //	                           /metrics (Prometheus text), /timeline
 //	                           (sampler series JSON), /attribution and
@@ -59,12 +60,12 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"syscall"
 	"time"
 
 	"waferswitch/internal/expt"
 	"waferswitch/internal/obs"
-	"waferswitch/internal/sim"
 	"waferswitch/internal/sim/refsim"
 )
 
@@ -115,6 +116,19 @@ func run() int {
 	flag.Parse()
 	args := flag.Args()
 	if *replay != "" {
+		// A replay runs its spec and nothing else: the spec's own tokens
+		// (timeline=, attribution=) ask for instruments, so any other
+		// flag or argument would be silently ignored.
+		var extra []string
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name != "replay" && f.Name != "trace" {
+				extra = append(extra, "-"+f.Name)
+			}
+		})
+		if extra = append(extra, args...); len(extra) > 0 {
+			fmt.Fprintf(os.Stderr, "wsswitch: -replay runs its spec alone (only -trace may join it); refusing %s\n", strings.Join(extra, " "))
+			return 2
+		}
 		return runReplay(*replay, *trace)
 	}
 	if *trace != "" {
@@ -241,81 +255,46 @@ func run() int {
 // violation — so a fuzz finding reproduces outside the fuzzer with
 // nothing but the one-line spec — and 2 on a spec no run can use: one
 // ParseSpec refuses, or whose topology, config or injector cannot be
-// built (Diff's only errors). With traceFile set, the optimized
-// simulator runs once more with a flight recorder attached and its
-// packet-lifecycle events are written as Chrome trace-event JSON, so a
-// fuzz-found wedging spec turns into a Perfetto-viewable trace.
+// built (Diff's only errors). With traceFile set, a flight recorder
+// rides along on the optimized run and its packet-lifecycle events are
+// written as Chrome trace-event JSON, so a fuzz-found wedging spec
+// turns into a Perfetto-viewable trace; the ring retains the final
+// events leading into a wedge, which is what the post-mortem needs.
 func runReplay(spec, traceFile string) int {
 	s, err := refsim.ParseSpec(spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wsswitch: %v\n", err)
 		return 2
 	}
-	rep, err := s.Diff()
+	var rec *obs.FlightRecorder
+	if traceFile != "" {
+		rec = obs.NewFlightRecorder(0)
+	}
+	rep, err := s.DiffTraced(rec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wsswitch: replay: %v\n", err)
 		return 2
 	}
 	fmt.Print(rep.Summary())
-	if traceFile != "" {
-		if err := writeReplayTrace(s, traceFile); err != nil {
+	if rec != nil {
+		f, err := os.Create(traceFile)
+		if err == nil {
+			err = obs.WriteChromeTrace(f, rec.Events())
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "wsswitch: replay trace: %v\n", err)
 			return 1
 		}
+		fmt.Printf("trace: wrote %d events to %s (%d older events dropped from the ring) — open in ui.perfetto.dev\n",
+			rec.Len(), traceFile, rec.Dropped())
 	}
 	if !rep.OK() {
 		return 1
 	}
 	return 0
-}
-
-// writeReplayTrace re-runs the spec on the optimized simulator with a
-// flight recorder and the invariant checker attached (watchdog off for
-// topologies the spec routes without deadlock freedom, matching Diff)
-// and renders the recorded events to traceFile. A wedging spec's
-// watchdog dump goes to stderr; the trace is written either way — the
-// ring retains the final events leading into the wedge, which is what
-// the post-mortem needs.
-func writeReplayTrace(s refsim.Spec, traceFile string) error {
-	top, err := s.Build()
-	if err != nil {
-		return err
-	}
-	n, err := sim.Build(top, sim.ConstantLatency(s.LinkLat), s.Config())
-	if err != nil {
-		return err
-	}
-	copt := sim.CheckOptions{}
-	if !s.DeadlockFree() {
-		copt.Watchdog = -1
-	}
-	if err := n.Check(copt); err != nil {
-		return err
-	}
-	rec := obs.NewFlightRecorder(0)
-	n.Trace(rec)
-	inj, err := s.Injector(top.ExternalPorts())
-	if err != nil {
-		return err
-	}
-	n.Run(inj, s.Load)
-	if cerr := n.CheckErr(); cerr != nil {
-		fmt.Fprintf(os.Stderr, "wsswitch: traced run: %v\n", cerr)
-	}
-	f, err := os.Create(traceFile)
-	if err != nil {
-		return err
-	}
-	if err := n.WriteTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("trace: wrote %d events to %s (%d older events dropped from the ring) — open in ui.perfetto.dev\n",
-		rec.Len(), traceFile, rec.Dropped())
-	return nil
 }
 
 func usage() {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -17,7 +18,6 @@ import (
 
 	"waferswitch/internal/expt"
 	"waferswitch/internal/obs"
-	"waferswitch/internal/sim/refsim"
 )
 
 // get fetches a path from the server and returns status + body.
@@ -270,9 +270,9 @@ func TestServerGracefulShutdown(t *testing.T) {
 }
 
 // A traced replay must write valid Chrome trace-event JSON for the
-// pinned wedging spec (and still report the wedge on stderr); a spec no
-// run can use must exit 2, so a script can tell it from a divergence
-// (exit 1).
+// pinned wedging spec (both simulators wedge alike, so it exits 0); a
+// spec no run can use must exit 2, so a script can tell it from a
+// divergence (exit 1).
 func TestWriteReplayTraceWedgingSpec(t *testing.T) {
 	// Each token overrides one key of a tuple that runs (later keys win).
 	const base = "family=clos size=0 pattern=uniform link=1 vcs=2 buf=8 pkt=2 rci=1 rco=1 pipe=0 term=1 warmup=10 measure=40 seed=1 load=0.25"
@@ -302,13 +302,9 @@ func TestWriteReplayTraceWedgingSpec(t *testing.T) {
 		}
 	})
 	spec := "family=dfly size=1 pattern=uniform link=1 vcs=1 buf=2 pkt=2 rci=1 rco=1 pipe=0 term=1 warmup=100 measure=1500 drain=4000 seed=2 load=0.95"
-	s, err := refsim.ParseSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	out := filepath.Join(t.TempDir(), "wedge.json")
-	if err := writeReplayTrace(s, out); err != nil {
-		t.Fatal(err)
+	if code := runReplay(spec, out); code != 0 {
+		t.Fatalf("traced replay of the wedging spec returned %d, want 0", code)
 	}
 	b, err := os.ReadFile(out)
 	if err != nil {
@@ -322,5 +318,30 @@ func TestWriteReplayTraceWedgingSpec(t *testing.T) {
 	}
 	if len(doc.TraceEvents) < 10 {
 		t.Errorf("wedge trace has only %d events", len(doc.TraceEvents))
+	}
+}
+
+// -replay runs its spec and nothing else: any other flag, or a
+// positional argument, is refused with exit 2 instead of being silently
+// ignored. -trace is the one flag it takes.
+func TestReplayRefusesOtherArgs(t *testing.T) {
+	const spec = "family=clos size=0 pattern=uniform link=1 vcs=2 buf=8 pkt=2 rci=1 rco=1 pipe=0 term=1 warmup=10 measure=40 seed=1 load=0.25"
+	for _, tc := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"flags", []string{"-quick", "-json", "-attribution", "-workers", "3", "-replay", spec}, 2},
+		{"argument", []string{"-replay", spec, "fig7"}, 2},
+		{"trace", []string{"-replay", spec, "-trace", filepath.Join(t.TempDir(), "t.json")}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
+			os.Args = append([]string{"wsswitch"}, tc.args...)
+			flag.CommandLine = flag.NewFlagSet("wsswitch", flag.ContinueOnError)
+			if code := run(); code != tc.want {
+				t.Errorf("wsswitch %s exited %d, want %d", strings.Join(tc.args, " "), code, tc.want)
+			}
+		})
 	}
 }

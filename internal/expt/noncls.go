@@ -15,16 +15,14 @@ func init() {
 }
 
 // topoBuilder constructs the largest instance of one topology family that
-// fits within maxChiplets chiplets of the given class, or nil if none
-// fits.
+// fits within maxChiplets chiplets of the given class, or an error if
+// none fits. directMaxPorts shrinks the budget by 3/4 each time the
+// instance is infeasible under the constraints.
 type topoBuilder struct {
 	name string
 	// identity marks topologies whose native layout is the wafer mesh.
 	identity bool
 	build    func(maxChiplets int, chip ssc.Chiplet) (*topo.Topology, error)
-	// shrink returns the next-smaller size parameter to try when the
-	// current instance is infeasible under constraints; builders receive
-	// maxChiplets directly, so shrinking halves it.
 }
 
 var directFamilies = []topoBuilder{

@@ -70,7 +70,6 @@ func (p *Placement) RouteExternal(capacities []int) error {
 	for i, b := range boundary {
 		remaining[b] = capacities[i]
 	}
-	hopsBefore := p.totalLaneHops
 	for id, n := range p.Topo.Nodes {
 		need := n.ExternalPorts
 		if need == 0 {
@@ -100,7 +99,6 @@ func (p *Placement) RouteExternal(capacities []int) error {
 			return fmt.Errorf("mapping: node %d could not escape %d external lanes", id, need)
 		}
 	}
-	p.externalLaneHops = p.totalLaneHops - hopsBefore
 	p.externalRouted = true
 	return nil
 }

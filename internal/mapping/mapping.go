@@ -66,10 +66,9 @@ type Placement struct {
 	// every load unchanged.
 	class []int32
 
-	// externalLaneHops accumulates the lane-hops of periphery escape
-	// paths added by RouteExternal.
-	externalLaneHops int
-	externalRouted   bool
+	// externalRouted is set once RouteExternal has added the periphery
+	// escape paths.
+	externalRouted bool
 }
 
 // arc is one end of a logical link, seen from the node it touches.
@@ -260,13 +259,6 @@ func (p *Placement) peakLoad(h, v []int, bound int) int {
 // path length, including any routed external escape paths.
 func (p *Placement) TotalLaneHops() int { return p.totalLaneHops }
 
-// ExternalLaneHops returns the lane-hops contributed by periphery escape
-// routing (zero until RouteExternal is called).
-func (p *Placement) ExternalLaneHops() int { return p.externalLaneHops }
-
-// InternalLaneHops returns the lane-hops of logical topology links only.
-func (p *Placement) InternalLaneHops() int { return p.totalLaneHops - p.externalLaneHops }
-
 // Loads returns the horizontal and vertical edge loads (for utilization
 // maps such as Fig 8): h[r*(Cols-1)+c] is the load between (r,c) and
 // (r,c+1), v[r*Cols+c] the load between (r,c) and (r+1,c).
@@ -294,18 +286,6 @@ func (p *Placement) Loads() (h, v []int) {
 func (p *Placement) NodeCell(node int) (row, col int) {
 	c := p.pos[node]
 	return p.row[c], p.col[c]
-}
-
-// AvgLinkHops returns the average physical path length of a logical lane.
-func (p *Placement) AvgLinkHops() float64 {
-	lanes := 0
-	for _, l := range p.Topo.Links {
-		lanes += l.Lanes
-	}
-	if lanes == 0 {
-		return 0
-	}
-	return float64(p.InternalLaneHops()) / float64(lanes)
 }
 
 // Cost is the lexicographic optimization objective: the bottleneck

@@ -205,8 +205,12 @@ func TestMeshIdentityPlacementIsZeroFeedthrough(t *testing.T) {
 	if got := p.MaxLoad(); got != 8 {
 		t.Errorf("identity mesh MaxLoad = %d, want 8", got)
 	}
-	if got := p.AvgLinkHops(); got != 1 {
-		t.Errorf("identity mesh AvgLinkHops = %v, want 1", got)
+	lanes := 0
+	for _, l := range m.Links {
+		lanes += l.Lanes
+	}
+	if got := p.TotalLaneHops(); got != lanes {
+		t.Errorf("identity mesh TotalLaneHops = %d, want the lane count %d", got, lanes)
 	}
 }
 
@@ -221,11 +225,8 @@ func TestRouteExternalAddsLoadAndConserves(t *testing.T) {
 	if err := p.RouteExternal(caps); err != nil {
 		t.Fatal(err)
 	}
-	if p.ExternalLaneHops() < 0 {
-		t.Errorf("ExternalLaneHops = %d", p.ExternalLaneHops())
-	}
-	if got := p.InternalLaneHops(); got != internal {
-		t.Errorf("InternalLaneHops = %d, want %d", got, internal)
+	if got := p.TotalLaneHops(); got < internal {
+		t.Errorf("TotalLaneHops fell from %d to %d after routing escape paths", internal, got)
 	}
 	// Conservation still holds.
 	h, v := p.Loads()

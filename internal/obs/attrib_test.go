@@ -185,31 +185,29 @@ func TestLiveAddAttribution(t *testing.T) {
 	}
 	a := NewAttribution(3, 4)
 	fillAttrib(a, 2, 10)
-	if err := l.AddAttribution("fig21/load=0.5", a, nil); err != nil {
-		t.Fatal(err)
-	}
-	// The first call fixes the sizing; mismatched points are rejected,
-	// and so is their report.
-	bad := &BackpressureReport{Cycle: 1}
-	if err := l.AddAttribution("bad", NewAttribution(4, 4), bad); err == nil {
-		t.Error("adding mismatched sizing succeeded")
-	}
-	s := l.Attribution(4)
-	if s == nil || s.Packets != 10 {
+	l.AddAttribution("fig21/load=0.5", a, nil)
+	if s := l.Attribution(4); s == nil || s.Packets != 10 {
 		t.Fatalf("live snapshot: %+v", s)
 	}
+	// A resized point (the next experiment's fabric) starts a new
+	// aggregate instead of being added to the old fabric's counters;
+	// its report is kept by name.
+	resized := NewAttribution(4, 4)
+	fillAttrib(resized, 1, 3)
+	l.AddAttribution("fig22/load=0.5", resized, &BackpressureReport{Cycle: 1})
+	if s := l.Attribution(4); s == nil || s.Packets != 3 || s.Heatmap == nil || len(s.Heatmap.Rows) != 4 {
+		t.Fatalf("live snapshot after a resized point: %+v", s)
+	}
 	for _, cycle := range []int64{9, 11} { // the latest report wins
-		if err := l.AddAttribution("fig21/load=0.9", NewAttribution(3, 4), &BackpressureReport{Cycle: cycle}); err != nil {
-			t.Fatal(err)
-		}
+		l.AddAttribution("fig21/load=0.9", NewAttribution(3, 4), &BackpressureReport{Cycle: cycle})
 	}
 	reps := l.Reports()
-	if len(reps) != 1 || reps["fig21/load=0.9"].Cycle != 11 {
+	if len(reps) != 2 || reps["fig21/load=0.9"].Cycle != 11 || reps["fig22/load=0.5"].Cycle != 1 {
 		t.Errorf("reports: %+v", reps)
 	}
 	// Mutating the returned copy must not affect the registry.
 	delete(reps, "fig21/load=0.9")
-	if len(l.Reports()) != 1 {
+	if len(l.Reports()) != 2 {
 		t.Error("Reports returned the internal map, not a copy")
 	}
 }
@@ -226,10 +224,7 @@ func TestLiveAddAttributionConcurrent(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				a := NewAttribution(2, 2)
 				fillAttrib(a, int64(w+1), 1)
-				if err := l.AddAttribution(string(rune('a'+w)), a, &BackpressureReport{Cycle: int64(i)}); err != nil {
-					t.Errorf("add: %v", err)
-					return
-				}
+				l.AddAttribution(string(rune('a'+w)), a, &BackpressureReport{Cycle: int64(i)})
 				_ = l.Attribution(2)
 				_ = l.Reports()
 			}

@@ -76,17 +76,6 @@ func NewCollector(routers, channels int) *Collector {
 	}
 }
 
-// Reset zeroes all counters, keeping sizes and channel metadata.
-func (c *Collector) Reset() {
-	c.Cycles, c.Injected, c.Ejected = 0, 0, 0
-	for i := range c.Routers {
-		c.Routers[i] = RouterCounters{}
-	}
-	for i := range c.Channels {
-		c.Channels[i] = ChannelCounters{}
-	}
-}
-
 // Merge folds o's counters into c: additive counters (flits, stalls,
 // cycles, occupancy integrals) add, peaks take the maximum. Both
 // collectors must be sized for the same network. Channel metadata is

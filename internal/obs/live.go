@@ -75,24 +75,22 @@ func (l *Live) AttachTimeline(name string, t *Timeline) {
 
 // AddAttribution folds a completed point's non-nil attribution into
 // the live aggregate and, when bp is non-nil, records the point's
-// backpressure report under name. The first call fixes the expected
-// sizing.
-func (l *Live) AddAttribution(name string, a *Attribution, bp *BackpressureReport) error {
+// backpressure report under name. A point from a network sized unlike
+// the aggregate starts a new aggregate, so the live view never adds up
+// the counters of two different fabrics.
+func (l *Live) AddAttribution(name string, a *Attribution, bp *BackpressureReport) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.attr == nil {
+	if l.attr == nil || len(l.attr.Routers) != len(a.Routers) || len(l.attr.ChanBlame) != len(a.ChanBlame) {
 		l.attr = NewAttribution(len(a.Routers), len(a.ChanBlame))
 	}
-	if err := l.attr.Merge(a); err != nil {
-		return err
-	}
+	_ = l.attr.Merge(a) // sized alike, so it cannot fail
 	if bp != nil {
 		if l.reports == nil {
 			l.reports = make(map[string]*BackpressureReport)
 		}
 		l.reports[name] = bp
 	}
-	return nil
 }
 
 // WorkerState is one worker's current assignment.

@@ -202,18 +202,3 @@ func TestHotChannelsTieBreak(t *testing.T) {
 		}
 	}
 }
-
-func TestCollectorReset(t *testing.T) {
-	c := NewCollector(1, 1)
-	c.Cycles, c.Injected = 5, 5
-	c.Routers[0].Flits = 3
-	c.Channels[0].Flits = 3
-	c.Meta[0] = ChannelMeta{Terminal: 7}
-	c.Reset()
-	if c.Cycles != 0 || c.Injected != 0 || c.Routers[0].Flits != 0 || c.Channels[0].Flits != 0 {
-		t.Errorf("reset left counters: %+v", c)
-	}
-	if c.Meta[0].Terminal != 7 {
-		t.Error("reset must keep channel metadata")
-	}
-}

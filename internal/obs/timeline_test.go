@@ -211,6 +211,28 @@ func TestTimelineHooksNoAllocs(t *testing.T) {
 	}
 }
 
+// A full store compacts in place. Each run closes four windows into an
+// 8-sample store holding four, so each run is one compaction and a
+// single allocation per compaction reads as 1 alloc/op (in the
+// simulator's steady-state step, one compaction per few thousand cycles
+// rounds down to 0 allocs/op).
+func TestTimelineCompactionNoAllocs(t *testing.T) {
+	tl := NewTimeline(1, 8)
+	feedTimeline(tl, 8, 1, func(int) float64 { return 5 })
+	if avg := testing.AllocsPerRun(10, func() {
+		for w := 0; w < 4; w++ {
+			for !tl.Tick(1) {
+			}
+			tl.EndInterval(1)
+		}
+	}); avg != 0 {
+		t.Errorf("timeline compaction allocates %v times, want 0", avg)
+	}
+	if got := tl.Interval(); got != 1<<12 {
+		t.Errorf("interval %d after 12 compactions, want %d", got, 1<<12)
+	}
+}
+
 // Snapshot must be safe to call while a writer goroutine is feeding the
 // timeline — the live /timeline handler does exactly that. Run under
 // -race via make check.

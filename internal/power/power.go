@@ -58,13 +58,3 @@ func Compute(t *topo.Topology, p *mapping.Placement, wsi tech.WSI, ext tech.Exte
 	b.ExternalIOW = float64(t.ExternalPorts()) * t.PortGbps * ext.EnergyPJPerBit * 1e-3
 	return b
 }
-
-// Scale returns the breakdown with every component multiplied by f
-// (used for the physical-Clos power overhead comparison of Fig 26).
-func (b Breakdown) Scale(f float64) Breakdown {
-	return Breakdown{
-		SSCLogicW:   b.SSCLogicW * f,
-		InternalIOW: b.InternalIOW * f,
-		ExternalIOW: b.ExternalIOW * f,
-	}
-}

@@ -63,11 +63,3 @@ func TestIOShare(t *testing.T) {
 		t.Errorf("zero breakdown IOShare = %v, want 0", got)
 	}
 }
-
-func TestScale(t *testing.T) {
-	b := Breakdown{SSCLogicW: 10, InternalIOW: 20, ExternalIOW: 30}
-	s := b.Scale(1.1)
-	if math.Abs(s.TotalW()-66) > 1e-9 {
-		t.Errorf("scaled total = %v, want 66", s.TotalW())
-	}
-}

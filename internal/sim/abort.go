@@ -37,7 +37,7 @@ const (
 )
 
 // abortState is the detector's runtime state, attached to a Network by
-// SetAbort and consulted by Run on the check cadence. All fields are
+// ArmAbort and consulted by Run on the check cadence. All fields are
 // owned by the simulating goroutine.
 type abortState struct {
 	streak        int
@@ -47,17 +47,11 @@ type abortState struct {
 	lastBacklog   int64
 }
 
-// SetAbort arms (true) or detaches (false) the early-abort saturation
-// detector for the next Run. Like the probe and the timeline, the
-// detector hides behind one nil check per cycle, so a run without it
-// pays only a predicted branch and the steady-state loop stays at 0
-// allocs/op. Call before Run.
-func (n *Network) SetAbort(on bool) {
-	n.ab = nil
-	if on {
-		n.ab = &abortState{}
-	}
-}
+// ArmAbort arms the early-abort saturation detector for the next Run;
+// Reset disarms it. Like the probe and the timeline, the detector hides
+// behind one nil check per cycle, so a run without it pays only a
+// predicted branch and the steady-state loop stays at 0 allocs/op.
+func (n *Network) ArmAbort() { n.ab = &abortState{} }
 
 // sourceBacklog counts the packets waiting in terminal source queues —
 // the unbounded queue that grows without limit past saturation. One

@@ -42,40 +42,20 @@ type attribState struct {
 	lastBP *obs.BackpressureReport
 }
 
-// NewAttribution returns an attribution collector sized for this
-// network. Attach it with AttachAttribution.
-func (n *Network) NewAttribution() *obs.Attribution {
-	return obs.NewAttribution(n.R, len(n.channels))
-}
-
-// AttachAttribution starts decomposing every packet's latency into
-// per-stage components and per-router/per-channel blame counters,
-// reported into a. Attaching nil detaches. Like the probe, all recording
-// sites hide behind one nil check, so a run without attribution pays one
-// predicted branch per event site and stays at 0 allocs/op; attribution
-// is observational and never perturbs simulation results.
-func (n *Network) AttachAttribution(a *obs.Attribution) error {
-	if a == nil {
-		n.at = nil
-		return nil
-	}
-	if len(a.Routers) != n.R || len(a.ChanBlame) != len(n.channels) {
-		return fmt.Errorf("sim: attribution sized %dx%d, network is %dx%d routers x channels",
-			len(a.Routers), len(a.ChanBlame), n.R, len(n.channels))
-	}
+// AttachAttribution builds an attribution collector sized for this
+// network, starts decomposing every packet's latency into per-stage
+// components and per-router/per-channel blame counters reported into
+// it, and returns it. Reset detaches it. Like the probe, all recording
+// sites hide behind one nil check, so a run without attribution pays
+// one predicted branch per event site and stays at 0 allocs/op;
+// attribution is observational and never perturbs simulation results.
+func (n *Network) AttachAttribution() *obs.Attribution {
+	a := obs.NewAttribution(n.R, len(n.channels))
 	n.at = &attribState{
 		a:    a,
 		pkts: make([]pktAttrib, len(n.pkts), len(n.pkts)+1024),
 	}
-	return nil
-}
-
-// Attribution returns the attached collector, nil when detached.
-func (n *Network) Attribution() *obs.Attribution {
-	if n.at == nil {
-		return nil
-	}
-	return n.at.a
+	return a
 }
 
 // Backpressure returns the root-cause report Run captured for a

@@ -46,10 +46,7 @@ func TestAttributionSumIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := n.NewAttribution()
-			if err := n.AttachAttribution(a); err != nil {
-				t.Fatal(err)
-			}
+			a := n.AttachAttribution()
 			inj, _ := SyntheticInjector(traffic.Uniform(tc.terms), cfg.PacketFlits)(tc.load)
 			st := n.Run(inj, tc.load)
 			if st.Drained != tc.drain {
@@ -80,45 +77,6 @@ func TestAttributionSumIdentity(t *testing.T) {
 	}
 }
 
-// Attribution is observational: attaching it must not change Stats, and
-// detaching must restore the unattributed fast path.
-func TestAttributionDoesNotPerturbRun(t *testing.T) {
-	cl := testClos(t)
-	cfg := sweepTestConfig()
-	run := func(attrib bool) Stats {
-		n, err := Build(cl, ConstantLatency(1), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if attrib {
-			if err := n.AttachAttribution(n.NewAttribution()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		inj, _ := SyntheticInjector(traffic.Uniform(128), cfg.PacketFlits)(0.5)
-		return n.Run(inj, 0.5)
-	}
-	if plain, attributed := run(false), run(true); plain != attributed {
-		t.Errorf("attribution perturbed the run:\nplain      %+v\nattributed %+v", plain, attributed)
-	}
-}
-
-func TestAttachAttributionSizeMismatch(t *testing.T) {
-	n, err := Build(testClos(t), ConstantLatency(1), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AttachAttribution(obs.NewAttribution(1, 1)); err == nil {
-		t.Error("mis-sized attribution accepted")
-	}
-	if err := n.AttachAttribution(nil); err != nil {
-		t.Errorf("detaching: %v", err)
-	}
-	if n.Attribution() != nil || n.Backpressure() != nil || n.AttribSumMismatches() != 0 {
-		t.Error("detached network still reports attribution state")
-	}
-}
-
 // Every credit-stall cycle suffered at some router is blamed on exactly
 // one downstream router and one channel, so the three counter families
 // conserve the same total.
@@ -129,10 +87,7 @@ func TestAttributionBlameConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := n.NewAttribution()
-	if err := n.AttachAttribution(a); err != nil {
-		t.Fatal(err)
-	}
+	a := n.AttachAttribution()
 	inj, _ := SyntheticInjector(traffic.Uniform(72), cfg.PacketFlits)(0.4)
 	n.Run(inj, 0.4)
 	var suffered, blamed, chanBlame int64
@@ -173,10 +128,7 @@ func TestAnalyzeBackpressureSaturated(t *testing.T) {
 		t.Errorf("idle render: %q", idle.Render())
 	}
 
-	a := n.NewAttribution()
-	if err := n.AttachAttribution(a); err != nil {
-		t.Fatal(err)
-	}
+	n.AttachAttribution()
 	inj, _ := SyntheticInjector(traffic.Uniform(72), cfg.PacketFlits)(0.5)
 	st := n.Run(inj, 0.5)
 	if st.Drained {
@@ -215,9 +167,7 @@ func TestAnalyzeBackpressureSaturated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n2.AttachAttribution(n2.NewAttribution()); err != nil {
-		t.Fatal(err)
-	}
+	n2.AttachAttribution()
 	inj2, _ := SyntheticInjector(traffic.Uniform(128), cfg.PacketFlits)(0.3)
 	st2 := n2.Run(inj2, 0.3)
 	if !st2.Drained {
@@ -333,32 +283,6 @@ func keys(m map[string]*obs.BackpressureReport) []string {
 	return out
 }
 
-// With attribution attached the steady-state loop must still allocate
-// nothing: per-packet accumulators are recycled through the packet
-// freelist and only grow when the in-flight population outgrows the
-// table.
-func TestSteadyStateNoAllocsAttributed(t *testing.T) {
-	cl := testClos(t)
-	n, err := Build(cl, ConstantLatency(1), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AttachAttribution(n.NewAttribution()); err != nil {
-		t.Fatal(err)
-	}
-	inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.4)
-	for ; n.now < 4000; n.now++ {
-		n.step(inj)
-	}
-	avg := testing.AllocsPerRun(400, func() {
-		n.step(inj)
-		n.now++
-	})
-	if avg != 0 {
-		t.Errorf("steady-state step allocates %v allocs/op with attribution attached, want 0", avg)
-	}
-}
-
 // BenchmarkSimAttributionOff is the pinned 0-allocs/op guard: the same
 // steady-state loop as BenchmarkSimSteadyState with the attribution
 // probe sites compiled in but detached.
@@ -392,9 +316,7 @@ func benchAttribution(b *testing.B, attrib bool) {
 		b.Fatal(err)
 	}
 	if attrib {
-		if err := n.AttachAttribution(n.NewAttribution()); err != nil {
-			b.Fatal(err)
-		}
+		n.AttachAttribution()
 	}
 	inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.5)
 	for ; n.now < 4000; n.now++ {

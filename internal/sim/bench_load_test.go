@@ -160,9 +160,7 @@ func BenchmarkSimRunSaturated(b *testing.B) {
 		{"fbfly", fbfly, func(*Network) {}},
 		{"clos/timeline", clos, func(n *Network) { n.AttachTimeline(obs.NewTimeline(32, 64)) }},
 		{"clos/attribution", clos, func(n *Network) {
-			if err := n.AttachAttribution(n.NewAttribution()); err != nil {
-				b.Fatal(err)
-			}
+			n.AttachAttribution()
 		}},
 	} {
 		inj, err := SyntheticInjector(traffic.Uniform(tc.top.ExternalPorts()), cfg.PacketFlits)(0.9)

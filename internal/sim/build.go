@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -259,7 +260,7 @@ type observers struct {
 	chk        *checker
 	deliveries []Delivery
 
-	// ab is the early-abort saturation detector armed by SetAbort (see
+	// ab is the early-abort saturation detector armed by ArmAbort (see
 	// abort.go); it is checked once per cycle on the run loop, never on
 	// the event sites.
 	ab *abortState
@@ -296,10 +297,14 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 	var lanes []lanePort
 	for _, l := range t.Links {
 		for i := 0; i < l.Lanes; i++ {
+			d := lat(l.A, l.B)
+			if d > math.MaxInt32-cfg.PipeDelay {
+				return nil, fmt.Errorf("sim: link %d-%d latency %d plus PipeDelay %d does not fit int32", l.A, l.B, d, cfg.PipeDelay)
+			}
 			lanes = append(lanes, lanePort{
 				a: l.A, pa: int(numPorts[l.A]) + i,
 				b: l.B, pb: int(numPorts[l.B]) + i,
-				lat: lat(l.A, l.B),
+				lat: d + cfg.PipeDelay,
 			})
 		}
 		numPorts[l.A] += int32(l.Lanes)
@@ -396,8 +401,8 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 		return ci
 	}
 	for _, lp := range lanes {
-		addChannel(lp.a, lp.pa, lp.b, lp.pb, lp.lat+cfg.PipeDelay, -1)
-		addChannel(lp.b, lp.pb, lp.a, lp.pa, lp.lat+cfg.PipeDelay, -1)
+		addChannel(lp.a, lp.pa, lp.b, lp.pb, lp.lat, -1)
+		addChannel(lp.b, lp.pb, lp.a, lp.pa, lp.lat, -1)
 	}
 
 	// Terminals: port index equals terminal order within its router.
@@ -439,10 +444,12 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 	n.classOff = make([]int32, nClass)
 	n.classSlotBase = make([]int32, nClass)
 	n.classHot = make([][]chanHot, nClass)
-	total := int32(0)
+	var total int64
 	for k, lv := range n.latVals {
-		n.classOff[k] = total
-		total += lv * n.classCnt[k]
+		n.classOff[k] = int32(total)
+		if total += int64(lv) * int64(n.classCnt[k]); total > math.MaxInt32 {
+			return nil, fmt.Errorf("sim: channel rings need over %d slots (ring indices are int32)", math.MaxInt32)
+		}
 		n.classHot[k] = make([]chanHot, 0, n.classCnt[k])
 	}
 	n.ringSlab = make([]uint64, total)

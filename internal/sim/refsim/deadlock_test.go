@@ -104,7 +104,7 @@ func TestDeadlockDumpIncludesFlightRecorder(t *testing.T) {
 	}
 	// And the traced wedge still exports as Chrome trace JSON.
 	var buf bytes.Buffer
-	if err := n.WriteTrace(&buf); err != nil {
+	if err := obs.WriteChromeTrace(&buf, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any

@@ -122,7 +122,7 @@ func TestSimEquivalenceOddRadix(t *testing.T) {
 				Warmup: 50, Measure: 150, Seed: 21, Load: load,
 			}
 			t.Run(fmt.Sprintf("%s/load=%g", top.Name, load), func(t *testing.T) {
-				rep, err := s.diffOn(top, sim.CheckOptions{})
+				rep, err := s.diffOn(top, sim.CheckOptions{}, nil)
 				if err != nil {
 					t.Fatalf("diff %s: %v", s, err)
 				}

@@ -271,3 +271,41 @@ func histSnapshotsEqual(a, b *obs.HistogramSnapshot) bool {
 	}
 	return true
 }
+
+// FuzzParseSpec: ParseSpec never panics on any input, and every spec it
+// accepts prints a tuple that parses back to an equal Spec, so the
+// tuple a failing test prints always replays the case it names.
+func FuzzParseSpec(f *testing.F) {
+	// Seeds: the tuples of the README, the wsswitch usage text and
+	// server tests, and TestSpecRoundTrip.
+	for _, in := range []string{
+		"family=dfly size=1 pattern=uniform link=1 vcs=1 buf=2 pkt=2 rci=1 rco=1 pipe=0 term=1 warmup=100 measure=1500 drain=4000 seed=2 load=0.95",
+		"family=clos size=0 pattern=uniform link=1 vcs=2 buf=8 pkt=2 rci=1 rco=1 pipe=1 term=1 warmup=50 measure=150 drain=0 seed=42 load=0.25",
+		"family=clos size=0 pattern=uniform link=1 vcs=2 buf=8 pkt=2 rci=1 rco=1 pipe=0 term=1 warmup=10 measure=40 seed=1 load=0.25 buf=70000",
+		"family=clos size=0 pattern=uniform link=1 load=0.25 shards=1",
+		"family=clos bogus=1",
+		"size=1",
+		"family=clos size=-1",
+		"family=clos load=NaN",
+		"family=clos load=-Inf",
+		"family=clos shards=2",
+	} {
+		f.Add(in)
+	}
+	s := SpecFromRaw(3, 1, 2, 0, 1, 7, 2, 0, 1, 2, 3, 77, 150, -12345, 333)
+	s.Timeline, s.Attribution = true, true
+	f.Add(s.String())
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := ParseSpec(in)
+		if err != nil {
+			return
+		}
+		back, err := ParseSpec(s.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) accepted it, but not its tuple %q: %v", in, s.String(), err)
+		}
+		if back != s {
+			t.Fatalf("ParseSpec(%q) round trip changed the spec:\n  in  %+v\n  out %+v", in, s, back)
+		}
+	})
+}

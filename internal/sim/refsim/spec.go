@@ -333,7 +333,13 @@ func (r *DiffReport) Summary() string {
 // also carries the runtime invariant checker, so a diff both
 // cross-checks the implementations against each other and the optimized
 // one against the specification's conservation laws.
-func (s Spec) Diff() (*DiffReport, error) {
+func (s Spec) Diff() (*DiffReport, error) { return s.DiffTraced(nil) }
+
+// DiffTraced is Diff with rec, when non-nil, recording the optimized
+// run's packet lifecycle: one run both reports the divergence and
+// yields the trace that explains it. A flight recorder is
+// observational, so the report is Diff's.
+func (s Spec) DiffTraced(rec *obs.FlightRecorder) (*DiffReport, error) {
 	top, err := s.Build()
 	if err != nil {
 		return nil, err
@@ -342,13 +348,14 @@ func (s Spec) Diff() (*DiffReport, error) {
 	if !s.DeadlockFree() {
 		opt.Watchdog = -1
 	}
-	return s.diffOn(top, opt)
+	return s.diffOn(top, opt, rec)
 }
 
 // diffOn is Diff's comparison on a given topology in place of the one
 // the spec's family and size name: every other knob comes from the
-// spec, and opt configures the invariant checker on the optimized run.
-func (s Spec) diffOn(top *topo.Topology, opt sim.CheckOptions) (*DiffReport, error) {
+// spec, opt configures the invariant checker on the optimized run, and
+// rec, when non-nil, records that run's packet lifecycle.
+func (s Spec) diffOn(top *topo.Topology, opt sim.CheckOptions, rec *obs.FlightRecorder) (*DiffReport, error) {
 	cfg := s.Config()
 	lat := sim.ConstantLatency(s.LinkLat)
 
@@ -367,9 +374,10 @@ func (s Spec) diffOn(top *topo.Topology, opt sim.CheckOptions) (*DiffReport, err
 		n.AttachTimeline(obs.NewTimeline(diffTimelineInterval, diffTimelineSamples))
 	}
 	if s.Attribution {
-		if err := n.AttachAttribution(n.NewAttribution()); err != nil {
-			return nil, err
-		}
+		n.AttachAttribution()
+	}
+	if rec != nil {
+		n.Trace(rec)
 	}
 	n.RecordDeliveries()
 	rep := &DiffReport{Spec: s}

@@ -38,7 +38,7 @@ import "waferswitch/internal/obs"
 // with seed, reusing every backing array. All observers (probe,
 // timeline, tracer, attribution, checker, abort detector, delivery
 // recording) are detached, as on a fresh Build — reattach what the
-// next run needs.
+// next run needs. It is the only way to detach an instrument.
 func (n *Network) Reset(seed int64) {
 	clear(n.vcQ)
 	clear(n.alloc)
@@ -90,9 +90,7 @@ func (n *Network) Reset(seed int64) {
 	n.ejectedFlits = 0
 
 	// Observers: detached, like a fresh Build. The timeline's scratch
-	// array is kept (zeroed) so reattaching allocates nothing — the
-	// timeline is detached with the other observers rather than through
-	// AttachTimeline(nil), which would free it.
+	// array is kept (zeroed) so reattaching allocates nothing.
 	n.observers = observers{}
 	clear(n.tlChanFlits)
 

@@ -91,9 +91,7 @@ func TestResetEquivalence(t *testing.T) {
 					t.Run(fmt.Sprintf("shards=%d/load=%g", shards, load), func(t *testing.T) {
 						run := func(n *Network) (Stats, string, []Delivery) {
 							n.RecordDeliveries()
-							if err := n.AttachProbe(n.NewProbe()); err != nil {
-								t.Fatal(err)
-							}
+							n.AttachProbe()
 							st := n.Run(inj(load), load)
 							snap, err := json.Marshal(n.Snapshot())
 							if err != nil {
@@ -157,19 +155,15 @@ func TestResetDetachesEveryObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AttachProbe(n.NewProbe()); err != nil {
-		t.Fatal(err)
-	}
+	n.AttachProbe()
 	n.AttachTimeline(obs.NewTimeline(50, 0))
 	n.Trace(obs.NewFlightRecorder(1024))
-	if err := n.AttachAttribution(n.NewAttribution()); err != nil {
-		t.Fatal(err)
-	}
+	n.AttachAttribution()
 	if err := n.Check(CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	n.RecordDeliveries()
-	n.SetAbort(true)
+	n.ArmAbort()
 	const load = 0.95
 	if st := n.Run(RateInjector{Load: load, Pattern: traffic.Uniform(n.T), PacketFlits: cfg.PacketFlits}, load); st.Drained {
 		t.Fatalf("load %g drained; the test needs a saturated point", load)

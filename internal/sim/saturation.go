@@ -21,7 +21,7 @@ type SaturationSearchOptions struct {
 	MaxEvals int
 	// Abort arms the early-abort saturation detector on every probed
 	// point, so the saturated half of the bracket costs a fraction of
-	// its drain budget (see Network.SetAbort).
+	// its drain budget (see Network.ArmAbort).
 	Abort bool
 }
 
@@ -99,7 +99,9 @@ func FindSaturation(build Builder, injf InjectorFactory, opt SaturationSearchOpt
 		if err != nil {
 			return Stats{}, err
 		}
-		n.SetAbort(opt.Abort)
+		if opt.Abort {
+			n.ArmAbort()
+		}
 		inj, err := injf(load)
 		if err != nil {
 			return Stats{}, err

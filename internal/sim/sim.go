@@ -18,6 +18,7 @@ package sim
 import (
 	"fmt"
 	"log/slog"
+	"math"
 )
 
 // Config controls the router microarchitecture and measurement windows.
@@ -79,6 +80,10 @@ func (c Config) validate() error {
 	}
 	if c.PipeDelay < 0 || c.TermDelay < 0 {
 		return fmt.Errorf("sim: negative delays")
+	}
+	if max(c.RCIngress, c.RCOther, c.PipeDelay, c.TermDelay) > math.MaxInt32 {
+		return fmt.Errorf("sim: delays RCIngress %d, RCOther %d, PipeDelay %d, TermDelay %d must fit int32",
+			c.RCIngress, c.RCOther, c.PipeDelay, c.TermDelay)
 	}
 	if c.WarmupCycles < 0 || c.MeasureCycles < 1 {
 		return fmt.Errorf("sim: bad measurement window")
@@ -240,7 +245,7 @@ type Stats struct {
 	// drain budget; false indicates the network is saturated.
 	Drained bool `json:"drained"`
 	// Aborted reports that the early-abort saturation detector (see
-	// Network.SetAbort) cut the run short: the measurement window completed
+	// Network.ArmAbort) cut the run short: the measurement window completed
 	// in full — Offered and Accepted are exact — but the remaining drain
 	// budget was skipped once divergence was certain, so Drained is
 	// false and the latency fields cover only the packets completed by

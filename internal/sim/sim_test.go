@@ -313,10 +313,22 @@ func TestConfigValidation(t *testing.T) {
 		{NumVCs: 1, BufPerPort: 8, PacketFlits: 0, MeasureCycles: 10},
 		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: 0},
 		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: 10, PipeDelay: -1},
+		// Delays the simulator's int32 state would silently truncate.
+		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: 10, RCIngress: 1<<32 + 1},
+		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: 10, RCOther: math.MaxInt32 + 1},
+		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: 10, PipeDelay: 1 << 32},
+		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: 10, TermDelay: 1 << 32},
 	}
 	for i, cfg := range bad {
 		if _, err := Build(cl, ConstantLatency(1), cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+	// A link latency that does not fit int32, and one that fits but
+	// whose channel rings would need more slots than int32 indexes.
+	for _, lat := range []int{1 << 32, 1 << 30} {
+		if _, err := Build(cl, ConstantLatency(lat), testConfig()); err == nil {
+			t.Errorf("link latency %d accepted", lat)
 		}
 	}
 }

@@ -126,7 +126,7 @@ type SweepOptions struct {
 	LiveName string
 
 	// Abort arms the early-abort saturation detector on every point
-	// (see Network.SetAbort). The measurement window always runs to
+	// (see Network.ArmAbort). The measurement window always runs to
 	// completion, so Offered, Accepted and SaturationThroughput match a
 	// full sweep; saturated points skip the drain budget and report
 	// Stats.Aborted alongside Drained=false. A point near the knee that a
@@ -272,15 +272,15 @@ func (r *sweepRun) runPoint(w *workerNet, sr *Series, s, i int, opt SweepOptions
 	if opt.Live != nil {
 		key = fmt.Sprintf("%s/load=%g", sr.Name, load)
 	}
-	n.SetAbort(opt.Abort)
+	if opt.Abort {
+		n.ArmAbort()
+	}
 	inj, err := sr.Inject(load)
 	if err != nil {
 		return err
 	}
 	if opt.Probe {
-		if err := n.AttachProbe(n.NewProbe()); err != nil {
-			return err
-		}
+		out.coll = n.AttachProbe()
 	}
 	if opt.TimelineInterval > 0 {
 		out.tl = obs.NewTimeline(opt.TimelineInterval, 0)
@@ -290,25 +290,19 @@ func (r *sweepRun) runPoint(w *workerNet, sr *Series, s, i int, opt SweepOptions
 		}
 	}
 	if opt.Attribution {
-		out.at = n.NewAttribution()
-		if err := n.AttachAttribution(out.at); err != nil {
-			return err
-		}
+		out.at = n.AttachAttribution()
 	}
 	st := n.Run(inj, load)
 	p := &r.points[i]
 	*p = SweepPoint{Stats: st}
 	if opt.Probe {
 		p.Probe = n.Snapshot()
-		out.coll = n.probe
 	}
 	if opt.Attribution {
 		p.Backpressure = n.Backpressure()
 		p.PostMortem = n.SaturationPostMortem(st)
 		if opt.Live != nil {
-			if err := opt.Live.AddAttribution(key, out.at, p.Backpressure); err != nil {
-				return err
-			}
+			opt.Live.AddAttribution(key, out.at, p.Backpressure)
 		}
 	}
 	out.hist = n.LatencyHistogram()

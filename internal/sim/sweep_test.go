@@ -349,3 +349,32 @@ func TestSweepsAnnounceTotalUpFront(t *testing.T) {
 		t.Errorf("points done %d, want %d", s.Done, points)
 	}
 }
+
+// Experiments that share one live feed run fabrics of different sizes
+// (wsswitch -http runs fig21 and then fig22 on larger networks): a
+// point sized unlike the live attribution aggregate starts a new one
+// instead of failing its sweep, so the live view never sums two
+// fabrics' counters.
+func TestSweepsShareLiveAcrossSizes(t *testing.T) {
+	chip, err := ssc.MustTH5(200).Deradix(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := shortTestConfig()
+	live := &obs.Live{}
+	for _, ports := range []int{32, 64} {
+		cl, err := topo.HomogeneousClos(ports, chip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build := func() (*Network, error) { return Build(cl, ConstantLatency(1), cfg) }
+		res, err := Sweep(build, SyntheticInjector(traffic.Uniform(ports), cfg.PacketFlits), []float64{0.3},
+			SweepOptions{Workers: 1, Attribution: true, Live: live, LiveName: "clos"})
+		if err != nil {
+			t.Fatalf("%d-port sweep: %v", ports, err)
+		}
+		if s := live.Attribution(4); s == nil || s.Packets != res.Attribution.Packets {
+			t.Errorf("%d-port sweep: live aggregate %+v, want this sweep's %d packets", ports, s, res.Attribution.Packets)
+		}
+	}
+}

@@ -189,9 +189,3 @@ var (
 	MultiPhaseCooling = Cooling{Name: "multiphase", MaxWPerMM2: 1.50}
 	NoCoolingLimit    = Cooling{Name: "unlimited", MaxWPerMM2: 1e12}
 )
-
-// MaxPowerW returns the total power the cooling solution can dissipate
-// from a square substrate with the given side in mm.
-func (c Cooling) MaxPowerW(substrateSideMM float64) float64 {
-	return c.MaxWPerMM2 * substrateSideMM * substrateSideMM
-}

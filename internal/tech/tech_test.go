@@ -132,14 +132,14 @@ func TestExternalIOAnchors(t *testing.T) {
 func TestCoolingMaxPower(t *testing.T) {
 	// Water cooling sustains 0.5 W/mm^2: 45 kW fits on a 300 mm wafer
 	// (Section VIII) but 62 kW does not.
-	maxW := WaterCooling.MaxPowerW(300)
+	maxW := WaterCooling.MaxWPerMM2 * 300 * 300
 	if maxW != 45000 {
 		t.Errorf("water cooling 300mm max power = %v, want 45000", maxW)
 	}
-	if AirCooling.MaxPowerW(300) >= maxW {
+	if AirCooling.MaxWPerMM2 >= WaterCooling.MaxWPerMM2 {
 		t.Error("air cooling should sustain less power than water cooling")
 	}
-	if MultiPhaseCooling.MaxPowerW(300) <= maxW {
+	if MultiPhaseCooling.MaxWPerMM2 <= WaterCooling.MaxWPerMM2 {
 		t.Error("multiphase cooling should sustain more power than water cooling")
 	}
 }

@@ -194,9 +194,6 @@ func TestTraceGeneratorsInRange(t *testing.T) {
 			if nonEmpty == 0 {
 				t.Fatalf("trace %q (n=%d) has no messages at all", tr.Name, n)
 			}
-			if avg := tr.AvgMessageFlits(); avg <= 0 {
-				t.Fatalf("trace %q (n=%d) average message size %v", tr.Name, n, avg)
-			}
 		}
 	}
 }

@@ -48,21 +48,6 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// AvgMessageFlits returns the mean message size of the trace.
-func (t *Trace) AvgMessageFlits() float64 {
-	total, count := 0, 0
-	for _, msgs := range t.PerSource {
-		for _, m := range msgs {
-			total += m.Flits
-			count++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return float64(total) / float64(count)
-}
-
 // grid3 factors n into the most cubic px*py*pz decomposition.
 func grid3(n int) (px, py, pz int) {
 	px, py, pz = 1, 1, 1

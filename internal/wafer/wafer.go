@@ -25,9 +25,6 @@ var StandardSides = []float64{100, 150, 200, 250, 300}
 // AreaMM2 is the substrate area in mm^2.
 func (s Substrate) AreaMM2() float64 { return s.SideMM * s.SideMM }
 
-// PerimeterMM is the substrate perimeter in mm.
-func (s Substrate) PerimeterMM() float64 { return 4 * s.SideMM }
-
 // MaxSites is the number of chiplets of the given area that fit on the
 // substrate by area division. The paper uses area division rather than
 // strict rectangular tiling (its 100 mm ideal configuration needs 12
