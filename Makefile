@@ -112,8 +112,8 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# bench-json snapshots the guard benchmarks (simulator inner loop with
-# the timeline/tracer/attribution on and off, the saturated/knee/
+# bench-json snapshots the guard benchmarks (simulator inner loop bare
+# and with the timeline/tracer/attribution on, the saturated/knee/
 # low-load hot-loop guards, the whole-run Run guards on the 1024-port
 # Clos and flattened butterfly and with the timeline/attribution
 # observers attached, the sweep engine serial/parallel plus
@@ -121,8 +121,9 @@ bench-test:
 # pairs, and the mapping kernel's Algorithm 1 optimization of the
 # 8192-port Clos and converged pass: ns/op, allocs/op, cycles/op) into
 # BENCH_sim.json so the perf trajectory is machine-readable across
-# commits. The *Off cases pin the disabled observability paths at 0
-# allocs/op, and MappingConvergedPass pins Optimize at 0 allocs/op.
+# commits. SimCycle and SimSteadyState pin the detached observability
+# paths at 0 allocs/op, and MappingConvergedPass pins Optimize at 0
+# allocs/op.
 # benchjson -diff gates the fresh numbers against the committed
 # baseline — >15% ns/op regressions, any allocation or beyond-tolerance
 # B/op growth on a zero-alloc guard, or a silently dropped benchmark

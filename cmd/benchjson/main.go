@@ -15,6 +15,10 @@
 // the benchmarks common to both runs is printed to stderr either way,
 // so improvements are visible in CI logs, not only regressions.
 //
+// Several results of one benchmark (`go test -count N`) are reduced to
+// one: the median of each metric and of the iteration count, so a pin
+// or a gated run need not rest on a single noisy sample.
+//
 // Input lines it understands (all others pass through to the Ignored
 // count):
 //
@@ -32,6 +36,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -93,7 +98,8 @@ func parseLine(line string) (b Benchmark, ok bool) {
 	return b, true
 }
 
-// parse consumes benchmark output and assembles the JSON document.
+// parse consumes benchmark output and assembles the JSON document, one
+// entry per benchmark (see medians).
 func parse(lines *bufio.Scanner) (*Output, error) {
 	out := &Output{Benchmarks: []Benchmark{}}
 	for lines.Scan() {
@@ -113,7 +119,60 @@ func parse(lines *bufio.Scanner) (*Output, error) {
 			out.Packages = append(out.Packages, strings.TrimPrefix(line, "pkg: "))
 		}
 	}
+	out.Benchmarks = medians(out.Benchmarks)
 	return out, lines.Err()
+}
+
+// medians reduces the results of each benchmark that ran several times
+// (same name and procs) to one, at the position of its first result:
+// every metric, and the iteration count, becomes the median over the
+// results that report it, the mean of the middle two for an even count.
+func medians(bs []Benchmark) []Benchmark {
+	type key struct {
+		name  string
+		procs int
+	}
+	at := make(map[key]int)
+	var runs [][]Benchmark
+	for _, b := range bs {
+		k := key{b.Name, b.Procs}
+		i, ok := at[k]
+		if !ok {
+			i = len(runs)
+			at[k] = i
+			runs = append(runs, nil)
+		}
+		runs[i] = append(runs[i], b)
+	}
+	out := make([]Benchmark, len(runs))
+	for i, rs := range runs {
+		iters := make([]float64, len(rs))
+		vals := make(map[string][]float64)
+		for j, r := range rs {
+			iters[j] = float64(r.Iterations)
+			for unit, v := range r.Metrics {
+				vals[unit] = append(vals[unit], v)
+			}
+		}
+		m := Benchmark{Name: rs[0].Name, Procs: rs[0].Procs,
+			Iterations: int64(median(iters)), Metrics: make(map[string]float64, len(vals))}
+		for unit, vs := range vals {
+			m.Metrics[unit] = median(vs)
+		}
+		out[i] = m
+	}
+	return out
+}
+
+// median returns the median of vs (which it sorts), the mean of the
+// middle two for an even count.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	h := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[h]
+	}
+	return (vs[h-1] + vs[h]) / 2
 }
 
 // compare gates fresh benchmark results against a committed baseline and

@@ -210,3 +210,40 @@ PASS
 		t.Errorf("second benchmark: %+v", out.Benchmarks[1])
 	}
 }
+
+// Results of one benchmark run with -count N reduce to the median of
+// each metric and of the iteration count, at the first result's place;
+// a benchmark run once, or under other procs, keeps its own result.
+func TestParseMedians(t *testing.T) {
+	in := `pkg: waferswitch
+BenchmarkMappingOptimize-2   	     100	  11000000 ns/op	   61280 B/op	      12 allocs/op
+BenchmarkSimCycle-2          	   10000	    110000 ns/op	      64 B/op	       0 allocs/op
+BenchmarkMappingOptimize-2   	     110	  30000000 ns/op	   61280 B/op	      12 allocs/op
+BenchmarkMappingOptimize-2   	      90	  10000000 ns/op	   61000 B/op	      12 allocs/op
+BenchmarkMappingOptimize-2   	     120	  12000000 ns/op	   61280 B/op	      13 allocs/op	 1.5 cycles/op
+BenchmarkSimCycle-4          	   20000	     90000 ns/op	      64 B/op	       0 allocs/op
+`
+	out, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Benchmarks) != 3 {
+		t.Fatalf("got %d benchmarks, want 3: %+v", len(out.Benchmarks), out.Benchmarks)
+	}
+	opt := out.Benchmarks[0]
+	want := map[string]float64{"ns/op": 11500000, "B/op": 61280, "allocs/op": 12, "cycles/op": 1.5}
+	if opt.Name != "MappingOptimize" || opt.Procs != 2 || opt.Iterations != 105 || len(opt.Metrics) != len(want) {
+		t.Fatalf("reduced benchmark %+v", opt)
+	}
+	for unit, v := range want {
+		if opt.Metrics[unit] != v {
+			t.Errorf("%s = %v, want the median %v", unit, opt.Metrics[unit], v)
+		}
+	}
+	if c := out.Benchmarks[1]; c.Name != "SimCycle" || c.Procs != 2 || c.Metrics["ns/op"] != 110000 {
+		t.Errorf("single result changed: %+v", c)
+	}
+	if c := out.Benchmarks[2]; c.Name != "SimCycle" || c.Procs != 4 || c.Metrics["ns/op"] != 90000 {
+		t.Errorf("result under other procs merged: %+v", c)
+	}
+}

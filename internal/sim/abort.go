@@ -53,10 +53,11 @@ type abortState struct {
 // predicted branch and the steady-state loop stays at 0 allocs/op.
 func (n *Network) ArmAbort() { n.ab = &abortState{} }
 
-// sourceBacklog counts the packets waiting in terminal source queues —
-// the unbounded queue that grows without limit past saturation. One
-// O(terminals) walk per check beats maintaining a counter on the
-// per-flit hot path.
+// sourceBacklog counts the packets waiting in terminal source queues,
+// the backlog that keeps growing past saturation. Deferred birth
+// trials are not in the queues, so Run draws them (catchUp) before each
+// check. One O(terminals) walk per check beats maintaining a counter on
+// the per-flit hot path.
 func (n *Network) sourceBacklog() int64 {
 	var b int64
 	for t := 0; t < n.T; t++ {

@@ -283,49 +283,9 @@ func keys(m map[string]*obs.BackpressureReport) []string {
 	return out
 }
 
-// BenchmarkSimAttributionOff is the pinned 0-allocs/op guard: the same
-// steady-state loop as BenchmarkSimSteadyState with the attribution
-// probe sites compiled in but detached.
-func BenchmarkSimAttributionOff(b *testing.B) {
-	benchAttribution(b, false)
-}
-
 // BenchmarkSimAttributionOn quantifies the cost of full per-packet
-// latency decomposition and blame counting.
+// latency decomposition and blame counting: BenchmarkSimSteadyState's
+// loop with attribution attached.
 func BenchmarkSimAttributionOn(b *testing.B) {
-	benchAttribution(b, true)
-}
-
-func benchAttribution(b *testing.B, attrib bool) {
-	b.Helper()
-	chip, err := ssc.MustTH5(200).Deradix(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl, err := topo.HomogeneousClos(128, chip)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := Config{
-		NumVCs: 4, BufPerPort: 32, PacketFlits: 4,
-		RCIngress: 2, RCOther: 1, PipeDelay: 3, TermDelay: 8,
-		WarmupCycles: 10, MeasureCycles: 10, Seed: 7,
-	}
-	n, err := Build(cl, ConstantLatency(1), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if attrib {
-		n.AttachAttribution()
-	}
-	inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.5)
-	for ; n.now < 4000; n.now++ {
-		n.step(inj)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.step(inj)
-		n.now++
-	}
+	benchSteadyState(b, func(n *Network) { n.AttachAttribution() })
 }

@@ -22,9 +22,9 @@ func ConstantLatency(cycles int) LinkLatency {
 }
 
 // pendingPkt is a generated but not yet fully injected packet: 16
-// bytes, so a saturated point's backlog (most of its heap) costs two
-// words per packet. Whether it is measured follows from born (see
-// Network.inWindow).
+// bytes, so a saturated point's backlog costs two words per packet.
+// Whether it is measured follows from born (see Network.inWindow), the
+// cycle of the trial that drew it.
 type pendingPkt struct {
 	dst  int32
 	size int32
@@ -187,8 +187,13 @@ type Network struct {
 	// Terminal source state. Bit t of srcPendM is set while terminal t's
 	// source queue holds a packet (len(srcQ[t]) > srcQHead[t]), so the
 	// send pass of inject visits only terminals with something to send.
+	// Bit t of srcLagM is set while terminal t has deferred injection
+	// trials (see births); genAt[t] is then the cycle of its first
+	// undrawn trial, and is not read while the bit is clear.
 	srcQ      [][]pendingPkt
 	srcPendM  []uint64
+	srcLagM   []uint64
+	genAt     []int64
 	srcQHead  []int32
 	srcSent   []int32 // flits of the current packet already injected
 	srcCredit []int32
@@ -411,6 +416,8 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 	n.egressPort = make([]int32, T)
 	n.srcQ = make([][]pendingPkt, T)
 	n.srcPendM = make([]uint64, bitWords(T))
+	n.srcLagM = make([]uint64, bitWords(T))
+	n.genAt = make([]int64, T)
 	n.srcQHead = make([]int32, T)
 	n.srcSent = make([]int32, T)
 	n.srcCredit = make([]int32, T)

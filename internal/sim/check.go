@@ -80,6 +80,10 @@ type checker struct {
 //     state it summarises agrees with that state — the per-router
 //     pipe, ready-port and credit masks, the ring occupancy bitmaps and
 //     the pending-source bitmap;
+//   - deferred births: for a terminal with deferred injection trials,
+//     its queued packets plus the trials deferred before the current
+//     cycle stay below the source-queue cap, so no deferred trial is one
+//     the cap would have skipped;
 //   - no packet loss or duplication: every packet-table entry ejects
 //     exactly Size flits between allocation and completion, and no
 //     freed entry ejects flits;
@@ -394,8 +398,9 @@ func (c *checker) checkMasks(n *Network) {
 // checkOccupancy asserts that the occupancy bitmaps agree with the
 // state they flag: a ring slot's flit (credit) bit is set exactly when
 // its word holds a flit (credit), and a terminal's pending bit exactly
-// when its source queue holds a packet. Reports at most one violation
-// per scan.
+// when its source queue holds a packet; and that every terminal with
+// deferred trials is within the deferral bound. Reports at most one
+// violation per scan.
 func (c *checker) checkOccupancy(n *Network) {
 	slab := n.ringSlab
 	for wi := range n.ringFlitM {
@@ -423,6 +428,16 @@ func (c *checker) checkOccupancy(n *Network) {
 		if pend := n.srcPendM[t>>6]>>(t&63)&1 != 0; pend != (queued > 0) {
 			c.violatef("cycle %d: terminal %d: pending bit %t with %d queued packets", n.now, t, pend, queued)
 			return
+		}
+		// A deferred trial must be one the cap could not have skipped
+		// (see births): the queue plus the trials deferred before the
+		// current cycle stays below the cap.
+		if n.srcLagM[t>>6]>>(t&63)&1 != 0 {
+			if g := n.genAt[t]; g > n.now || int64(queued)+n.now-g >= maxPendingPerTerm {
+				c.violatef("cycle %d: terminal %d: deferred trials from cycle %d with %d queued packets break the deferral bound (queued + deferred < %d)",
+					n.now, t, g, queued, maxPendingPerTerm)
+				return
+			}
 		}
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"waferswitch/internal/ssc"
-	"waferswitch/internal/topo"
 	"waferswitch/internal/traffic"
 )
 
@@ -231,6 +229,35 @@ func TestCheckerDetectsSummaryDrift(t *testing.T) {
 	}
 }
 
+// TestCheckerDetectsDeferralBound: a terminal whose queued packets plus
+// trials deferred before the current cycle reach maxPendingPerTerm has
+// deferred a trial the cap might have skipped. The births pass restores
+// the bound before any end-of-cycle scan can see it broken, so the state
+// is planted between cycles and the scan is called directly.
+func TestCheckerDetectsDeferralBound(t *testing.T) {
+	n, err := Build(testClos(t), ConstantLatency(1), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Check(CheckOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	n.now = 2 * maxPendingPerTerm
+	n.srcQ[0] = append(n.srcQ[0], pendingPkt{dst: 1, size: 1})
+	n.srcPendM[0] |= 1
+	n.srcLagM[0] |= 1
+	n.genAt[0] = n.now - maxPendingPerTerm + 2 // queued + (now - genAt) = cap - 1
+	n.chk.checkOccupancy(n)
+	if err := n.CheckErr(); err != nil {
+		t.Fatalf("bound-respecting deferral flagged: %v", err)
+	}
+	n.genAt[0]-- // queued + (now - genAt) = cap
+	n.chk.checkOccupancy(n)
+	if err := n.CheckErr(); err == nil || !strings.Contains(err.Error(), "deferral bound") {
+		t.Fatalf("broken deferral bound not reported: %v", err)
+	}
+}
+
 // TestCheckerDetectsVCInterleave: flits of two packets interleaved in
 // one VC FIFO (head of packet B before tail of packet A) must trip the
 // wormhole-integrity scan.
@@ -358,36 +385,11 @@ func TestCheckerMaxViolations(t *testing.T) {
 // scans are O(network) per cycle, so this is expected to cost a
 // multiple of the unchecked loop — the point of CheckOptions.Every).
 func BenchmarkSimSteadyStateChecked(b *testing.B) {
-	chip, err := ssc.MustTH5(200).Deradix(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl, err := topo.HomogeneousClos(128, chip)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := Config{
-		NumVCs: 4, BufPerPort: 32, PacketFlits: 4,
-		RCIngress: 2, RCOther: 1, PipeDelay: 3, TermDelay: 8,
-		WarmupCycles: 10, MeasureCycles: 10, Seed: 7,
-	}
-	n, err := Build(cl, ConstantLatency(1), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := n.Check(CheckOptions{}); err != nil {
-		b.Fatal(err)
-	}
-	inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.5)
-	for ; n.now < 4000; n.now++ {
-		n.step(inj)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.step(inj)
-		n.now++
-	}
+	n := benchSteadyState(b, func(n *Network) {
+		if err := n.Check(CheckOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	})
 	b.StopTimer()
 	if err := n.CheckErr(); err != nil {
 		b.Fatal(err)

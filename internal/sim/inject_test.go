@@ -89,3 +89,52 @@ func splitmixPreimage(out uint64) uint64 {
 	z = unxorshift(z, 30)
 	return z - 0x9E3779B97F4A7C15
 }
+
+// TestSourceBacklogStopsAtTheWindow pins lazy births: past the
+// measurement window a saturated point's source queues hold what is left
+// of the window's backlog and no more. After a drain ten times the
+// window, no terminal's queue is longer than at the window's end (the
+// same point run with a one-cycle drain), or than one packet, the head
+// it sends next, where its queue was empty there. Births that queued
+// every packet on time, as they once did, fail this by thousands of
+// packets per terminal.
+func TestSourceBacklogStopsAtTheWindow(t *testing.T) {
+	top := testClos(t)
+	cfg := Config{
+		NumVCs: 1, BufPerPort: 1, PacketFlits: 1,
+		RCIngress: 1, RCOther: 1, PipeDelay: 4, TermDelay: 1,
+		WarmupCycles: 100, MeasureCycles: 300, Seed: 3,
+	}
+	inj := RateInjector{Load: 1, Pattern: traffic.Uniform(top.ExternalPorts()), PacketFlits: 1}
+	queued := func(drain int) ([]int, Stats) {
+		c := cfg
+		c.DrainCycles = drain
+		n, err := Build(top, ConstantLatency(4), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := n.Run(inj, 1)
+		q := make([]int, n.T)
+		for i := range q {
+			q[i] = len(n.srcQ[i]) - int(n.srcQHead[i])
+		}
+		return q, st
+	}
+	atEnd, _ := queued(1)
+	after, st := queued(10 * cfg.MeasureCycles)
+	if st.Drained {
+		t.Fatalf("point drained (%+v); the test needs a saturated one", st)
+	}
+	var sumEnd, sumAfter int
+	for i := range atEnd {
+		sumEnd += atEnd[i]
+		sumAfter += after[i]
+		if after[i] > max(atEnd[i], 1) {
+			t.Errorf("terminal %d: %d packets queued after the drain, %d at the window's end", i, after[i], atEnd[i])
+		}
+	}
+	if sumEnd == 0 {
+		t.Fatal("no backlog at the window's end; the test is vacuous")
+	}
+	t.Logf("queued packets: %d at the window's end, %d after %d drain cycles", sumEnd, sumAfter, st.Cycles-int64(cfg.WarmupCycles+cfg.MeasureCycles))
+}

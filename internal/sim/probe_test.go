@@ -313,16 +313,19 @@ func TestLatencyVsLoadProbed(t *testing.T) {
 // BenchmarkSimSteadyState measures the uninstrumented steady-state loop
 // — the acceptance guard for 0 allocs/op and the ≤2% overhead budget.
 func BenchmarkSimSteadyState(b *testing.B) {
-	benchSteadyState(b, false)
+	benchSteadyState(b, nil)
 }
 
 // BenchmarkSimSteadyStateProbed is the same loop with a probe attached,
 // quantifying the instrumentation overhead.
 func BenchmarkSimSteadyStateProbed(b *testing.B) {
-	benchSteadyState(b, true)
+	benchSteadyState(b, func(n *Network) { n.AttachProbe() })
 }
 
-func benchSteadyState(b *testing.B, probed bool) {
+// benchSteadyState steps a warm 128-port Clos at offered load 0.5, one
+// cycle per op, with attach (when non-nil) applied to the built network,
+// and returns the network.
+func benchSteadyState(b *testing.B, attach func(*Network)) *Network {
 	b.Helper()
 	chip, err := ssc.MustTH5(200).Deradix(8)
 	if err != nil {
@@ -341,8 +344,8 @@ func benchSteadyState(b *testing.B, probed bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if probed {
-		n.AttachProbe()
+	if attach != nil {
+		attach(n)
 	}
 	inj, _ := SyntheticInjector(traffic.Uniform(128), 4)(0.5)
 	for ; n.now < 4000; n.now++ {
@@ -354,4 +357,5 @@ func benchSteadyState(b *testing.B, probed bool) {
 		n.step(inj)
 		n.now++
 	}
+	return n
 }

@@ -197,6 +197,97 @@ func TestSimEquivalenceSaturation10k(t *testing.T) {
 	}
 }
 
+// TestSimEquivalenceSourceCap drives a source into maxPendingPerTerm,
+// once during the measurement window and once only during the drain.
+// The optimized simulator defers a backlogged terminal's injection
+// trials and draws them late; it must still skip exactly the trials the
+// eager reference skips at the cap. The fabric is two routers joined by
+// one lane whose credit loop accepts half a flit per cycle (B = 4 over a
+// round trip of 8), and terminal 0 is offered 0.9, so its queue reaches
+// the cap near cycle 10,000. A wrongly skipped or drawn trial shows only
+// in the packets born after it, which wait behind 4,096 others, so each
+// run lasts until many are delivered: in the measurement case they are
+// measured and the run drains them; in the drain case terminal 1's one
+// long measured packet keeps the run going. Each case checks that the
+// reference hit the cap in its phase and that packets born after it were
+// delivered, or it proves nothing. No fuzz spec reaches the cap: their
+// windows stay under 240 measured cycles.
+func TestSimEquivalenceSourceCap(t *testing.T) {
+	chip, err := ssc.MustTH5(200).Deradix(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := &topo.Topology{
+		Name: "cap-pair", Kind: "chain",
+		Nodes: []topo.Node{
+			{ID: 0, Chiplet: chip, ExternalPorts: 1},
+			{ID: 1, Chiplet: chip, ExternalPorts: 1},
+		},
+		Links: []topo.Link{{A: 0, B: 1, Lanes: 1}},
+	}
+	for _, tc := range []struct {
+		name           string
+		measure, drain int
+		inj            sim.Injector
+		inDrain        bool
+	}{
+		{"measurement", 11000, 20000, sim.RateInjector{Load: 0.9, Pattern: traffic.Uniform(2), PacketFlits: 1}, false},
+		{"drain", 2000, 24000, capDrainInjector{at: 100, flits: 12000}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := sim.Config{
+				NumVCs: 1, BufPerPort: 4, PacketFlits: 1,
+				RCIngress: 1, RCOther: 1, TermDelay: 1,
+				WarmupCycles: 100, MeasureCycles: tc.measure, DrainCycles: tc.drain, Seed: 5,
+			}
+			var opt *sim.Network
+			rep, err := diffInjected(pair, sim.ConstantLatency(4), cfg, 0.9,
+				func() (sim.Injector, error) { return tc.inj, nil },
+				func(n *sim.Network) error { opt = n; return n.Check(sim.CheckOptions{}) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() {
+				t.Fatalf("simulators diverge:\n%s", rep.Summary())
+			}
+			measEnd := int64(cfg.WarmupCycles + cfg.MeasureCycles)
+			if rep.FirstCapped < 0 {
+				t.Fatal("the source queue never reached the cap; test is vacuous")
+			}
+			if inDrain := rep.FirstCapped >= measEnd; inDrain != tc.inDrain {
+				t.Fatalf("first capped trial at cycle %d, window ends at %d; want it in the %s", rep.FirstCapped, measEnd, tc.name)
+			}
+			late := 0
+			for _, d := range opt.Deliveries() {
+				if d.Src == 0 && d.Born > rep.FirstCapped {
+					late++
+				}
+			}
+			if late == 0 {
+				t.Fatalf("no packet born after the first capped trial (cycle %d) was delivered; test is vacuous", rep.FirstCapped)
+			}
+			t.Logf("first capped trial at cycle %d (window ends at %d); %d packets born after it delivered", rep.FirstCapped, measEnd, late)
+		})
+	}
+}
+
+// capDrainInjector is TestSimEquivalenceSourceCap's drain-phase traffic
+// on two terminals: terminal 0 offers a 1-flit packet to terminal 1 with
+// probability 0.9 per cycle, terminal 1 one packet of flits flits to
+// terminal 0 at cycle at. Each terminal's answers depend only on its own
+// calls, as the Injector contract requires.
+type capDrainInjector struct {
+	at    int64
+	flits int
+}
+
+func (c capDrainInjector) Generate(term int, now int64, rng *rand.Rand) (int, int, bool) {
+	if term == 1 {
+		return 0, c.flits, now == c.at
+	}
+	return 1, 1, rng.Float64() < 0.9
+}
+
 // TestSpecRoundTrip pins the replay contract: String o ParseSpec is the
 // identity, so a tuple printed by a failing fuzz run reproduces the
 // exact same case under wsswitch -replay; tuples printed while the

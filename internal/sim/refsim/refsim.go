@@ -149,17 +149,21 @@ type network struct {
 	completed    int
 	measuredBorn int
 	ejectedFlits int64
+	firstCapped  int64 // see Result.FirstCapped
 
 	deliveries []sim.Delivery
 }
 
 // Result is the reference run's outcome: the same Stats the optimized
 // simulator reports, the delivered-packet multiset in completion order,
-// and the latency histogram.
+// and the latency histogram. FirstCapped is the first cycle at which a
+// source queue at maxPendingPerTerm skipped its terminal's trial, -1 if
+// none did: it tells a test whether its run reached the cap at all.
 type Result struct {
-	Stats      sim.Stats
-	Deliveries []sim.Delivery
-	Hist       obs.Histogram
+	Stats       sim.Stats
+	Deliveries  []sim.Delivery
+	Hist        obs.Histogram
+	FirstCapped int64
 }
 
 // Run simulates the topology with the reference implementation and
@@ -203,7 +207,7 @@ func Run(t *topo.Topology, lat sim.LinkLatency, cfg sim.Config, inj sim.Injector
 		st.P99Latency = n.latHist.Percentile(0.99)
 		st.P999Latency = n.latHist.Percentile(0.999)
 	}
-	return &Result{Stats: st, Deliveries: n.deliveries, Hist: n.latHist}, nil
+	return &Result{Stats: st, Deliveries: n.deliveries, Hist: n.latHist, FirstCapped: n.firstCapped}, nil
 }
 
 // build instantiates the dense network, following the same port
@@ -245,6 +249,8 @@ func build(t *topo.Topology, lat sim.LinkLatency, cfg sim.Config) (*network, err
 		termRng: make([]*rand.Rand, T),
 		termSeq: make([]uint32, T),
 		latSumR: make([]float64, R),
+
+		firstCapped: -1,
 	}
 	for t := 0; t < T; t++ {
 		n.termRng[t] = sim.TermRNG(cfg.Seed, t)
@@ -610,6 +616,8 @@ func (n *network) inject(inj sim.Injector) {
 					dst: dst, size: flits, born: n.now, measured: measured,
 				})
 			}
+		} else if n.firstCapped < 0 {
+			n.firstCapped = n.now
 		}
 		if len(n.srcQ[t]) == 0 || n.srcCredit[t] <= 0 {
 			continue

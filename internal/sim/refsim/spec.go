@@ -295,6 +295,9 @@ type DiffReport struct {
 	Spec Spec
 	Opt  sim.Stats // optimized simulator
 	Ref  sim.Stats // reference simulator
+	// FirstCapped is the reference run's first cycle at which a full
+	// source queue skipped a trial, -1 if none (see Result).
+	FirstCapped int64
 	// Violations are the runtime invariant checker's findings on the
 	// optimized run (the reference run is the oracle and runs unchecked).
 	Violations []string
@@ -356,10 +359,37 @@ func (s Spec) DiffTraced(rec *obs.FlightRecorder) (*DiffReport, error) {
 // spec, opt configures the invariant checker on the optimized run, and
 // rec, when non-nil, records that run's packet lifecycle.
 func (s Spec) diffOn(top *topo.Topology, opt sim.CheckOptions, rec *obs.FlightRecorder) (*DiffReport, error) {
-	cfg := s.Config()
-	lat := sim.ConstantLatency(s.LinkLat)
+	rep, err := diffInjected(top, sim.ConstantLatency(s.LinkLat), s.Config(), s.Load,
+		func() (sim.Injector, error) { return s.Injector(top.ExternalPorts()) },
+		func(n *sim.Network) error {
+			if err := n.Check(opt); err != nil {
+				return err
+			}
+			if s.Timeline {
+				n.AttachTimeline(obs.NewTimeline(diffTimelineInterval, diffTimelineSamples))
+			}
+			if s.Attribution {
+				n.AttachAttribution()
+			}
+			if rec != nil {
+				n.Trace(rec)
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	rep.Spec = s
+	return rep, nil
+}
 
-	inj, err := s.Injector(top.ExternalPorts())
+// diffInjected runs one configuration through both simulators, each with
+// its own injector from newInj, and compares what Diff compares. attach
+// readies the optimized network before its run; it should enable the
+// invariant checker, whose findings the report carries.
+func diffInjected(top *topo.Topology, lat sim.LinkLatency, cfg sim.Config, load float64,
+	newInj func() (sim.Injector, error), attach func(*sim.Network) error) (*DiffReport, error) {
+	inj, err := newInj()
 	if err != nil {
 		return nil, err
 	}
@@ -367,33 +397,25 @@ func (s Spec) diffOn(top *topo.Topology, opt sim.CheckOptions, rec *obs.FlightRe
 	if err != nil {
 		return nil, err
 	}
-	if err := n.Check(opt); err != nil {
+	if err := attach(n); err != nil {
 		return nil, err
 	}
-	if s.Timeline {
-		n.AttachTimeline(obs.NewTimeline(diffTimelineInterval, diffTimelineSamples))
-	}
-	if s.Attribution {
-		n.AttachAttribution()
-	}
-	if rec != nil {
-		n.Trace(rec)
-	}
 	n.RecordDeliveries()
-	rep := &DiffReport{Spec: s}
-	rep.Opt = n.Run(inj, s.Load)
+	rep := &DiffReport{}
+	rep.Opt = n.Run(inj, load)
 	rep.Violations = n.CheckViolations()
 	optHist := n.LatencyHistogram()
 
-	refInj, err := s.Injector(top.ExternalPorts())
+	refInj, err := newInj()
 	if err != nil {
 		return nil, err
 	}
-	ref, err := Run(top, lat, cfg, refInj, s.Load)
+	ref, err := Run(top, lat, cfg, refInj, load)
 	if err != nil {
 		return nil, err
 	}
 	rep.Ref = ref.Stats
+	rep.FirstCapped = ref.FirstCapped
 
 	if rep.Opt != rep.Ref {
 		rep.Divergences = append(rep.Divergences,

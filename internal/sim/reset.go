@@ -64,6 +64,8 @@ func (n *Network) Reset(seed int64) {
 		n.srcQ[t] = n.srcQ[t][:0]
 	}
 	clear(n.srcPendM)
+	clear(n.srcLagM)
+	clear(n.genAt)
 	clear(n.srcQHead)
 	clear(n.srcSent)
 	clear(n.curPkt)

@@ -10,8 +10,16 @@ import (
 	"waferswitch/internal/traffic"
 )
 
-// Injector produces terminal traffic. Generate is called once per
-// terminal per cycle and may return at most one new packet.
+// Injector produces terminal traffic. Generate draws one terminal's
+// injection trial for cycle now and may return at most one new packet,
+// born at now. It is called once per terminal per cycle (none while the
+// terminal's source queue is full, see maxPendingPerTerm), in increasing
+// cycle order per terminal, but possibly several cycles late: a terminal
+// with a backlog defers its trials until its queue runs dry (see
+// births), so calls for different terminals interleave in no fixed
+// cycle order. An injector's answer for one terminal may therefore
+// depend only on that terminal's own calls and rng, as RateInjector's
+// and TraceInjector's do.
 type Injector interface {
 	Generate(term int, now int64, rng *rand.Rand) (dst, flits int, ok bool)
 }
@@ -73,9 +81,13 @@ func (ti *TraceInjector) Generate(term int, now int64, _ *rand.Rand) (int, int, 
 	return m.Dst, m.Flits, true
 }
 
-// maxPendingPerTerm bounds the source queue so deeply saturated runs do
-// not exhaust memory; hitting the cap only happens past saturation, where
-// the run is already classified unstable.
+// maxPendingPerTerm caps a terminal's source queue: its trial for a
+// cycle is skipped while the queue holds this many packets. The cap is
+// part of the injection rule, which the reference simulator applies
+// too, and only binds past saturation. It is not what bounds memory: a
+// backlogged terminal defers its trials rather than queue their packets
+// (see births), so past the measurement window its queue stops growing
+// until its queued packets plus deferred trials reach the cap.
 const maxPendingPerTerm = 4096
 
 // Run simulates warmup + measurement, then drains measured packets. A
@@ -100,9 +112,14 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 	if window < 1 {
 		window = 1
 	}
+	// Deferred birth trials are drawn (catchUp) before each read of an
+	// exact birth count or source backlog, and at the end of the window,
+	// so measuredBorn, and with it the drain decision, counts every
+	// packet born in the window.
 	for n.now = 0; n.now < n.measEnd; n.now++ {
 		n.step(inj)
 		if logger != nil && (n.now+1)%window == 0 {
+			n.catchUp(inj, n.now)
 			logger.Debug("sim.progress",
 				"cycle", n.now+1, "of", n.measEnd,
 				"born", n.measuredBorn, "completed", n.completed,
@@ -112,9 +129,11 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 		// the measurement start, so its decisions are pure functions of
 		// the seed.
 		if n.ab != nil && n.now >= n.measStart && (n.now-n.measStart+1)%abortEvery == 0 {
+			n.catchUp(inj, n.now)
 			n.ab.measureCheck(n, offered)
 		}
 	}
+	n.catchUp(inj, n.measEnd-1)
 	deadline := n.measEnd + drain
 	aborted := false
 	if n.ab != nil && n.ab.armed && n.completed < n.measuredBorn {
@@ -807,25 +826,109 @@ func (n *Network) inject(inj Injector) {
 	n.sends()
 }
 
-// births gives every terminal below maxPendingPerTerm its chance of a
-// new packet. RateInjector's Bernoulli trial is drawn inline from the
-// terminal's stream (see bernoulli), which saves an interface call per
-// terminal-cycle; any other injector gets its Generate call.
+// births gives every terminal its injection trial for this cycle, or
+// defers it. A terminal whose source queue holds a packet cannot send a
+// packet born now before the packets queued ahead of it leave, so it
+// draws nothing while its queue is non-empty: srcLagM flags it, and
+// genAt[t] is its first undrawn cycle. When the queue runs dry,
+// lateBirths draws the deferred trials in cycle order, each with its own
+// cycle, and stops at the first birth, which becomes the head that same
+// cycle, so the send pass finds it when it would have found it had every
+// trial been drawn on time. A terminal's trials read only its own stream
+// and injector state, and each is drawn once, in cycle order, so every
+// stream, birth cycle and packet is unchanged (DESIGN §12.8).
+//
+// Deferral must not change which trials the cap skips. A terminal defers
+// the current cycle's trial only while its queue plus the trials it
+// deferred before, an upper bound on the queue it would hold now with
+// every trial drawn, stays below maxPendingPerTerm, so the cap cannot
+// bind at a deferred cycle; at the bound it draws until the bound holds
+// again, and the current cycle's trial runs under the cap as always.
+// Readers of exact birth counts call catchUp first.
 func (n *Network) births(inj Injector) {
-	ri, inline := inj.(RateInjector)
-	p := ri.Load / float64(ri.PacketFlits)
+	tr := newTrials(inj)
 	for t := 0; t < n.T; t++ {
-		// Only a pending terminal can have reached the cap.
-		if n.srcPendM[t>>6]>>(t&63)&1 != 0 && len(n.srcQ[t])-int(n.srcQHead[t]) >= maxPendingPerTerm {
-			continue
+		if (n.srcPendM[t>>6]|n.srcLagM[t>>6])>>(t&63)&1 != 0 {
+			n.lateBirths(&tr, t)
+		} else if !tr.inline {
+			tr.draw(n, t, n.now)
+		} else if bernoulli(&n.termSrc[t], tr.p) {
+			// tr.draw written out: below the knee almost every trial is
+			// an idle terminal's, and draw is too large to inline.
+			n.enqueue(t, tr.rate.Pattern.Dest(t, n.termRng[t]), tr.rate.PacketFlits, n.now)
 		}
-		if inline {
-			if bernoulli(&n.termSrc[t], p) {
-				n.enqueue(t, ri.Pattern.Dest(t, n.termRng[t]), ri.PacketFlits)
+	}
+}
+
+// lateBirths runs births for terminal t, which has a queued packet or
+// deferred trials: it draws t's trials in cycle order from its first
+// undrawn one through the current cycle's, and defers the rest as soon
+// as the queue holds a packet within the bound (see births).
+func (n *Network) lateBirths(tr *trials, t int) {
+	now := n.now
+	w, bit := t>>6, uint64(1)<<(t&63)
+	c := now
+	if n.srcLagM[w]&bit != 0 {
+		c = n.genAt[t]
+	}
+	for ; c <= now; c++ {
+		q := int64(len(n.srcQ[t]) - int(n.srcQHead[t]))
+		if q > 0 && q+now-c < maxPendingPerTerm {
+			n.genAt[t] = c
+			n.srcLagM[w] |= bit
+			return
+		}
+		// Only the current cycle's trial can meet the cap. A deferred
+		// one was below the bound when deferred, and the queue now holds
+		// only packets born before it that were also queued then.
+		if q < maxPendingPerTerm {
+			tr.draw(n, t, c)
+		}
+	}
+	n.srcLagM[w] &^= bit
+}
+
+// catchUp draws every deferred trial through cycle last, the last cycle
+// whose births pass ran, and queues the packets they yield: afterwards
+// the source queues and measuredBorn are those of drawing every trial
+// on time. No deferred trial meets the cap (see lateBirths).
+func (n *Network) catchUp(inj Injector, last int64) {
+	tr := newTrials(inj)
+	for wi, m := range n.srcLagM {
+		for ; m != 0; m &= m - 1 {
+			t := wi<<6 | bits.TrailingZeros64(m)
+			for c := n.genAt[t]; c <= last; c++ {
+				tr.draw(n, t, c)
 			}
-		} else if dst, flits, ok := inj.Generate(t, n.now, n.termRng[t]); ok {
-			n.enqueue(t, dst, flits)
 		}
+		n.srcLagM[wi] = 0
+	}
+}
+
+// trials draws injection trials. RateInjector's Bernoulli trial is drawn
+// inline from the terminal's stream (see bernoulli), which saves an
+// interface call per trial; any other injector gets its Generate call.
+type trials struct {
+	inj    Injector
+	rate   RateInjector
+	inline bool
+	p      float64 // the rate injector's birth probability per trial
+}
+
+func newTrials(inj Injector) trials {
+	ri, inline := inj.(RateInjector)
+	return trials{inj: inj, rate: ri, inline: inline, p: ri.Load / float64(ri.PacketFlits)}
+}
+
+// draw draws terminal t's trial for cycle c and queues the packet it
+// yields, born at c.
+func (tr *trials) draw(n *Network, t int, c int64) {
+	if tr.inline {
+		if bernoulli(&n.termSrc[t], tr.p) {
+			n.enqueue(t, tr.rate.Pattern.Dest(t, n.termRng[t]), tr.rate.PacketFlits, c)
+		}
+	} else if dst, flits, ok := tr.inj.Generate(t, c, n.termRng[t]); ok {
+		n.enqueue(t, dst, flits, c)
 	}
 }
 
@@ -843,23 +946,24 @@ func bernoulli(src *splitmix64, p float64) bool {
 	}
 }
 
-// enqueue appends a new packet to terminal t's source queue and marks
-// the terminal pending. A backlog that never fully drains (any run at or
-// past saturation) keeps its head moving without ever hitting the
-// reset-to-empty in sends, so append alone would grow the queue without
-// bound: a full queue at least half dead is compacted first — each copy
-// frees cap/2 appends' worth of room, keeping the amortized cost O(1)
-// per packet while bounding capacity at ~2x the pending cap.
-func (n *Network) enqueue(t, dst, flits int) {
+// enqueue appends a packet born at cycle born to terminal t's source
+// queue and marks the terminal pending. A backlog that never fully
+// drains (any run at or past saturation) keeps its head moving without
+// ever hitting the reset-to-empty in sends, so append alone would grow
+// the queue without bound: a full queue at least half dead is compacted
+// first — each copy frees cap/2 appends' worth of room, keeping the
+// amortized cost O(1) per packet while bounding capacity at ~2x the
+// pending cap.
+func (n *Network) enqueue(t, dst, flits int, born int64) {
 	q := n.srcQ[t]
 	if head := int(n.srcQHead[t]); len(q) == cap(q) && head >= cap(q)/2 {
 		q = q[:copy(q, q[head:])]
 		n.srcQHead[t] = 0
 	}
-	if n.inWindow(n.now) {
+	if n.inWindow(born) {
 		n.measuredBorn++
 	}
-	n.srcQ[t] = append(q, pendingPkt{dst: int32(dst), size: int32(flits), born: n.now})
+	n.srcQ[t] = append(q, pendingPkt{dst: int32(dst), size: int32(flits), born: born})
 	n.srcPendM[t>>6] |= uint64(1) << (t & 63)
 }
 

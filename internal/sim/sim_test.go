@@ -55,8 +55,8 @@ func testConfig() Config {
 	}
 }
 
-// A saturated point's heap is mostly its source queues, so their entry
-// stays two words; the packet table's entry stays three. Neither
+// A saturated point's source backlog is much of its heap, so a queue
+// entry stays two words; the packet table's entry stays three. Neither
 // stores whether the packet is measured: that follows from its birth
 // cycle (Network.inWindow).
 func TestPacketRecordSizes(t *testing.T) {
