@@ -70,22 +70,11 @@ import (
 )
 
 // jsonOutput is the top-level shape of `wsswitch -json`: the options the
-// run used plus one entry per experiment. Failed experiments report
-// their error instead of a table.
+// experiments ran with plus one entry per experiment. Failed experiments
+// report their error instead of a table.
 type jsonOutput struct {
-	Options     jsonOptions  `json:"options"`
+	Options     expt.Options `json:"options"`
 	Experiments []jsonResult `json:"experiments"`
-}
-
-type jsonOptions struct {
-	Quick   bool  `json:"quick"`
-	Seed    int64 `json:"seed"`
-	Workers int   `json:"workers"`
-	// Adaptive is omitted when false so default runs serialize exactly as
-	// before the adaptive engine existed.
-	Adaptive bool `json:"adaptive,omitempty"`
-	// Attribution is likewise omitted when congestion attribution is off.
-	Attribution bool `json:"attribution,omitempty"`
 }
 
 type jsonResult struct {
@@ -100,7 +89,7 @@ func main() {
 
 func run() int {
 	quick := flag.Bool("quick", false, "run at reduced scale")
-	seed := flag.Int64("seed", 1, "deterministic seed")
+	seed := flag.Int64("seed", 1, "deterministic seed (nonzero)")
 	jsonOut := flag.Bool("json", false, "emit results as JSON (tables, raw stats, probe snapshots)")
 	verbose := flag.Bool("v", false, "structured progress logs (slog) on stderr")
 	workers := flag.Int("workers", 0, "worker goroutines for parallel sweeps (0 = GOMAXPROCS, 1 = serial)")
@@ -133,6 +122,21 @@ func run() int {
 	}
 	if *trace != "" {
 		fmt.Fprintln(os.Stderr, "wsswitch: -trace requires -replay")
+		return 2
+	}
+	// Refuse values the experiments would silently replace, so the -json
+	// options block records exactly what ran.
+	var bad string
+	switch {
+	case *seed == 0:
+		bad = "-seed 0 would run seed 1; give a nonzero seed"
+	case *workers < 0:
+		bad = fmt.Sprintf("-workers %d: want 0 (one per CPU) or more", *workers)
+	case *timeline < 0:
+		bad = fmt.Sprintf("-timeline %d: want 0 (off) or a positive window", *timeline)
+	}
+	if bad != "" {
+		fmt.Fprintf(os.Stderr, "wsswitch: %s\n", bad)
 		return 2
 	}
 	if len(args) == 0 {
@@ -206,8 +210,7 @@ func run() int {
 	}
 
 	failed := false
-	out := jsonOutput{Options: jsonOptions{Quick: *quick, Seed: *seed, Workers: *workers,
-		Adaptive: *adaptive, Attribution: opts.Attribution}}
+	out := jsonOutput{Options: opts}
 	for _, id := range ids {
 		t, err := expt.Run(id, opts)
 		if err != nil {

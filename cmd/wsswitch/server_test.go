@@ -345,3 +345,44 @@ func TestReplayRefusesOtherArgs(t *testing.T) {
 		})
 	}
 }
+
+// A flag value the experiments would replace with another (seed 0 runs
+// seed 1, negative workers run one per CPU, a negative timeline runs
+// none, or 200-cycle windows under -http) is refused with exit 2 and a
+// message naming the flag, so the -json options block records exactly
+// what ran.
+func TestRefusesSubstitutedValues(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		flag string
+	}{
+		{"seed", []string{"-quick", "-json", "-seed", "0", "fig7"}, "-seed"},
+		{"workers", []string{"-quick", "-json", "-workers", "-3", "fig7"}, "-workers"},
+		{"timeline", []string{"-quick", "-timeline", "-5", "fig7"}, "-timeline"},
+		{"timeline-http", []string{"-quick", "-timeline", "-5", "-http", "127.0.0.1:0", "fig7"}, "-timeline"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func(args []string, fs *flag.FlagSet, stderr *os.File) {
+				os.Args, flag.CommandLine, os.Stderr = args, fs, stderr
+			}(os.Args, flag.CommandLine, os.Stderr)
+			os.Args = append([]string{"wsswitch"}, tc.args...)
+			flag.CommandLine = flag.NewFlagSet("wsswitch", flag.ContinueOnError)
+			f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			os.Stderr = f
+			code := run()
+			msg, err := os.ReadFile(f.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code != 2 || !strings.Contains(string(msg), tc.flag+" ") {
+				t.Errorf("wsswitch %s exited %d with %q, want 2 and a message naming %s",
+					strings.Join(tc.args, " "), code, msg, tc.flag)
+			}
+		})
+	}
+}

@@ -150,9 +150,20 @@ func fig21(o Options) (*Table, error) {
 	if o.Quick {
 		loads = []float64{0.5, 0.9}
 	}
-	// The buffers x latencies grid is embarrassingly parallel: fan cells
-	// across the pool into index slots, then emit rows serially.
-	sats := make([]float64, len(buffers)*len(lats))
+	// One series per buffers x latencies cell: a load sweep by default,
+	// a bisection bracket under o.Adaptive.
+	injf := sim.SyntheticInjector(traffic.Uniform(ports), 4)
+	series := make([]sim.Series, len(buffers)*len(lats))
+	for idx := range series {
+		buf, lat := buffers[idx/len(lats)], lats[idx%len(lats)]
+		cfg := o.waferscaleConfig(warm, measure, 8, buf, 4)
+		series[idx] = sim.Series{
+			Name:   fmt.Sprintf("fig21/buf=%d/lat=%d", buf, lat),
+			Build:  func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(lat), cfg) },
+			Inject: injf, Loads: loads,
+		}
+	}
+	sats := make([]float64, len(series))
 	if o.Adaptive {
 		// Adaptive mode replaces each cell's exhaustive load grid with a
 		// bisection saturation search: O(log(1/tol)) points with the drain
@@ -163,18 +174,15 @@ func fig21(o Options) (*Table, error) {
 			LinkLat int                   `json:"link_latency"`
 			Search  *sim.SaturationResult `json:"search"`
 		}
-		searches := make([]cellSearch, len(sats))
-		err = o.each("fig21", len(sats), func(idx int) error {
-			buf, lat := buffers[idx/len(lats)], lats[idx%len(lats)]
-			cfg := o.waferscaleConfig(warm, measure, 8, buf, 4)
-			build := func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(lat), cfg) }
-			res, err := sim.FindSaturation(build, sim.SyntheticInjector(traffic.Uniform(ports), 4),
-				sim.SaturationSearchOptions{Hi: loads[len(loads)-1], Tol: 0.05, Abort: o.Adaptive})
+		searches := make([]cellSearch, len(series))
+		err = o.each("fig21", len(series), func(idx int) error {
+			res, err := sim.FindSaturation(series[idx].Build, injf,
+				sim.SaturationSearchOptions{Hi: loads[len(loads)-1], Tol: 0.05, Abort: true})
 			if err != nil {
 				return err
 			}
 			sats[idx] = res.SaturationThroughput
-			searches[idx] = cellSearch{Buffer: buf, LinkLat: lat, Search: res}
+			searches[idx] = cellSearch{Buffer: buffers[idx/len(lats)], LinkLat: lats[idx%len(lats)], Search: res}
 			return nil
 		})
 		if err != nil {
@@ -197,23 +205,12 @@ func fig21(o Options) (*Table, error) {
 		}
 		var cells []cellAttrib
 		if o.Attribution {
-			cells = make([]cellAttrib, len(sats))
+			cells = make([]cellAttrib, len(series))
 		}
 		// Every cell's load sweep is one series of a single Sweeps call,
 		// unprobed, so the whole grid's points share one pool.
 		sweep := o
 		sweep.Probe = false
-		injf := sim.SyntheticInjector(traffic.Uniform(ports), 4)
-		series := make([]sim.Series, len(sats))
-		for idx := range series {
-			buf, lat := buffers[idx/len(lats)], lats[idx%len(lats)]
-			cfg := o.waferscaleConfig(warm, measure, 8, buf, 4)
-			series[idx] = sim.Series{
-				Name:   fmt.Sprintf("fig21/buf=%d/lat=%d", buf, lat),
-				Build:  func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(lat), cfg) },
-				Inject: injf, Loads: loads,
-			}
-		}
 		res, err := runSweeps(sweep, "fig21", series)
 		if err != nil {
 			return nil, err

@@ -105,47 +105,21 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// Options tunes experiment execution.
+// Options tunes experiment execution. wsswitch -json prints the tagged
+// fields of the Options it ran as its options block.
 type Options struct {
 	// Quick reduces simulation scale and optimizer restarts so the whole
 	// suite runs in seconds (used by tests and -short benchmarks).
-	Quick bool
+	Quick bool `json:"quick"`
 	// Seed makes every experiment deterministic.
-	Seed int64
-	// Logger, when non-nil, receives structured progress events from the
-	// experiments and the simulator runs under them (wsswitch -v).
-	Logger *slog.Logger
-	// Probe attaches per-router/per-channel collectors to simulator
-	// experiments and attaches their snapshots to the result tables
-	// (wsswitch -json). Costs a few percent of simulation throughput.
-	Probe bool
+	Seed int64 `json:"seed"`
 	// Workers bounds the goroutines experiments fan their independent
 	// simulation points across (load sweeps, grids and fabric
 	// comparisons, all on sim.Pool): 0 means one per CPU (GOMAXPROCS),
 	// 1 runs everything serially. Results are bit-identical for every
 	// value — each point derives its own seed and reductions happen in
 	// point order after the barrier.
-	Workers int
-
-	// Live, when non-nil, is the feed behind the live introspection
-	// server (wsswitch -http): the worker pools report point totals,
-	// ticks and each worker's current assignment, and simulator sweeps
-	// register their per-point timeline samplers (named
-	// "<series>/load=<load>", with TimelineInterval > 0) and fold in
-	// each completed point's attribution (with Attribution). Reporting
-	// is off the simulator's cycle path, so results are unchanged.
-	Live *obs.Live
-	// TimelineInterval, when positive, attaches a time-resolved sampler
-	// (window length in cycles) to every simulator sweep point; the
-	// merged series attaches to result tables as "<series>_timeline".
-	TimelineInterval int
-
-	// Attribution attaches congestion-attribution collectors to every
-	// simulator sweep point (wsswitch -attribution, implied by -http):
-	// the per-stage latency decomposition and per-router blame heatmap
-	// attach to result tables as "<series>_attribution", and saturated
-	// points add their post-mortem to the table notes.
-	Attribution bool
+	Workers int `json:"workers"`
 
 	// Adaptive switches simulator experiments to the adaptive sweep
 	// engine (wsswitch -adaptive): saturated sweep points abort their
@@ -156,7 +130,35 @@ type Options struct {
 	// point a full run drains can be aborted, which moves the knee and
 	// the drained-point summaries; the latency reported for non-drained
 	// points changes too.
-	Adaptive bool
+	Adaptive bool `json:"adaptive,omitempty"`
+
+	// Attribution attaches congestion-attribution collectors to every
+	// simulator sweep point (wsswitch -attribution, implied by -http):
+	// the per-stage latency decomposition and per-router blame heatmap
+	// attach to result tables as "<series>_attribution", and saturated
+	// points add their post-mortem to the table notes.
+	Attribution bool `json:"attribution,omitempty"`
+
+	// Logger, when non-nil, receives structured progress events from the
+	// experiments and the simulator runs under them (wsswitch -v).
+	Logger *slog.Logger `json:"-"`
+	// Probe attaches per-router/per-channel collectors to simulator
+	// experiments and attaches their snapshots to the result tables
+	// (wsswitch -json). Costs a few percent of simulation throughput.
+	Probe bool `json:"-"`
+
+	// Live, when non-nil, is the feed behind the live introspection
+	// server (wsswitch -http): the worker pools report point totals,
+	// ticks and each worker's current assignment, and simulator sweeps
+	// register their per-point timeline samplers (named
+	// "<series>/load=<load>", with TimelineInterval > 0) and fold in
+	// each completed point's attribution (with Attribution). Reporting
+	// is off the simulator's cycle path, so results are unchanged.
+	Live *obs.Live `json:"-"`
+	// TimelineInterval, when positive, attaches a time-resolved sampler
+	// (window length in cycles) to every simulator sweep point; the
+	// merged series attaches to result tables as "<series>_timeline".
+	TimelineInterval int `json:"-"`
 
 	// ctx carries the experiment's pprof label context, set by Run, so
 	// worker goroutines add their worker/point labels to the experiment

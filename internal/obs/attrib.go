@@ -51,12 +51,12 @@ var StageNames = [NumStages]string{
 // stalled VC was waiting on), so a hot Blamed identifies the bottleneck
 // rather than its victims.
 type RouterAttrib struct {
-	QueueWait   int64
-	RouteComp   int64
-	VCAlloc     int64
-	SAStall     int64
-	CreditStall int64
-	Blamed      int64
+	QueueWait   int64 `json:"queue_wait"`
+	RouteComp   int64 `json:"route_comp"`
+	VCAlloc     int64 `json:"vc_alloc"`
+	SAStall     int64 `json:"sa_stall"`
+	CreditStall int64 `json:"credit_stall"`
+	Blamed      int64 `json:"blamed"`
 }
 
 // Attribution accumulates the per-stage latency decomposition for one
@@ -144,13 +144,8 @@ type StageStat struct {
 // AttribRouterRow is the JSON-ready view of one router's counters — one
 // row of the heatmap.
 type AttribRouterRow struct {
-	Router      int   `json:"router"`
-	QueueWait   int64 `json:"queue_wait"`
-	RouteComp   int64 `json:"route_comp"`
-	VCAlloc     int64 `json:"vc_alloc"`
-	SAStall     int64 `json:"sa_stall"`
-	CreditStall int64 `json:"credit_stall"`
-	Blamed      int64 `json:"blamed"`
+	Router int `json:"router"`
+	RouterAttrib
 }
 
 // heatmapColumns names the Heatmap matrix columns, in order.
@@ -184,16 +179,6 @@ type AttributionSnapshot struct {
 	// keeping only routers with nonzero blame.
 	TopBlamed         []AttribRouterRow `json:"top_blamed_routers,omitempty"`
 	TopBlamedChannels []BlamedChannel   `json:"top_blamed_channels,omitempty"`
-}
-
-// row materializes router r's counters.
-func (a *Attribution) row(r int) AttribRouterRow {
-	c := &a.Routers[r]
-	return AttribRouterRow{
-		Router: r, QueueWait: c.QueueWait, RouteComp: c.RouteComp,
-		VCAlloc: c.VCAlloc, SAStall: c.SAStall,
-		CreditStall: c.CreditStall, Blamed: c.Blamed,
-	}
 }
 
 // Snapshot materializes the attribution into its JSON-ready form,
@@ -241,7 +226,7 @@ func (a *Attribution) Snapshot(topN int) *AttributionSnapshot {
 		topN = 0
 	}
 	for _, r := range order[:topN] {
-		s.TopBlamed = append(s.TopBlamed, a.row(r))
+		s.TopBlamed = append(s.TopBlamed, AttribRouterRow{Router: r, RouterAttrib: a.Routers[r]})
 	}
 	chOrder := make([]int, 0, len(a.ChanBlame))
 	for ci := range a.ChanBlame {

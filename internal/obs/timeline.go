@@ -36,7 +36,8 @@ type TimelineSample struct {
 	OccSum int64
 }
 
-// merge folds o (covering the same cycle range) into s.
+// merge folds o into s: o covers the same cycle range (another run's
+// window) or the adjacent, later one (compaction); s keeps its Start.
 func (s *TimelineSample) merge(o *TimelineSample) {
 	s.Cycles += o.Cycles
 	s.Injected += o.Injected
@@ -52,17 +53,11 @@ func (s *TimelineSample) merge(o *TimelineSample) {
 	}
 }
 
-// coalesce folds o (the adjacent, later interval) into s, producing one
-// sample covering both windows.
-func (s *TimelineSample) coalesce(o *TimelineSample) {
-	s.merge(o) // same arithmetic; Start stays at the earlier window
-}
-
 const defaultTimelineSamples = 256
 
 // Timeline is a fixed-memory time-resolved series of simulation
 // intervals. The simulator feeds it per-event hooks (NoteInject,
-// NoteEject, NoteRetire) and one Tick per cycle; every Interval cycles
+// NoteEject, NoteRetire) and one Tick per cycle; every interval cycles
 // the open window is closed into a sample. When the sample store fills,
 // adjacent samples coalesce pairwise and the interval doubles, so memory
 // stays bounded no matter how long the run is while the series always
@@ -75,11 +70,11 @@ const defaultTimelineSamples = 256
 // can stream the series off a running simulation without perturbing it.
 type Timeline struct {
 	mu sync.Mutex
-	// interval is the current cycles-per-sample (baseInterval * 2^k).
-	interval     int64
-	baseInterval int64
-	maxSamples   int
-	samples      []TimelineSample // closed windows, capacity maxSamples
+	// interval is the current cycles-per-sample (the constructor's
+	// interval times a power of two).
+	interval   int64
+	maxSamples int
+	samples    []TimelineSample // closed windows, capacity maxSamples
 
 	// truncated records that the run feeding this timeline ended early
 	// (early-abort saturation detection), so the series covers only a
@@ -106,19 +101,10 @@ func NewTimeline(interval, maxSamples int) *Timeline {
 		maxSamples++
 	}
 	return &Timeline{
-		interval:     int64(interval),
-		baseInterval: int64(interval),
-		maxSamples:   maxSamples,
-		samples:      make([]TimelineSample, 0, maxSamples),
+		interval:   int64(interval),
+		maxSamples: maxSamples,
+		samples:    make([]TimelineSample, 0, maxSamples),
 	}
-}
-
-// Interval returns the current cycles-per-sample (grows by doubling as
-// the run outlives the sample store).
-func (t *Timeline) Interval() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.interval
 }
 
 // NoteInject records one flit entering a terminal injection channel.
@@ -168,19 +154,6 @@ func (t *Timeline) EndInterval(maxChanFlits int64) {
 	t.curHist.Reset()
 }
 
-// compact halves the series in place — adjacent windows coalesce
-// pairwise and the interval doubles — under t.mu.
-func (t *Timeline) compact() {
-	half := len(t.samples) / 2
-	for i := 0; i < half; i++ {
-		s := t.samples[2*i]
-		s.coalesce(&t.samples[2*i+1])
-		t.samples[i] = s
-	}
-	t.samples = t.samples[:half]
-	t.interval *= 2
-}
-
 // MarkTruncated flags the series as covering only a prefix of its run —
 // the simulator calls it when early-abort saturation detection cuts the
 // drain phase short, so downstream readers can tell a short series from
@@ -218,9 +191,6 @@ func (t *Timeline) Merge(o *Timeline) error {
 	}
 	if len(t.samples) == 0 {
 		t.interval = oInterval
-		if t.baseInterval == 0 {
-			t.baseInterval = oInterval
-		}
 		t.samples = append(t.samples[:0], oSamples...)
 		return nil
 	}
@@ -237,7 +207,7 @@ func (t *Timeline) Merge(o *Timeline) error {
 	}
 	// Coarsen the finer series to the coarser interval.
 	for t.interval < oInterval {
-		t.compactAny()
+		t.compact()
 	}
 	for oInterval < t.interval {
 		oSamples, oInterval = coalescePairs(oSamples), oInterval*2
@@ -255,10 +225,9 @@ func (t *Timeline) Merge(o *Timeline) error {
 	return nil
 }
 
-// compactAny is compact without the fullness precondition (used by Merge
-// to coarsen): odd-length series keep their last window as a half-width
-// tail.
-func (t *Timeline) compactAny() {
+// compact halves the series in place, under t.mu: adjacent windows
+// coalesce pairwise and the interval doubles.
+func (t *Timeline) compact() {
 	t.samples = coalescePairs(t.samples)
 	t.interval *= 2
 }
@@ -269,7 +238,7 @@ func coalescePairs(s []TimelineSample) []TimelineSample {
 	half := len(s) / 2
 	for i := 0; i < half; i++ {
 		m := s[2*i]
-		m.coalesce(&s[2*i+1])
+		m.merge(&s[2*i+1])
 		s[i] = m
 	}
 	if len(s)%2 != 0 {

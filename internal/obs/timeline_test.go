@@ -228,7 +228,7 @@ func TestTimelineCompactionNoAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("timeline compaction allocates %v times, want 0", avg)
 	}
-	if got := tl.Interval(); got != 1<<12 {
+	if got := tl.Snapshot().Interval; got != 1<<12 {
 		t.Errorf("interval %d after 12 compactions, want %d", got, 1<<12)
 	}
 }
@@ -263,7 +263,6 @@ func TestTimelineConcurrentSnapshot(t *testing.T) {
 				t.Errorf("snapshot %d sample %d has zero cycles (open window leaked)", i, j)
 			}
 		}
-		_ = tl.Interval()
 	}
 	close(done)
 	wg.Wait()
@@ -368,7 +367,7 @@ func TestTimelineMergeMismatchedIntervals(t *testing.T) {
 	if err := c.Merge(d); err != nil {
 		t.Fatalf("merging intervals 3 and 6: %v", err)
 	}
-	if got := c.Interval(); got != 6 {
+	if got := c.Snapshot().Interval; got != 6 {
 		t.Errorf("merged interval %d, want the coarser 6", got)
 	}
 	e := NewTimeline(6, 8)

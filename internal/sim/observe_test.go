@@ -93,8 +93,8 @@ func TestLatencySumsExact(t *testing.T) {
 // checked by one test per instrument. requireUnperturbed: a run with the
 // instrument attached returns the bare run's Stats and latency
 // histogram, because instruments observe and never steer.
-// requireNoSteadyAllocs: the warm steady-state step stays at 0
-// allocs/op, because each instrument's memory is fixed when it is
+// requireNoSteadyAllocs: 400 warm steady-state steps make no
+// allocation, because each instrument's memory is fixed when it is
 // attached or recycled through the packet freelist; only the delivery
 // log appends one record per packet, by design. Adding an instrument
 // means adding its two tests here; TestResetDetachesEveryObserver checks
@@ -138,27 +138,30 @@ func requireUnperturbed(t *testing.T, attach func(*Network)) (*Network, Stats) {
 	return n, st
 }
 
-// requireNoSteadyAllocs fails t unless the steady-state step of a warm
-// instrumented network allocates nothing.
+// requireNoSteadyAllocs fails t unless the 400 steady-state steps of a
+// warm instrumented network from cycle 4000 make no allocation at all.
+// The count is exact: testing.AllocsPerRun runs its function once to
+// warm up and then once measured, so the steps from cycle 3600 are the
+// warm-up, and one allocation in 400 steps fails.
 func requireNoSteadyAllocs(t *testing.T, attach func(*Network)) {
 	t.Helper()
 	n := instrumentedNetwork(t, attach)
 	inj := uniformInjector(0.4)
-	for ; n.now < 4000; n.now++ { // every queue reaches its steady depth
+	for ; n.now < 3600; n.now++ { // every queue reaches its steady depth
 		n.step(inj)
 	}
-	if avg := testing.AllocsPerRun(400, func() {
-		n.step(inj)
-		n.now++
-	}); avg != 0 {
-		t.Errorf("steady-state step allocates %v allocs/op, want 0", avg)
+	if mallocs := testing.AllocsPerRun(1, func() {
+		for end := n.now + 400; n.now < end; n.now++ {
+			n.step(inj)
+		}
+	}); mallocs != 0 {
+		t.Errorf("400 steady-state steps allocate %v times, want 0", mallocs)
 	}
 }
 
 // attachTimeline's 32 windows of 64 cycles compact at cycles 2048 and
 // 4096, so requireNoSteadyAllocs' measured steps (cycles 4000-4400)
-// include a compaction (obs.TestTimelineCompactionNoAllocs counts that
-// path one compaction per run); the recorder's ring wraps long before.
+// include a compaction; the recorder's ring wraps long before.
 func attachTimeline(n *Network) { n.AttachTimeline(obs.NewTimeline(64, 32)) }
 func attachRecorder(n *Network) { n.Trace(obs.NewFlightRecorder(1 << 12)) }
 

@@ -6,19 +6,20 @@ import (
 	"sort"
 )
 
+// maxSaturationEvals caps FindSaturation's simulated points as a safety
+// net, far above the log2(Hi/Tol)+1 a normal search needs.
+const maxSaturationEvals = 32
+
 // SaturationSearchOptions configures FindSaturation.
 type SaturationSearchOptions struct {
-	// Lo and Hi bracket the search in offered load. Lo defaults to 0
-	// (zero load trivially drains and is never simulated); Hi defaults
-	// to 0.95 and must stay in (Lo, 1].
-	Lo, Hi float64
+	// Hi tops the search bracket (0, Hi] in offered load: zero load
+	// trivially drains and is never simulated. Hi defaults to 0.95 and
+	// must not exceed 1.
+	Hi float64
 	// Tol is the absolute load tolerance the knee is located to
 	// (default 0.02): the returned bracket satisfies
 	// FirstSaturatedLoad - LastDrainedLoad <= Tol.
 	Tol float64
-	// MaxEvals caps the simulated points as a safety net (default 32 —
-	// far above the log2((Hi-Lo)/Tol)+2 a normal search needs).
-	MaxEvals int
 	// Abort arms the early-abort saturation detector on every probed
 	// point, so the saturated half of the bracket costs a fraction of
 	// its drain budget (see Network.ArmAbort).
@@ -32,13 +33,11 @@ type SaturationResult struct {
 	// FirstSaturatedLoad is 0.
 	Saturated bool `json:"saturated"`
 	// FirstSaturatedLoad is the lowest probed load that failed to
-	// drain; the true knee lies in
-	// (LastDrainedLoad, FirstSaturatedLoad], a bracket at most Tol
-	// wide (except when the knee sits at or below Lo, reported as
-	// FirstSaturatedLoad == Lo).
+	// drain; the true knee lies in (LastDrainedLoad,
+	// FirstSaturatedLoad], a bracket at most Tol wide.
 	FirstSaturatedLoad float64 `json:"first_saturated_load,omitempty"`
 	// LastDrainedLoad is the highest probed load that drained (0 when
-	// even Lo saturated).
+	// every probed load saturated).
 	LastDrainedLoad float64 `json:"last_drained_load,omitempty"`
 	// SaturationThroughput is the highest accepted throughput across
 	// all probed points — accepted throughput plateaus past the knee,
@@ -52,8 +51,8 @@ type SaturationResult struct {
 }
 
 // FindSaturation locates the saturation knee — the lowest offered load
-// that fails to drain — by bisection over (Lo, Hi], in
-// O(log((Hi-Lo)/Tol)) simulated points instead of a full grid. The
+// that fails to drain — by bisection over (0, Hi], in
+// O(log(Hi/Tol)) simulated points instead of a full grid. The
 // search is strictly sequential and each evaluation reuses the
 // PointSeed derivation (seed = base + evaluation index); since the
 // bisection path is itself a deterministic function of per-point
@@ -62,16 +61,16 @@ type SaturationResult struct {
 // around it.
 //
 // Edge bounds: a network that drains at Hi returns Saturated=false
-// after one evaluation; a network already saturated at Lo returns
-// FirstSaturatedLoad=Lo (the knee is at or below the bracket floor). A
-// NaN or infinite Lo, Hi or Tol is an error.
+// after one evaluation; the search stops after maxSaturationEvals
+// evaluations with the bracket it has. A NaN or infinite Hi or Tol is
+// an error.
 func FindSaturation(build Builder, injf InjectorFactory, opt SaturationSearchOptions) (*SaturationResult, error) {
-	for _, v := range []float64{opt.Lo, opt.Hi, opt.Tol} {
+	for _, v := range []float64{opt.Hi, opt.Tol} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("sim: FindSaturation Lo, Hi or Tol %v is not finite", v)
+			return nil, fmt.Errorf("sim: FindSaturation Hi or Tol %v is not finite", v)
 		}
 	}
-	lo, hi := opt.Lo, opt.Hi
+	lo, hi := 0.0, opt.Hi
 	if hi <= 0 {
 		hi = 0.95
 	}
@@ -79,12 +78,8 @@ func FindSaturation(build Builder, injf InjectorFactory, opt SaturationSearchOpt
 	if tol <= 0 {
 		tol = 0.02
 	}
-	maxEvals := opt.MaxEvals
-	if maxEvals <= 0 {
-		maxEvals = 32
-	}
-	if lo < 0 || hi > 1 || lo >= hi {
-		return nil, fmt.Errorf("sim: FindSaturation bracket [%v, %v] invalid", lo, hi)
+	if hi > 1 {
+		return nil, fmt.Errorf("sim: FindSaturation bracket (0, %v] invalid", hi)
 	}
 
 	res := &SaturationResult{}
@@ -130,18 +125,7 @@ func FindSaturation(build Builder, injf InjectorFactory, opt SaturationSearchOpt
 		return finalize(), nil // never saturates within the bracket
 	}
 	res.Saturated = true
-	if lo > 0 {
-		st, err := eval(lo)
-		if err != nil {
-			return nil, err
-		}
-		if !st.Drained {
-			res.FirstSaturatedLoad = lo // knee at or below the floor
-			return finalize(), nil
-		}
-		res.LastDrainedLoad = lo
-	}
-	for hi-lo > tol && res.Evaluations < maxEvals {
+	for hi-lo > tol && res.Evaluations < maxSaturationEvals {
 		mid := (lo + hi) / 2
 		st, err := eval(mid)
 		if err != nil {

@@ -388,10 +388,6 @@ func TestNonFiniteLoadsRefused(t *testing.T) {
 				_, err := Sweep(build, synth, []float64{0.1, v}, SweepOptions{Workers: 1})
 				return err
 			}},
-			{"FindSaturation/Lo", func() error {
-				_, err := FindSaturation(build, synth, SaturationSearchOptions{Lo: v, Hi: 0.9})
-				return err
-			}},
 			{"FindSaturation/Hi", func() error {
 				_, err := FindSaturation(build, synth, SaturationSearchOptions{Hi: v})
 				return err
