@@ -208,9 +208,14 @@ func fig21(o Options) (*Table, error) {
 			cells = make([]cellAttrib, len(series))
 		}
 		// Every cell's load sweep is one series of a single Sweeps call,
-		// unprobed, so the whole grid's points share one pool.
+		// unprobed, so the whole grid's points share one pool. The table
+		// attaches no timeline, so points sample one only for the live
+		// /timeline view.
 		sweep := o
 		sweep.Probe = false
+		if o.Live == nil {
+			sweep.TimelineInterval = 0
+		}
 		res, err := runSweeps(sweep, "fig21", series)
 		if err != nil {
 			return nil, err

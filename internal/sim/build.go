@@ -526,8 +526,8 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// BaseSeed returns the seed the network was built (or last reseeded)
-// with.
+// BaseSeed returns the seed the network was built with; Reseed and
+// Reset leave it as it was.
 func (n *Network) BaseSeed() int64 { return n.cfg.Seed }
 
 // Reseed replaces the network's random streams with ones seeded by
@@ -536,7 +536,6 @@ func (n *Network) BaseSeed() int64 { return n.cfg.Seed }
 // PointSeed), so parallel and serial sweeps draw identical random
 // streams.
 func (n *Network) Reseed(seed int64) {
-	n.cfg.Seed = seed
 	n.initTermRng(seed)
 	for t := range n.termSeq {
 		n.termSeq[t] = 0
@@ -628,13 +627,17 @@ func routesFor(t *topo.Topology) ([][]int32, error) {
 }
 
 // computeRoutes computes, for every (router r, destination router d)
-// pair, the set of output ports toward the destination, at index r*R+d:
-// dimension-order next hops for mesh topologies (deadlock-free wormhole
-// routing), shortest-path candidates from one BFS per destination
-// otherwise (Clos and the other indirect topologies are cycle-free under
-// up/down traversal). Port numbers mirror Build's assignment — terminals first,
-// then link lanes in declared order — so the tables are valid for any
-// Network built from a topology with the same structure.
+// pair, the set of output ports toward the destination, at index r*R+d,
+// by one rule for every topology: the minimal candidates of a BFS per
+// destination, and on a topology that records a grid shape (MeshRows and
+// MeshCols > 0) only those in r's own row while r and d sit in different
+// columns. The mesh thus routes dimension-order (X then Y) and the
+// flattened butterfly a row hop, then a column hop: their channel
+// dependencies run injection, row, column, ejection and cannot close a
+// cycle. The Clos's minimal routes go up, then down, which is acyclic
+// too. Port numbers mirror Build's assignment — terminals first, then
+// link lanes in declared order — so the tables are valid for any Network
+// built from a topology with the same structure.
 func computeRoutes(t *topo.Topology) ([][]int32, error) {
 	R := len(t.Nodes)
 	// Adjacency: for each router, its inter-router output ports and
@@ -654,40 +657,8 @@ func computeRoutes(t *topo.Topology) ([][]int32, error) {
 		numPorts[l.A] += int32(l.Lanes)
 		numPorts[l.B] += int32(l.Lanes)
 	}
+	cols := int32(t.MeshCols)
 	next := make([][]int32, R*R)
-	if t.MeshRows > 0 && t.MeshCols > 0 {
-		// Dimension-order (X then Y) routing on the grid.
-		cols := t.MeshCols
-		for r := 0; r < R; r++ {
-			rr, rc := r/cols, r%cols
-			for d := 0; d < R; d++ {
-				if r == d {
-					continue
-				}
-				dr, dc := d/cols, d%cols
-				var want int
-				switch {
-				case dc > rc:
-					want = r + 1
-				case dc < rc:
-					want = r - 1
-				case dr > rr:
-					want = r + cols
-				default:
-					want = r - cols
-				}
-				for _, e := range adj[r] {
-					if int(e.peer) == want {
-						next[r*R+d] = append(next[r*R+d], e.port)
-					}
-				}
-				if len(next[r*R+d]) == 0 {
-					return nil, fmt.Errorf("sim: mesh router %d has no DOR hop toward %d", r, d)
-				}
-			}
-		}
-		return next, nil
-	}
 	dist := make([]int32, R)
 	queue := make([]int32, 0, R)
 	for d := 0; d < R; d++ {
@@ -714,10 +685,14 @@ func computeRoutes(t *topo.Topology) ([][]int32, error) {
 			if dist[r] == -1 {
 				return nil, fmt.Errorf("sim: router %d cannot reach router %d", r, d)
 			}
+			rowFirst := cols > 0 && int32(r)%cols != int32(d)%cols
 			for _, e := range adj[r] {
-				if dist[e.peer] == dist[r]-1 {
+				if dist[e.peer] == dist[r]-1 && (!rowFirst || e.peer/cols == int32(r)/cols) {
 					next[r*R+d] = append(next[r*R+d], e.port)
 				}
+			}
+			if len(next[r*R+d]) == 0 {
+				return nil, fmt.Errorf("sim: router %d has no minimal hop in its row toward router %d", r, d)
 			}
 		}
 	}

@@ -23,11 +23,7 @@ func optRun(t *testing.T, s Spec, attrib bool) (sim.Stats, *sim.Network, *obs.At
 	if err != nil {
 		t.Fatal(err)
 	}
-	copt := sim.CheckOptions{}
-	if !s.DeadlockFree() {
-		copt.Watchdog = -1
-	}
-	if err := n.Check(copt); err != nil {
+	if err := n.Check(s.CheckOptions()); err != nil {
 		t.Fatal(err)
 	}
 	n.RecordDeliveries()

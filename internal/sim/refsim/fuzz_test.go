@@ -105,9 +105,9 @@ func FuzzObservedEquivalence(f *testing.F) {
 // a separate target for the same reason FuzzObservedEquivalence is one:
 // extending the existing signature would orphan its corpus.
 func FuzzResetEquivalence(f *testing.F) {
-	// Seed corpus: one case per family — including both deadlock-capable
-	// families, where the dirty run stalls and hits the drain deadline —
-	// at light and saturating dirty loads.
+	// Seed corpus: one case per family — including the deadlock-capable
+	// dragonfly, where the dirty run can stall and hit the drain
+	// deadline — at light and saturating dirty loads.
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), uint8(4), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint16(40), uint16(100), int64(1), uint16(200), uint8(0))
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), uint8(3), uint8(0), uint8(3), uint8(1), uint8(1), uint8(0), uint8(0), uint16(30), uint16(90), int64(-7), uint16(550), uint8(1))
 	f.Add(uint8(2), uint8(2), uint8(2), uint8(2), uint8(0), uint8(11), uint8(0), uint8(2), uint8(2), uint8(2), uint8(3), uint16(80), uint16(150), int64(424242), uint16(30), uint8(93))
@@ -150,11 +150,7 @@ func FuzzResetEquivalence(f *testing.F) {
 		dirtyInj := sim.RateInjector{Load: dirtyLoad, Pattern: traffic.Uniform(top.ExternalPorts()), PacketFlits: s.Pkt}
 		reused.Run(dirtyInj, dirtyLoad)
 		reused.Reset(s.Seed)
-		copt := sim.CheckOptions{}
-		if !s.DeadlockFree() {
-			copt.Watchdog = -1
-		}
-		if err := reused.Check(copt); err != nil {
+		if err := reused.Check(s.CheckOptions()); err != nil {
 			t.Fatal(err)
 		}
 		reused.RecordDeliveries()

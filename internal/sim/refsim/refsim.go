@@ -340,10 +340,11 @@ func atLeast1(d int) int {
 	return d
 }
 
-// buildRoutes mirrors the optimized simulator's table construction:
-// dimension-order next hops on meshes, BFS shortest-path candidates
-// otherwise, with adjacency (and therefore candidate order) taken from
-// channel creation order.
+// buildRoutes mirrors the optimized simulator's rule: BFS shortest-path
+// candidates, kept to the router's own row while it and the destination
+// sit in different columns of a recorded grid (MeshRows, MeshCols), with
+// adjacency (and therefore candidate order) taken from channel creation
+// order.
 func (n *network) buildRoutes(t *topo.Topology) error {
 	R := n.R
 	type edge struct{ port, peer int }
@@ -359,38 +360,7 @@ func (n *network) buildRoutes(t *topo.Topology) error {
 	for r := range n.nextPorts {
 		n.nextPorts[r] = make([][]int, R)
 	}
-	if t.MeshRows > 0 && t.MeshCols > 0 {
-		cols := t.MeshCols
-		for r := 0; r < R; r++ {
-			rr, rc := r/cols, r%cols
-			for d := 0; d < R; d++ {
-				if r == d {
-					continue
-				}
-				dr, dc := d/cols, d%cols
-				var want int
-				switch {
-				case dc > rc:
-					want = r + 1
-				case dc < rc:
-					want = r - 1
-				case dr > rr:
-					want = r + cols
-				default:
-					want = r - cols
-				}
-				for _, e := range adj[r] {
-					if e.peer == want {
-						n.nextPorts[r][d] = append(n.nextPorts[r][d], e.port)
-					}
-				}
-				if len(n.nextPorts[r][d]) == 0 {
-					return fmt.Errorf("refsim: mesh router %d has no DOR hop toward %d", r, d)
-				}
-			}
-		}
-		return nil
-	}
+	cols := t.MeshCols
 	for d := 0; d < R; d++ {
 		dist := make([]int, R)
 		for i := range dist {
@@ -415,10 +385,14 @@ func (n *network) buildRoutes(t *topo.Topology) error {
 			if dist[r] == -1 {
 				return fmt.Errorf("refsim: router %d cannot reach router %d", r, d)
 			}
+			rowFirst := cols > 0 && r%cols != d%cols
 			for _, e := range adj[r] {
-				if dist[e.peer] == dist[r]-1 {
+				if dist[e.peer] == dist[r]-1 && (!rowFirst || e.peer/cols == r/cols) {
 					n.nextPorts[r][d] = append(n.nextPorts[r][d], e.port)
 				}
+			}
+			if len(n.nextPorts[r][d]) == 0 {
+				return fmt.Errorf("refsim: router %d has no minimal hop in its row toward router %d", r, d)
 			}
 		}
 	}

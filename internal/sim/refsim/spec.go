@@ -277,17 +277,20 @@ func (s Spec) Injector(terms int) (sim.Injector, error) {
 	return sim.RateInjector{Load: s.Load, Pattern: pat, PacketFlits: s.Pkt}, nil
 }
 
-// DeadlockFree reports whether the spec's routing is deadlock-free by
-// construction: up/down traversal on the Clos and dimension-order
-// routing on the mesh cannot form a channel-dependency cycle. The BFS
-// minimal routing used on flattened butterflies and dragonflies can
-// (those topologies need escape VCs or Valiant routing for deadlock
-// freedom, which this simulator intentionally does not model), so the
-// checker's watchdog is disabled for them: a wormhole cycle there is a
-// property of the configuration, not a simulator bug, and both
-// implementations must stall identically.
-func (s Spec) DeadlockFree() bool {
-	return s.Family == "clos" || s.Family == "wideclos" || s.Family == "mesh"
+// CheckOptions configures the invariant checker for a run of the spec.
+// Routing is deadlock-free by construction on every family but the
+// dragonfly: the Clos routes up, then down, and the mesh and the
+// flattened butterfly take their row hop before their column hop, so no
+// channel-dependency cycle can form. The dragonfly's minimal routes can
+// close one (it needs hop-phase VC classes, which the simulator does not
+// model), so its watchdog is off: a wedge there is a property of the
+// configuration, not a simulator bug, and both implementations must
+// stall identically.
+func (s Spec) CheckOptions() sim.CheckOptions {
+	if s.Family == "dfly" {
+		return sim.CheckOptions{Watchdog: -1}
+	}
+	return sim.CheckOptions{}
 }
 
 // DiffReport is the outcome of one differential run.
@@ -347,11 +350,7 @@ func (s Spec) DiffTraced(rec *obs.FlightRecorder) (*DiffReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := sim.CheckOptions{}
-	if !s.DeadlockFree() {
-		opt.Watchdog = -1
-	}
-	return s.diffOn(top, opt, rec)
+	return s.diffOn(top, s.CheckOptions(), rec)
 }
 
 // diffOn is Diff's comparison on a given topology in place of the one

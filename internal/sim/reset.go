@@ -35,7 +35,8 @@ import "waferswitch/internal/obs"
 // rewinding the input buffers costs O(ports), not O(slots).
 
 // Reset rewinds the network to the pristine just-built state, reseeded
-// with seed, reusing every backing array. All observers (probe,
+// with seed, reusing every backing array; BaseSeed still returns the
+// seed the network was built with. All observers (probe,
 // timeline, tracer, attribution, checker, abort detector, delivery
 // recording) are detached, as on a fresh Build — reattach what the
 // next run needs. It is the only way to detach an instrument.
@@ -97,7 +98,6 @@ func (n *Network) Reset(seed int64) {
 	clear(n.tlChanFlits)
 
 	// Random streams, reseeded in place (see initTermRng).
-	n.cfg.Seed = seed
 	n.initTermRng(seed)
 	clear(n.termSeq)
 }

@@ -38,10 +38,10 @@ func shortTestConfig() Config {
 }
 
 // resetFamilies returns one topology per routing family: up/down BFS on
-// the Clos, dimension-order routing on the mesh, and BFS minimal
-// routing on the flattened butterfly and dragonfly (the two families
-// whose configurations can wormhole-deadlock — a Reset network must
-// stall and hit the drain deadline exactly like a fresh one).
+// the Clos, row-first minimal routing on the mesh and the flattened
+// butterfly, and BFS minimal routing on the dragonfly (the family whose
+// configurations can wormhole-deadlock — a Reset network must stall and
+// hit the drain deadline exactly like a fresh one).
 func resetFamilies(t *testing.T) map[string]*topo.Topology {
 	t.Helper()
 	chip16, err := ssc.MustTH5(200).Deradix(16)
@@ -181,6 +181,25 @@ func TestResetDetachesEveryObserver(t *testing.T) {
 	}
 	if slices.ContainsFunc(n.tlChanFlits, func(f int32) bool { return f != 0 }) {
 		t.Error("Reset left timeline scratch nonzero")
+	}
+}
+
+// TestBaseSeedSurvivesReseed: Reseed and Reset reseed the random
+// streams only, so BaseSeed keeps returning the seed the network was
+// built with, the one every sweep point's seed derives from.
+func TestBaseSeedSurvivesReseed(t *testing.T) {
+	cfg := shortTestConfig()
+	n, err := Build(testClos(t), ConstantLatency(1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Reseed(cfg.Seed + 5)
+	if got := n.BaseSeed(); got != cfg.Seed {
+		t.Errorf("after Reseed, BaseSeed = %d, want the built seed %d", got, cfg.Seed)
+	}
+	n.Reset(cfg.Seed + 9)
+	if got := n.BaseSeed(); got != cfg.Seed {
+		t.Errorf("after Reset, BaseSeed = %d, want the built seed %d", got, cfg.Seed)
 	}
 }
 

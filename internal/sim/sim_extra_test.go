@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -228,33 +229,94 @@ func TestPercentileFunc(t *testing.T) {
 	}
 }
 
-// Mesh networks use dimension-order routing: every (router, dest) pair
-// has exactly one next hop (times the lane multiplicity), the
-// deadlock-free property extMeshSim depends on.
+// Grid topologies route by one rule: every candidate next hop is one
+// hop closer to the destination, and while the router and the
+// destination sit in different columns it stays in the router's row. On
+// the mesh that is dimension-order routing, on the flattened butterfly a
+// row hop before a column hop; on both, the rule leaves one next router
+// per (router, destination) pair, reached over all the lanes of its
+// link. The acyclic channel dependencies this gives are what extMeshSim
+// and the never-wedge tests depend on.
 func TestMeshDORRouting(t *testing.T) {
 	chip, err := ssc.MustTH5(200).Deradix(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := topo.MeshTopo(3, 4, chip, 2)
+	mesh, err := topo.MeshTopo(3, 4, chip, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Build(m, ConstantLatency(1), testConfig())
+	fb23, err := topo.FlattenedButterfly(2, 3, chip)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := 0; r < n.R; r++ {
-		for d := 0; d < n.R; d++ {
-			if r == d {
-				continue
+	fb33, err := topo.FlattenedButterfly(3, 3, chip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		top        *topo.Topology
+		rows, cols int
+	}{{mesh, 3, 4}, {fb23, 2, 3}, {fb33, 3, 3}} {
+		top, cols := tc.top, tc.cols
+		t.Run(fmt.Sprintf("%s-%dx%d", top.Kind, tc.rows, cols), func(t *testing.T) {
+			n, err := Build(top, ConstantLatency(1), testConfig())
+			if err != nil {
+				t.Fatal(err)
 			}
-			// 2 lanes per neighbor: exactly 2 candidate ports, both to
-			// the same DOR neighbor.
-			if got := len(n.nextFlat[r*n.R+d]); got != 2 {
-				t.Fatalf("mesh nextFlat[%d*R+%d] has %d candidates, want 2 (one DOR hop x 2 lanes)", r, d, got)
+			// Hop distances and lane counts between routers, from the
+			// topology itself.
+			R := n.R
+			lanes := make([]int, R*R)
+			for _, l := range top.Links {
+				lanes[l.A*R+l.B] += l.Lanes
+				lanes[l.B*R+l.A] += l.Lanes
 			}
-		}
+			dist := make([]int, R*R)
+			for d := 0; d < R; d++ {
+				for r := range R {
+					dist[r*R+d] = -1
+				}
+				dist[d*R+d] = 0
+				for q := []int{d}; len(q) > 0; q = q[1:] {
+					for v := 0; v < R; v++ {
+						if lanes[q[0]*R+v] > 0 && dist[v*R+d] < 0 {
+							dist[v*R+d] = dist[q[0]*R+d] + 1
+							q = append(q, v)
+						}
+					}
+				}
+			}
+			for r := 0; r < R; r++ {
+				for d := 0; d < R; d++ {
+					if r == d {
+						continue
+					}
+					cands := n.nextFlat[r*R+d]
+					peers := map[int]int{}
+					for _, p := range cands {
+						peer := int(n.channels[n.outCh[r*n.maxP+int(p)]].dstRouter)
+						if dist[peer*R+d] != dist[r*R+d]-1 {
+							t.Fatalf("router %d -> %d: candidate port %d leads to router %d, %d hops from the destination; want %d",
+								r, d, p, peer, dist[peer*R+d], dist[r*R+d]-1)
+						}
+						if r%cols != d%cols && peer/cols != r/cols {
+							t.Fatalf("router %d -> %d: candidate port %d leaves row %d for router %d while the columns differ",
+								r, d, p, r/cols, peer)
+						}
+						peers[peer]++
+					}
+					if len(peers) != 1 {
+						t.Fatalf("router %d -> %d: candidates lead to %d routers %v, want 1", r, d, len(peers), peers)
+					}
+					for peer, k := range peers {
+						if k != lanes[r*R+peer] {
+							t.Fatalf("router %d -> %d: %d candidates toward router %d, want its %d lanes", r, d, k, peer, lanes[r*R+peer])
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -22,21 +22,18 @@ type Builder func() (*Network, error)
 // another series. A worker holds one network, not one per series: a
 // saturated point leaves its source queues grown, and keeping those of
 // every series a worker has visited would hold the heaviest points'
-// backlogs at once. base is the builder's configured seed, captured at
-// build time — Reseed and Reset overwrite cfg.Seed, so per-point seeds
-// must always derive from the original via PointSeed.
+// backlogs at once.
 type workerNet struct {
 	n      *Network
-	base   int64
 	series int
 }
 
 // get returns the worker's network ready to run point i of series s:
-// seeded with PointSeed(base, i) and otherwise indistinguishable from a
-// fresh build.
+// seeded with PointSeed of the builder's seed and i, and otherwise
+// indistinguishable from a fresh build.
 func (w *workerNet) get(build Builder, s, i int) (*Network, error) {
 	if w.n != nil && w.series == s {
-		w.n.Reset(PointSeed(w.base, i))
+		w.n.Reset(PointSeed(w.n.BaseSeed(), i))
 		return w.n, nil
 	}
 	w.n = nil // let the old network go before building the next
@@ -44,8 +41,8 @@ func (w *workerNet) get(build Builder, s, i int) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.n, w.base, w.series = n, n.BaseSeed(), s
-	n.Reseed(PointSeed(w.base, i))
+	w.n, w.series = n, s
+	n.Reseed(PointSeed(n.BaseSeed(), i))
 	return n, nil
 }
 

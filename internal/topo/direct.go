@@ -145,6 +145,8 @@ func FlattenedButterfly(rows, cols int, chip ssc.Chiplet) (*Topology, error) {
 		Name:     fmt.Sprintf("flatbutterfly-%dx%d (%d lanes, %d ext/node)", rows, cols, c, p),
 		Kind:     "flatbutterfly",
 		PortGbps: chip.PortGbps,
+		MeshRows: rows,
+		MeshCols: cols,
 	}
 	id := func(r, cc int) int { return r*cols + cc }
 	for r := 0; r < rows; r++ {

@@ -67,10 +67,11 @@ type Topology struct {
 	Links []Link
 	// PortGbps is the line rate of every lane and external port.
 	PortGbps float64
-	// MeshRows and MeshCols give the grid shape of direct grid topologies
-	// (node i at row i/MeshCols, column i%MeshCols). The simulator uses
-	// them to route dimension-order, which is deadlock-free on a mesh;
-	// they are zero for indirect topologies.
+	// MeshRows and MeshCols give the grid shape of the mesh and the
+	// flattened butterfly (node i at row i/MeshCols, column i%MeshCols);
+	// they are zero for every other topology. The simulator's routes
+	// take their row hops first on a grid, which keeps both fabrics'
+	// channel dependencies acyclic.
 	MeshRows, MeshCols int
 }
 
@@ -105,11 +106,17 @@ func (t *Topology) TotalLaneTerminations() []int {
 }
 
 // Validate checks the structural invariants of the topology: link
-// endpoints in range and distinct, positive lane counts, and every node's
-// lane terminations plus external ports within its chiplet radix.
+// endpoints in range and distinct, positive lane counts, every node's
+// lane terminations plus external ports within its chiplet radix, and a
+// grid shape, if any, that tiles the nodes.
 func (t *Topology) Validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("topo: %s has no nodes", t.Name)
+	}
+	if (t.MeshRows != 0 || t.MeshCols != 0) && (t.MeshRows <= 0 || t.MeshCols <= 0 ||
+		len(t.Nodes)%t.MeshCols != 0 || len(t.Nodes)/t.MeshCols != t.MeshRows) {
+		return fmt.Errorf("topo: %s grid %dx%d does not tile its %d nodes",
+			t.Name, t.MeshRows, t.MeshCols, len(t.Nodes))
 	}
 	for i, n := range t.Nodes {
 		if n.ID != i {
@@ -143,8 +150,8 @@ func (t *Topology) Validate() error {
 // CanonicalHash content-hashes the structural identity of the topology:
 // everything the simulator's port assignment and route computation
 // depend on — node count, per-node external ports, the link list in
-// declared order with lane multiplicities, and the mesh grid shape that
-// selects dimension-order routing. Two Topology values with equal
+// declared order with lane multiplicities, and the grid shape whose
+// rows the routes cross first. Two Topology values with equal
 // hashes build identical router graphs and identical route tables, so
 // the hash keys the simulator's shared route cache and is the
 // topology-identity component of any future result cache. Names, line

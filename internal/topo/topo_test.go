@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -390,6 +391,26 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	c.Links[0] = Link{A: 0, B: 99999, Lanes: 1}
 	if err := c.Validate(); err == nil {
 		t.Error("Validate accepted out-of-range endpoint")
+	}
+	// A grid shape must tile the nodes: the simulator reads each node's
+	// row and column from it. The last shape's product overflows to 12.
+	m, err := MeshTopo(3, 4, th5(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range [][2]int{{-3, -4}, {3, 0}, {0, 4}, {-1, -12}, {4, 4}, {2, 4}, {6, 3}, {4, math.MaxInt/2 + 4}} {
+		bad := *m
+		bad.MeshRows, bad.MeshCols = g[0], g[1]
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate accepted grid %dx%d on %d nodes", g[0], g[1], len(m.Nodes))
+		}
+	}
+	for _, g := range [][2]int{{0, 0}, {4, 3}, {1, 12}, {12, 1}} {
+		ok := *m
+		ok.MeshRows, ok.MeshCols = g[0], g[1]
+		if err := ok.Validate(); err != nil {
+			t.Errorf("Validate refused grid %dx%d on %d nodes: %v", g[0], g[1], len(m.Nodes), err)
+		}
 	}
 }
 
