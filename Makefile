@@ -51,14 +51,14 @@ fmt:
 
 # expt runs with -short: the full-suite test is redundant under race and
 # the dedicated pool/parallel-sweep tests never skip. The adaptive sweep
-# engine's tests (abort_test, saturation_test, and the expt adaptive
-# determinism tests) live inside these packages, so the early-abort
-# detector and bisection search run under the race detector on every
-# check, as do sim.Pool's workers (sweeps and experiment grids), and
-# the shared route cache. mapping and core join them for the
-# process-wide memo of Algorithm 1 placements that the grid workers
-# share; -short keeps mapping to 13-17 s on a 2-core host (76 s without
-# it, for the long oracle cases), and the memo's own tests never skip.
+# engine's tests (abort_test and the expt adaptive determinism tests)
+# live inside these packages, so the early-abort detector runs under
+# the race detector on every check, as do sim.Pool's workers (sweeps
+# and experiment grids), and the shared route cache. mapping and core
+# join them for the process-wide memo of Algorithm 1 placements that the
+# grid workers share; -short keeps mapping to 13-17 s on a 2-core host
+# (76 s without it, for the long oracle cases), and the memo's own tests
+# never skip.
 # cmd/wsswitch joins them for the -http server: its handlers read the
 # one obs.Live that pool workers write, and TestServerEndpointsDuringRun
 # polls every endpoint mid-run (about 17 s of test time on a 2-core

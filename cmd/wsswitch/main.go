@@ -42,12 +42,11 @@
 //	                           and backpressure root-cause reports attach
 //	                           to -json tables as <series>_attribution;
 //	                           saturated points add a post-mortem note
-//	wsswitch -adaptive <id>    adaptive sweep engine: early-abort the
-//	                           drain budget of saturated points and find
-//	                           saturation knees by bisection instead of
-//	                           walking the whole load grid (same
-//	                           saturation throughput, fraction of the
-//	                           time)
+//	wsswitch -adaptive <id>    arm early abort on every simulator sweep
+//	                           point: a saturated point stops its drain
+//	                           budget once divergence is certain (same
+//	                           offered load, accepted throughput and
+//	                           saturation throughput)
 package main
 
 import (
@@ -98,7 +97,7 @@ func run() int {
 	replay := flag.String("replay", "", "re-run a differential-test `spec` (as printed by a failing equivalence test or fuzz run) through both simulators and report")
 	httpAddr := flag.String("http", "", "serve live introspection on `addr` (/metrics, /timeline, /attribution, /heatmap, /debug/pprof, /debug/vars) while experiments run")
 	timeline := flag.Int("timeline", 0, "attach time-resolved samplers to simulator sweeps, one window per `cycles` (implied 200 by -http)")
-	adaptive := flag.Bool("adaptive", false, "adaptive sweep engine: abort saturated points' drain budget early and locate saturation knees by bisection (same saturation throughput, fraction of the wall-clock)")
+	adaptive := flag.Bool("adaptive", false, "arm early abort on every simulator sweep point: saturated points stop their drain budget early (same accepted and saturation throughput)")
 	attribution := flag.Bool("attribution", false, "attach congestion attribution to simulator sweeps (implied by -http): per-stage latency decomposition, blame heatmap, backpressure root-cause reports")
 	trace := flag.String("trace", "", "with -replay: write the run's packet-lifecycle events as Chrome trace-event JSON to `file` (view in Perfetto)")
 	flag.Usage = usage
@@ -319,7 +318,7 @@ examples:
   wsswitch -replay "..." -trace out.json   # packet-lifecycle trace for Perfetto
   wsswitch -http :8080 fig21               # watch the sweep saturate in real time
   wsswitch -timeline 100 -json fig22       # time-resolved series in the JSON
-  wsswitch -adaptive fig21                 # bisection saturation search + early aborts
+  wsswitch -adaptive fig21                 # same table, saturated drains aborted early
   wsswitch -attribution -json fig22        # stage latency breakdown + blame heatmap
 `)
 	flag.PrintDefaults()

@@ -287,6 +287,9 @@ func TestWriteReplayTraceWedgingSpec(t *testing.T) {
 		{"bad-pipe=-1-exits-2", "pipe=-1"},
 		{"bad-warmup=-1-exits-2", "warmup=-1"},
 		{"bad-measure=0-exits-2", "measure=0"},
+		{"bad-drain=-5-exits-2", "drain=-5"},
+		{"bad-rci=-3-exits-2", "rci=-3"},
+		{"bad-link=-3-exits-2", "link=-3"},
 		{"bad-family-exits-2", "family=bogus"},
 		{"bad-pattern-exits-2", "pattern=bogus"},
 	} {

@@ -29,9 +29,11 @@ const goldenFile = "testdata/golden_quick_seed1.json"
 //     timeline, attribution and probe attachments appear only then.
 //     ext-meshsim ignores these options, so its default digest already
 //     covers it.
-//   - "/adaptive" is `wsswitch -quick -json -adaptive`: bisection in
-//     fig21, early abort in the sweeps of fig22 and fig24.
-//     fig23 stays out for time (3.1-3.4 s in this mode on two workers).
+//   - "/adaptive" is `wsswitch -quick -json -adaptive`: early abort in
+//     the sweeps of fig21, fig22 and fig24. fig21's table reads only
+//     saturation throughput, which abort cannot move, so its digest
+//     equals the default one. fig23 stays out for time (3.1-3.4 s in
+//     this mode on two workers).
 var goldenVariants = []struct {
 	key  string
 	opts Options

@@ -151,12 +151,14 @@ func extMeshSim(o Options) (*Table, error) {
 		// The fabrics are the parallel axis; each runs its zero-load
 		// probe and its load sweep serially. All four series on one pool
 		// measured slower: the mesh's 0.3 point is long although its
-		// load is low, so longest-first dispatch starts it late.
+		// load is low, so longest-first dispatch starts it late. That
+		// point is saturated, so under o.Adaptive its drain is aborted
+		// and its p99 covers only the packets completed before the abort.
 		name := "ext-meshsim/" + f.name
 		res, err := sim.Sweeps([]sim.Series{
 			{Name: name + "/zero_load", Build: build, Inject: injf, Loads: []float64{sim.ZeroLoad}},
 			{Name: name, Build: build, Inject: injf, Loads: loads},
-		}, sim.SweepOptions{Workers: 1, LiveName: name})
+		}, sim.SweepOptions{Workers: 1, LiveName: name, Abort: o.Adaptive})
 		if err != nil {
 			return err
 		}
@@ -204,7 +206,7 @@ func extTailLatency(o Options) (*Table, error) {
 			Inject: injf, Loads: []float64{0.5}},
 		{Name: "ext-tail/" + names[1], Build: func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(8), netCfg) },
 			Inject: injf, Loads: []float64{0.5}},
-	}, sim.SweepOptions{Workers: o.Workers, Ctx: o.ctx, Live: o.Live, LiveName: "ext-tail"})
+	}, sim.SweepOptions{Workers: o.Workers, Ctx: o.ctx, Live: o.Live, LiveName: "ext-tail", Abort: o.Adaptive})
 	if err != nil {
 		return nil, err
 	}

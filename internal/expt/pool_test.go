@@ -95,20 +95,24 @@ func TestPoolEachRecoversPanics(t *testing.T) {
 	}
 }
 
-// Exhaustive fig21 runs every cell's load sweep as one series of a
-// single Sweeps call. Under a live feed each load point is counted once,
-// by that call's pool, so the point ledger matches the timeline series
-// the cells register: 2 buffers x 2 latencies x 2 loads at -quick.
+// fig21 runs every cell's load sweep as one series of a single Sweeps
+// call, with or without -adaptive. Under a live feed each load point is
+// counted once, by that call's pool, so the point ledger matches the
+// timeline series the cells register: 2 buffers x 2 latencies x 2 loads
+// at -quick.
 func TestFig21LiveCountsLoadPoints(t *testing.T) {
 	multicore(t)
-	live := &obs.Live{}
-	if _, err := Run("fig21", Options{Quick: true, Workers: 2, Live: live, TimelineInterval: 100, Attribution: true}); err != nil {
-		t.Fatal(err)
-	}
-	s, names := live.Progress(), live.TimelineNames()
-	if s.Total != 8 || s.Done != 8 || len(names) != 8 || len(s.Workers) != 0 {
-		t.Errorf("points total %d, done %d, %d timelines, busy workers %v; want 8, 8, 8, none",
-			s.Total, s.Done, len(names), s.Workers)
+	for _, adaptive := range []bool{false, true} {
+		live := &obs.Live{}
+		o := Options{Quick: true, Workers: 2, Live: live, TimelineInterval: 100, Attribution: true, Adaptive: adaptive}
+		if _, err := Run("fig21", o); err != nil {
+			t.Fatal(err)
+		}
+		s, names := live.Progress(), live.TimelineNames()
+		if s.Total != 8 || s.Done != 8 || len(names) != 8 || len(s.Workers) != 0 {
+			t.Errorf("adaptive=%v: points total %d, done %d, %d timelines, busy workers %v; want 8, 8, 8, none",
+				adaptive, s.Total, s.Done, len(names), s.Workers)
+		}
 	}
 }
 

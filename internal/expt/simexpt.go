@@ -150,8 +150,7 @@ func fig21(o Options) (*Table, error) {
 	if o.Quick {
 		loads = []float64{0.5, 0.9}
 	}
-	// One series per buffers x latencies cell: a load sweep by default,
-	// a bisection bracket under o.Adaptive.
+	// One load sweep per buffers x latencies cell.
 	injf := sim.SyntheticInjector(traffic.Uniform(ports), 4)
 	series := make([]sim.Series, len(buffers)*len(lats))
 	for idx := range series {
@@ -163,39 +162,33 @@ func fig21(o Options) (*Table, error) {
 			Inject: injf, Loads: loads,
 		}
 	}
-	sats := make([]float64, len(series))
-	if o.Adaptive {
-		// Adaptive mode replaces each cell's exhaustive load grid with a
-		// bisection saturation search: O(log(1/tol)) points with the drain
-		// budget of saturated probes aborted early, reaching the same
-		// saturation plateau in a fraction of the grid's wall-clock.
-		type cellSearch struct {
-			Buffer  int                   `json:"buffer"`
-			LinkLat int                   `json:"link_latency"`
-			Search  *sim.SaturationResult `json:"search"`
+	// Every cell's load sweep is one series of a single Sweeps call,
+	// unprobed, so the whole grid's points share one pool. The table
+	// attaches no timeline, so points sample one only for the live
+	// /timeline view. Early abort under o.Adaptive never cuts a
+	// measurement window, so every cell's saturation throughput, the
+	// highest Accepted of its sweep, is that of the plain run.
+	sweep := o
+	sweep.Probe = false
+	if o.Live == nil {
+		sweep.TimelineInterval = 0
+	}
+	res, err := runSweeps(sweep, "fig21", series)
+	if err != nil {
+		return nil, err
+	}
+	for bi, buf := range buffers {
+		row := []interface{}{buf}
+		for li := range lats {
+			row = append(row, sim.SaturationThroughput(res[bi*len(lats)+li].Stats()))
 		}
-		searches := make([]cellSearch, len(series))
-		err = o.each("fig21", len(series), func(idx int) error {
-			res, err := sim.FindSaturation(series[idx].Build, injf,
-				sim.SaturationSearchOptions{Hi: loads[len(loads)-1], Tol: 0.05, Abort: true})
-			if err != nil {
-				return err
-			}
-			sats[idx] = res.SaturationThroughput
-			searches[idx] = cellSearch{Buffer: buffers[idx/len(lats)], LinkLat: lats[idx%len(lats)], Search: res}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Attach("adaptive_search", searches)
-		t.Notes = append(t.Notes,
-			"adaptive mode: saturation located by bisection with early-abort drains instead of the exhaustive load grid")
-	} else {
-		// With attribution on, each grid cell keeps its merged stage
-		// breakdown and heatmap plus the post-mortems of its saturated
-		// points — the knee of every buffer/latency combination explains
-		// itself (see EXPERIMENTS.md "Reading a fig21 heatmap").
+		t.AddRow(row...)
+	}
+	if o.Attribution {
+		// Each grid cell keeps its merged stage breakdown and heatmap plus
+		// the post-mortems of its saturated points — the knee of every
+		// buffer/latency combination explains itself (see EXPERIMENTS.md
+		// "Reading a fig21 heatmap").
 		type cellAttrib struct {
 			Buffer       int                       `json:"buffer"`
 			LinkLat      int                       `json:"link_latency"`
@@ -203,48 +196,20 @@ func fig21(o Options) (*Table, error) {
 			PostMortems  []string                  `json:"post_mortems,omitempty"`
 			Backpressure []*obs.BackpressureReport `json:"backpressure,omitempty"`
 		}
-		var cells []cellAttrib
-		if o.Attribution {
-			cells = make([]cellAttrib, len(series))
-		}
-		// Every cell's load sweep is one series of a single Sweeps call,
-		// unprobed, so the whole grid's points share one pool. The table
-		// attaches no timeline, so points sample one only for the live
-		// /timeline view.
-		sweep := o
-		sweep.Probe = false
-		if o.Live == nil {
-			sweep.TimelineInterval = 0
-		}
-		res, err := runSweeps(sweep, "fig21", series)
-		if err != nil {
-			return nil, err
-		}
+		cells := make([]cellAttrib, len(res))
 		for idx, r := range res {
-			sats[idx] = sim.SaturationThroughput(r.Stats())
-			if o.Attribution {
-				cell := cellAttrib{Buffer: buffers[idx/len(lats)], LinkLat: lats[idx%len(lats)], Attribution: r.Attribution}
-				for _, p := range r.Points {
-					if p.PostMortem != "" {
-						cell.PostMortems = append(cell.PostMortems, p.PostMortem)
-					}
-					if p.Backpressure != nil {
-						cell.Backpressure = append(cell.Backpressure, p.Backpressure)
-					}
+			cell := cellAttrib{Buffer: buffers[idx/len(lats)], LinkLat: lats[idx%len(lats)], Attribution: r.Attribution}
+			for _, p := range r.Points {
+				if p.PostMortem != "" {
+					cell.PostMortems = append(cell.PostMortems, p.PostMortem)
 				}
-				cells[idx] = cell
+				if p.Backpressure != nil {
+					cell.Backpressure = append(cell.Backpressure, p.Backpressure)
+				}
 			}
+			cells[idx] = cell
 		}
-		if o.Attribution {
-			t.Attach("attribution_cells", cells)
-		}
-	}
-	for bi, buf := range buffers {
-		row := []interface{}{buf}
-		for li := range lats {
-			row = append(row, sats[bi*len(lats)+li])
-		}
-		t.AddRow(row...)
+		t.Attach("attribution_cells", cells)
 	}
 	t.Notes = append(t.Notes,
 		"on-wafer links reach their saturation ceiling with far smaller buffers, enabling fast SRAM buffering (Section VI)")

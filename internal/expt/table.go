@@ -121,15 +121,14 @@ type Options struct {
 	// point order after the barrier.
 	Workers int `json:"workers"`
 
-	// Adaptive switches simulator experiments to the adaptive sweep
-	// engine (wsswitch -adaptive): saturated sweep points abort their
-	// drain budget early once divergence is certain, and saturation-grid
-	// experiments locate the knee by bisection (sim.FindSaturation)
-	// instead of walking the whole load grid. Offered/Accepted and
-	// saturation throughput stay those of a full run. Near the knee a
-	// point a full run drains can be aborted, which moves the knee and
-	// the drained-point summaries; the latency reported for non-drained
-	// points changes too.
+	// Adaptive arms early abort on every point of every simulator sweep
+	// (wsswitch -adaptive, sim.SweepOptions.Abort): a saturated point
+	// stops its drain once divergence is certain. The measurement window
+	// always completes, so Offered, Accepted and saturation throughput
+	// stay those of a full run. Near the knee a point a full run drains
+	// can be aborted, which moves the knee and the drained-point
+	// summaries; the latency reported for non-drained points covers only
+	// the packets completed before the abort.
 	Adaptive bool `json:"adaptive,omitempty"`
 
 	// Attribution attaches congestion-attribution collectors to every

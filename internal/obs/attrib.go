@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -206,46 +205,25 @@ func (a *Attribution) Snapshot(topN int) *AttributionSnapshot {
 		}
 		s.Heatmap = hm
 	}
-	order := make([]int, 0, len(a.Routers))
+	routers := make([]int, 0, len(a.Routers))
 	for r := range a.Routers {
 		if a.Routers[r].Blamed > 0 {
-			order = append(order, r)
+			routers = append(routers, r)
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		bi, bj := a.Routers[order[i]].Blamed, a.Routers[order[j]].Blamed
-		if bi != bj {
-			return bi > bj
-		}
-		return order[i] < order[j]
-	})
-	if topN > len(order) {
-		topN = len(order)
-	}
-	if topN < 0 {
-		topN = 0
-	}
-	for _, r := range order[:topN] {
+	top := topByCount(routers, func(r int) int64 { return a.Routers[r].Blamed }, topN)
+	for _, r := range top {
 		s.TopBlamed = append(s.TopBlamed, AttribRouterRow{Router: r, RouterAttrib: a.Routers[r]})
 	}
-	chOrder := make([]int, 0, len(a.ChanBlame))
+	chans := make([]int, 0, len(a.ChanBlame))
 	for ci := range a.ChanBlame {
 		if a.ChanBlame[ci] > 0 {
-			chOrder = append(chOrder, ci)
+			chans = append(chans, ci)
 		}
 	}
-	sort.Slice(chOrder, func(i, j int) bool {
-		bi, bj := a.ChanBlame[chOrder[i]], a.ChanBlame[chOrder[j]]
-		if bi != bj {
-			return bi > bj
-		}
-		return chOrder[i] < chOrder[j]
-	})
-	n := topN
-	if n > len(chOrder) {
-		n = len(chOrder)
-	}
-	for _, ci := range chOrder[:n] {
+	// The channel list keeps no more rows than TopBlamed: the snapshots'
+	// JSON digests pin this cut.
+	for _, ci := range topByCount(chans, func(ci int) int64 { return a.ChanBlame[ci] }, len(top)) {
 		s.TopBlamedChannels = append(s.TopBlamedChannels, BlamedChannel{Channel: ci, Blamed: a.ChanBlame[ci]})
 	}
 	return s

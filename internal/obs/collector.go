@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // RouterCounters accumulates per-router pipeline events. The simulator
@@ -180,21 +181,7 @@ func (c *Collector) Snapshot(topN int) *Snapshot {
 			order[i] = i
 		}
 		s.ChannelUtilMean = sum / float64(len(c.Channels))
-		// Order by (flits desc, channel index asc): the index tie-break
-		// makes snapshots byte-stable across runs — sort.Slice is not
-		// stable, so equal flit counts would otherwise surface in
-		// nondeterministic order.
-		sort.Slice(order, func(a, b int) bool {
-			fa, fb := c.Channels[order[a]].Flits, c.Channels[order[b]].Flits
-			if fa != fb {
-				return fa > fb
-			}
-			return order[a] < order[b]
-		})
-		if topN > len(order) {
-			topN = len(order)
-		}
-		for _, ci := range order[:topN] {
+		for _, ci := range topByCount(order, func(ci int) int64 { return c.Channels[ci].Flits }, topN) {
 			s.HotChannels = append(s.HotChannels, ChannelSnapshot{
 				Channel:     ci,
 				SrcRouter:   int(c.Meta[ci].SrcRouter),
@@ -206,4 +193,18 @@ func (c *Collector) Snapshot(topN int) *Snapshot {
 		}
 	}
 	return s
+}
+
+// topByCount orders the candidate indices by count descending, then by
+// index ascending, and returns the first n of them (none for a negative
+// n). The index tie-break makes every snapshot that ranks with it
+// byte-stable across runs.
+func topByCount(cands []int, count func(i int) int64, n int) []int {
+	slices.SortFunc(cands, func(a, b int) int {
+		if c := cmp.Compare(count(b), count(a)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return cands[:max(0, min(n, len(cands)))]
 }

@@ -202,3 +202,26 @@ func TestHotChannelsTieBreak(t *testing.T) {
 		}
 	}
 }
+
+// Every snapshot that ranks keeps no rows for a negative topN, without
+// panicking, and every candidate for a topN past them.
+func TestSnapshotTopNBounds(t *testing.T) {
+	c := NewCollector(1, 3)
+	c.Cycles = 10
+	for i := range c.Channels {
+		c.Channels[i].Flits = int64(i + 1)
+	}
+	a := NewAttribution(2, 2)
+	a.Routers[1].Blamed = 4
+	a.ChanBlame[0] = 2
+	for _, tc := range []struct{ topN, want int }{{-1, 0}, {0, 0}, {2, 2}, {9, 3}} {
+		if got := len(c.Snapshot(tc.topN).HotChannels); got != tc.want {
+			t.Errorf("Collector.Snapshot(%d) has %d hot channels, want %d", tc.topN, got, tc.want)
+		}
+		s := a.Snapshot(tc.topN)
+		if want := min(tc.want, 1); len(s.TopBlamed) != want || len(s.TopBlamedChannels) != want {
+			t.Errorf("Attribution.Snapshot(%d) has %d routers and %d channels, want %d each",
+				tc.topN, len(s.TopBlamed), len(s.TopBlamedChannels), want)
+		}
+	}
+}

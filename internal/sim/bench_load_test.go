@@ -95,8 +95,8 @@ func BenchmarkSimCycleSaturated(b *testing.B) {
 
 // BenchmarkSimCycleKnee pins per-cycle cost at the saturation knee
 // (offered 0.75 on the Clos: latency has turned up but the network
-// still drains) — the operating point bisection knee searches evaluate
-// most often.
+// still drains) — a sweep's slowest drained points, which early abort
+// leaves to run in full.
 func BenchmarkSimCycleKnee(b *testing.B) {
 	benchCycleAtLoad(b, benchClos(b), 0.75)
 }

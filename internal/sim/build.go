@@ -13,7 +13,8 @@ import (
 // LinkLatency returns the channel latency in cycles between two directly
 // connected routers (topology nodes). The waferscale switch uses 1-cycle
 // on-wafer hops; the equivalent discrete switch network uses ~8 cycles of
-// board/cable latency (Table V / Fig 23).
+// board/cable latency (Table V / Fig 23). Build refuses a negative
+// latency.
 type LinkLatency func(a, b int) int
 
 // ConstantLatency returns a LinkLatency of fixed value.
@@ -303,6 +304,9 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 	for _, l := range t.Links {
 		for i := 0; i < l.Lanes; i++ {
 			d := lat(l.A, l.B)
+			if d < 0 {
+				return nil, fmt.Errorf("sim: link %d-%d LinkLatency %d must not be negative", l.A, l.B, d)
+			}
 			if d > math.MaxInt32-cfg.PipeDelay {
 				return nil, fmt.Errorf("sim: link %d-%d latency %d plus PipeDelay %d does not fit int32", l.A, l.B, d, cfg.PipeDelay)
 			}

@@ -53,7 +53,8 @@ type Config struct {
 	WarmupCycles  int
 	MeasureCycles int
 	// DrainCycles bounds the extra cycles waited for measured packets to
-	// finish; running out marks the run saturated.
+	// finish; running out marks the run saturated. Zero means
+	// 10 x MeasureCycles.
 	DrainCycles int
 
 	Seed int64
@@ -78,12 +79,18 @@ func (c Config) validate() error {
 	if c.PacketFlits < 1 {
 		return fmt.Errorf("sim: PacketFlits = %d", c.PacketFlits)
 	}
-	if c.PipeDelay < 0 || c.TermDelay < 0 {
-		return fmt.Errorf("sim: negative delays")
-	}
-	if max(c.RCIngress, c.RCOther, c.PipeDelay, c.TermDelay) > math.MaxInt32 {
-		return fmt.Errorf("sim: delays RCIngress %d, RCOther %d, PipeDelay %d, TermDelay %d must fit int32",
-			c.RCIngress, c.RCOther, c.PipeDelay, c.TermDelay)
+	// Delays must fit the simulator's int32 state; the drain need not.
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"RCIngress", c.RCIngress, math.MaxInt32}, {"RCOther", c.RCOther, math.MaxInt32},
+		{"PipeDelay", c.PipeDelay, math.MaxInt32}, {"TermDelay", c.TermDelay, math.MaxInt32},
+		{"DrainCycles", c.DrainCycles, math.MaxInt},
+	} {
+		if f.v < 0 || f.v > f.max {
+			return fmt.Errorf("sim: %s = %d (must be 0..%d)", f.name, f.v, f.max)
+		}
 	}
 	if c.WarmupCycles < 0 || c.MeasureCycles < 1 {
 		return fmt.Errorf("sim: bad measurement window")

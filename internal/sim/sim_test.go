@@ -313,6 +313,11 @@ func TestConfigValidation(t *testing.T) {
 		{NumVCs: 1, BufPerPort: 8, PacketFlits: 0, MeasureCycles: 10},
 		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: 0},
 		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: 10, PipeDelay: -1},
+		// Negative values Run would silently replace: a 10 x
+		// MeasureCycles drain, 1-cycle route computation.
+		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: 10, DrainCycles: -5},
+		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: 10, RCIngress: -3},
+		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: 10, RCOther: -7},
 		// Delays the simulator's int32 state would silently truncate.
 		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: 10, RCIngress: 1<<32 + 1},
 		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: 10, RCOther: math.MaxInt32 + 1},
@@ -324,9 +329,10 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	// A link latency that does not fit int32, and one that fits but
-	// whose channel rings would need more slots than int32 indexes.
-	for _, lat := range []int{1 << 32, 1 << 30} {
+	// A link latency that does not fit int32, one that fits but whose
+	// channel rings would need more slots than int32 indexes, and a
+	// negative one, which would run as a 1-cycle channel.
+	for _, lat := range []int{1 << 32, 1 << 30, -3} {
 		if _, err := Build(cl, ConstantLatency(lat), testConfig()); err == nil {
 			t.Errorf("link latency %d accepted", lat)
 		}
@@ -386,14 +392,6 @@ func TestNonFiniteLoadsRefused(t *testing.T) {
 			{"NewTraceInjector", func() error { _, err := NewTraceInjector(trc, v); return err }},
 			{"Sweep", func() error {
 				_, err := Sweep(build, synth, []float64{0.1, v}, SweepOptions{Workers: 1})
-				return err
-			}},
-			{"FindSaturation/Hi", func() error {
-				_, err := FindSaturation(build, synth, SaturationSearchOptions{Hi: v})
-				return err
-			}},
-			{"FindSaturation/Tol", func() error {
-				_, err := FindSaturation(build, synth, SaturationSearchOptions{Hi: 0.9, Tol: v})
 				return err
 			}},
 		}
