@@ -123,7 +123,10 @@ bench-test:
 # BENCH_sim.json so the perf trajectory is machine-readable across
 # commits. SimCycle and SimSteadyState pin the detached observability
 # paths at 0 allocs/op, and MappingConvergedPass pins Optimize at 0
-# allocs/op.
+# allocs/op. The timeline guards (SimTimelineOn, SimRunSaturated/clos/
+# timeline) attach a timeline alone, which attaches the collector it
+# reads its windows from, so they price the timeline and the probe's
+# counters together.
 # benchjson -diff gates the fresh numbers against the committed
 # baseline — >15% ns/op regressions, any allocation or beyond-tolerance
 # B/op growth on a zero-alloc guard, or a silently dropped benchmark

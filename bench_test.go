@@ -205,8 +205,9 @@ func BenchmarkSimCycle(b *testing.B) { benchSimCycle(b, nil) }
 // BenchmarkSimTimelineOn and BenchmarkSimTracerOn run BenchmarkSimCycle's
 // loop with the instrument attached, so the attached overhead is the
 // difference from BenchmarkSimCycle, whose loop pays the unattached nil
-// checks (one predicted branch per event site). Both must stay at 0
-// allocs/op, since both instruments preallocate.
+// checks (one predicted branch per event site). The timeline's overhead
+// includes the collector it attaches and reads its windows from. Both
+// must stay at 0 allocs/op, since both instruments preallocate.
 func BenchmarkSimTimelineOn(b *testing.B) {
 	benchSimCycle(b, func(n *sim.Network) { n.AttachTimeline(obs.NewTimeline(200, 512)) })
 }

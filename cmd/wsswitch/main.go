@@ -142,6 +142,10 @@ func run() int {
 		usage()
 		return 2
 	}
+	if (args[0] == "list" || args[0] == "all") && len(args) > 1 {
+		fmt.Fprintf(os.Stderr, "wsswitch: %s takes no argument; refusing %s\n", args[0], strings.Join(args[1:], " "))
+		return 2
+	}
 	opts := expt.Options{Quick: *quick, Seed: *seed, Probe: *jsonOut, Workers: *workers,
 		TimelineInterval: *timeline, Adaptive: *adaptive, Attribution: *attribution}
 	if *verbose {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	httppprof "net/http/pprof"
 	"sync"
+	"sync/atomic"
 
 	"waferswitch/internal/obs"
 )
@@ -30,18 +31,18 @@ type server struct {
 
 // expvar.Publish panics on duplicate names, so the progress/timeline
 // vars register once per process even if a server is started twice
-// (tests do).
-var publishVars sync.Once
+// (tests do), and read the feed in varsLive, which every startServer
+// sets: /debug/vars reports the most recently started server's feed.
+var (
+	publishVars sync.Once
+	varsLive    atomic.Pointer[obs.Live]
+)
 
 // startServer listens on addr and serves the live feed in a background
 // goroutine. The returned server reports the bound address (Addr), so
 // addr may use port 0.
 func startServer(addr string, live *obs.Live) (*server, error) {
 	s := &server{live: live}
-	publishVars.Do(func() {
-		expvar.Publish("wsswitch.progress", expvar.Func(func() any { return s.live.Progress() }))
-		expvar.Publish("wsswitch.timelines", expvar.Func(func() any { return s.live.TimelineNames() }))
-	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.metrics)
 	mux.HandleFunc("/timeline", s.timeline)
@@ -58,6 +59,11 @@ func startServer(addr string, live *obs.Live) (*server, error) {
 		return nil, fmt.Errorf("wsswitch: -http %s: %w", addr, err)
 	}
 	s.ln = ln
+	varsLive.Store(live)
+	publishVars.Do(func() {
+		expvar.Publish("wsswitch.progress", expvar.Func(func() any { return varsLive.Load().Progress() }))
+		expvar.Publish("wsswitch.timelines", expvar.Func(func() any { return varsLive.Load().TimelineNames() }))
+	})
 	s.srv = &http.Server{Handler: mux}
 	go s.srv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on Shutdown/Close
 	return s, nil

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -324,6 +325,37 @@ func TestWriteReplayTraceWedgingSpec(t *testing.T) {
 	}
 }
 
+// runCLI runs args through run() on fresh flags and returns its exit
+// code and what it wrote to stdout and stderr.
+func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	defer func(args []string, fs *flag.FlagSet, out, errf *os.File) {
+		os.Args, flag.CommandLine, os.Stdout, os.Stderr = args, fs, out, errf
+	}(os.Args, flag.CommandLine, os.Stdout, os.Stderr)
+	os.Args = append([]string{"wsswitch"}, args...)
+	flag.CommandLine = flag.NewFlagSet("wsswitch", flag.ContinueOnError)
+	dir := t.TempDir()
+	var err error
+	if os.Stdout, err = os.Create(filepath.Join(dir, "stdout")); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Stdout.Close()
+	if os.Stderr, err = os.Create(filepath.Join(dir, "stderr")); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Stderr.Close()
+	code = run()
+	out, err := os.ReadFile(os.Stdout.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	errb, err := os.ReadFile(os.Stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(out), string(errb)
+}
+
 // -replay runs its spec and nothing else: any other flag, or a
 // positional argument, is refused with exit 2 instead of being silently
 // ignored. -trace is the one flag it takes.
@@ -339,13 +371,30 @@ func TestReplayRefusesOtherArgs(t *testing.T) {
 		{"trace", []string{"-replay", spec, "-trace", filepath.Join(t.TempDir(), "t.json")}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
-			os.Args = append([]string{"wsswitch"}, tc.args...)
-			flag.CommandLine = flag.NewFlagSet("wsswitch", flag.ContinueOnError)
-			if code := run(); code != tc.want {
+			if code, _, _ := runCLI(t, tc.args...); code != tc.want {
 				t.Errorf("wsswitch %s exited %d, want %d", strings.Join(tc.args, " "), code, tc.want)
 			}
 		})
+	}
+}
+
+// list and all take no argument, like -replay: an extra one is refused
+// with exit 2 and a message naming it, instead of being ignored.
+func TestListAllRefuseExtraArgs(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		want  int
+		extra string
+	}{
+		{[]string{"list", "fig7"}, 2, "fig7"},
+		{[]string{"-quick", "all", "fig7", "table9"}, 2, "fig7 table9"},
+		{[]string{"list"}, 0, ""},
+	} {
+		code, _, stderr := runCLI(t, tc.args...)
+		if code != tc.want || !strings.Contains(stderr, tc.extra) {
+			t.Errorf("wsswitch %s exited %d with %q, want %d and a message naming %q",
+				strings.Join(tc.args, " "), code, stderr, tc.want, tc.extra)
+		}
 	}
 }
 
@@ -366,26 +415,66 @@ func TestRefusesSubstitutedValues(t *testing.T) {
 		{"timeline-http", []string{"-quick", "-timeline", "-5", "-http", "127.0.0.1:0", "fig7"}, "-timeline"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func(args []string, fs *flag.FlagSet, stderr *os.File) {
-				os.Args, flag.CommandLine, os.Stderr = args, fs, stderr
-			}(os.Args, flag.CommandLine, os.Stderr)
-			os.Args = append([]string{"wsswitch"}, tc.args...)
-			flag.CommandLine = flag.NewFlagSet("wsswitch", flag.ContinueOnError)
-			f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			os.Stderr = f
-			code := run()
-			msg, err := os.ReadFile(f.Name())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if code != 2 || !strings.Contains(string(msg), tc.flag+" ") {
+			if code, _, msg := runCLI(t, tc.args...); code != 2 || !strings.Contains(msg, tc.flag+" ") {
 				t.Errorf("wsswitch %s exited %d with %q, want 2 and a message naming %s",
 					strings.Join(tc.args, " "), code, msg, tc.flag)
 			}
 		})
+	}
+}
+
+// The -json options block records the timeline interval the sweeps ran
+// with, given by -timeline or implied by -http, and leaves it out when
+// no sampler ran.
+func TestJSONOptionsRecordTimeline(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-quick", "-json", "-workers", "1", "fig7"}, `{"quick":true,"seed":1,"workers":1}`},
+		{[]string{"-quick", "-json", "-workers", "1", "-timeline", "100", "fig7"}, `{"quick":true,"seed":1,"workers":1,"timeline_interval":100}`},
+		{[]string{"-quick", "-json", "-workers", "1", "-http", "127.0.0.1:0", "fig7"}, `{"quick":true,"seed":1,"workers":1,"attribution":true,"timeline_interval":200}`},
+	} {
+		code, stdout, stderr := runCLI(t, tc.args...)
+		var out struct{ Options json.RawMessage }
+		if err := json.Unmarshal([]byte(stdout), &out); code != 0 || err != nil {
+			t.Fatalf("wsswitch %s exited %d (%v): %s", strings.Join(tc.args, " "), code, err, stderr)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, out.Options); err != nil {
+			t.Fatal(err)
+		}
+		if compact.String() != tc.want {
+			t.Errorf("wsswitch %s: options %s, want %s", strings.Join(tc.args, " "), compact.String(), tc.want)
+		}
+	}
+}
+
+// /debug/vars is process-wide, so it must report the feed of the most
+// recently started server, not the first one's.
+func TestDebugVarsFollowLatestServer(t *testing.T) {
+	first, err := startServer("127.0.0.1:0", &obs.Live{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	live := &obs.Live{}
+	live.AddTotal(7)
+	second, err := startServer("127.0.0.1:0", live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	for _, srv := range []*server{first, second} {
+		code, body := get(t, srv, "/debug/vars")
+		var vars struct {
+			Progress obs.ProgressSnapshot `json:"wsswitch.progress"`
+		}
+		if err := json.Unmarshal([]byte(body), &vars); code != http.StatusOK || err != nil {
+			t.Fatalf("/debug/vars status %d: %v", code, err)
+		}
+		if vars.Progress.Total != 7 {
+			t.Errorf("/debug/vars reports points_total %d, want the latest server's 7", vars.Progress.Total)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -139,6 +140,77 @@ func TestHeteroNeverWorse(t *testing.T) {
 		// disaggregation conserves total area exactly.
 		if het.Topology.TotalChipAreaMM2() > homo.Topology.TotalChipAreaMM2() {
 			t.Errorf("%d ports: hetero area above homogeneous", ports)
+		}
+	}
+}
+
+// The solver's metamorphic relations, over substrate sides 100-300 mm,
+// the three external I/O schemes, three WSI technologies in ascending
+// bandwidth (Si-IF, Si-IF at twice its bandwidth, InFO-SoW) and 1 and 3
+// placement restarts:
+//   - relaxing constraints never loses ports: AreaOnly >= NoPower >=
+//     AllConstraints under water cooling;
+//   - none of the three loses ports as the substrate grows;
+//   - under NoPower, a physically routed Clos never beats the mapped one
+//     (Fig 26), and more WSI bandwidth never loses ports;
+//   - 3 restarts never find fewer ports than 1 under NoPower: restart i
+//     uses seed Seed+i, so the budgets nest.
+func TestMaxPortsMetamorphic(t *testing.T) {
+	sides := []float64{100, 150, 200, 250, 300}
+	ios := []tech.ExternalIO{tech.SerDes, tech.OpticalIO, tech.AreaIOTech}
+	wsis := []tech.WSI{tech.SiIF, tech.SiIF.Scaled(2), tech.InFOSoW}
+	conss := []Constraints{AreaOnly, NoPower, AllConstraints}
+	consNames := []string{"AreaOnly", "NoPower", "AllConstraints"}
+	const noPower = 1
+	type point struct {
+		side, io, wsi, restarts, cons int // indices, except restarts
+		physical                      bool
+	}
+	name := func(k point) string {
+		s := fmt.Sprintf("%gmm %s %s, %d restarts, %s", sides[k.side], ios[k.io].Name, wsis[k.wsi].Name, k.restarts, consNames[k.cons])
+		if k.physical {
+			s += ", physical Clos"
+		}
+		return s
+	}
+	ports := func(k point) int {
+		p := params(sides[k.side], wsis[k.wsi], ios[k.io])
+		p.Cooling = tech.WaterCooling
+		p.MapRestarts = k.restarts
+		p.PhysicalClos = k.physical
+		return maxPorts(t, p, conss[k.cons]).Ports
+	}
+	// atLeast fails t unless the design at hi has at least the ports of
+	// the one at lo.
+	atLeast := func(hi, lo point) {
+		if a, b := ports(hi), ports(lo); a < b {
+			t.Errorf("%s: %d ports, fewer than the %d of %s", name(hi), a, b, name(lo))
+		}
+	}
+	for side := range sides {
+		for io := range ios {
+			for wsi := range wsis {
+				for _, restarts := range []int{1, 3} {
+					k := point{side: side, io: io, wsi: wsi, restarts: restarts}
+					for cons := range conss {
+						k.cons = cons
+						if cons > 0 {
+							atLeast(point{side, io, wsi, restarts, cons - 1, false}, k)
+						}
+						if side > 0 {
+							atLeast(k, point{side - 1, io, wsi, restarts, cons, false})
+						}
+					}
+					k.cons = noPower
+					atLeast(k, point{side, io, wsi, restarts, noPower, true})
+					if wsi > 0 {
+						atLeast(k, point{side, io, wsi - 1, restarts, noPower, false})
+					}
+					if restarts == 3 {
+						atLeast(k, point{side, io, wsi, 1, noPower, false})
+					}
+				}
+			}
 		}
 	}
 }

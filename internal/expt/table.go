@@ -157,7 +157,7 @@ type Options struct {
 	// TimelineInterval, when positive, attaches a time-resolved sampler
 	// (window length in cycles) to every simulator sweep point; the
 	// merged series attaches to result tables as "<series>_timeline".
-	TimelineInterval int `json:"-"`
+	TimelineInterval int `json:"timeline_interval,omitempty"`
 
 	// ctx carries the experiment's pprof label context, set by Run, so
 	// worker goroutines add their worker/point labels to the experiment

@@ -119,9 +119,8 @@ func TestLiveTimelineConcurrent(t *testing.T) {
 			}
 			tl := NewTimeline(2, 8)
 			l.AttachTimeline(string(rune('a'+i%8)), tl)
-			tl.NoteInject()
-			if tl.Tick(1) {
-				tl.EndInterval(1)
+			if tl.Tick() {
+				tl.EndInterval(2, 0, 2, 1)
 			}
 		}
 	}()

@@ -56,16 +56,17 @@ func (s *TimelineSample) merge(o *TimelineSample) {
 const defaultTimelineSamples = 256
 
 // Timeline is a fixed-memory time-resolved series of simulation
-// intervals. The simulator feeds it per-event hooks (NoteInject,
-// NoteEject, NoteRetire) and one Tick per cycle; every interval cycles
-// the open window is closed into a sample. When the sample store fills,
-// adjacent samples coalesce pairwise and the interval doubles, so memory
-// stays bounded no matter how long the run is while the series always
-// spans the whole run at the finest affordable resolution (the classic
-// flight-data-recorder compaction).
+// intervals. The simulator feeds it one NoteRetire per retired packet
+// and one Tick per cycle; every interval cycles it closes the open
+// window with EndInterval, passing the window's flit and occupancy
+// counts, which the simulator reads off its own collector. When the sample
+// store fills, adjacent samples coalesce pairwise and the interval
+// doubles, so memory stays bounded no matter how long the run is while
+// the series always spans the whole run at the finest affordable
+// resolution (the classic flight-data-recorder compaction).
 //
-// The per-cycle and per-event paths touch only plain fields of the open
-// window and never allocate; the mutex is taken only when a window
+// The per-cycle and per-packet paths touch only plain fields of the
+// open window and never allocate; the mutex is taken only when a window
 // closes and by concurrent readers (Snapshot), so a live HTTP handler
 // can stream the series off a running simulation without perturbing it.
 type Timeline struct {
@@ -107,36 +108,29 @@ func NewTimeline(interval, maxSamples int) *Timeline {
 	}
 }
 
-// NoteInject records one flit entering a terminal injection channel.
-func (t *Timeline) NoteInject() { t.cur.Injected++ }
-
-// NoteEject records one flit leaving through a terminal sink.
-func (t *Timeline) NoteEject() { t.cur.Ejected++ }
-
 // NoteRetire records the latency of a packet whose tail ejected this
 // cycle.
 func (t *Timeline) NoteRetire(latency float64) { t.curHist.Observe(latency) }
 
-// Tick advances the open window by one cycle, integrating the current
-// total buffered-flit occupancy. It returns true when the window is
-// complete — the caller must then close it with EndInterval, passing the
-// window's busiest-channel flit count.
-func (t *Timeline) Tick(queueOcc int64) bool {
+// Tick advances the open window by one cycle. It returns true when the
+// window is complete — the caller must then close it with EndInterval.
+func (t *Timeline) Tick() bool {
 	t.cur.Cycles++
-	t.cur.OccSum += queueOcc
 	return t.cur.Cycles >= t.interval
 }
 
-// EndInterval closes the open window: the interval-scoped latency
-// figures are materialized from the window histogram, the busiest
-// channel's flit count becomes its utilization, and the sample is
-// appended (coalescing pairwise and doubling the interval when the
-// store is full). maxChanFlits is the highest per-channel flit count the
-// caller observed during the window.
-func (t *Timeline) EndInterval(maxChanFlits int64) {
+// EndInterval closes the open window with the caller's counts for it:
+// the flits injected and ejected, the per-cycle sum of buffered flits,
+// and the highest flit count of any one channel, which becomes the
+// window's top utilization. The interval-scoped latency figures are
+// materialized from the window histogram, and the sample is appended
+// (coalescing pairwise and doubling the interval when the store is
+// full). A window with no cycles is dropped.
+func (t *Timeline) EndInterval(injected, ejected, occSum, maxChanFlits int64) {
 	if t.cur.Cycles == 0 {
 		return
 	}
+	t.cur.Injected, t.cur.Ejected, t.cur.OccSum = injected, ejected, occSum
 	t.cur.Retired = t.curHist.Count()
 	t.cur.LatSum = t.curHist.Sum()
 	if t.cur.Retired > 0 {

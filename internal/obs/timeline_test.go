@@ -10,17 +10,19 @@ import (
 
 // feedTimeline drives tl through cycles simulated cycles: every cycle
 // injects one flit with occupancy occ, ejects one flit, and retires one
-// packet at latency lat(cycle).
+// packet at latency lat(cycle); the busiest channel carries one flit a
+// window.
 func feedTimeline(tl *Timeline, cycles int, occ int64, lat func(cycle int) float64) {
+	var w int64 // cycles in the open window
 	for c := 0; c < cycles; c++ {
-		tl.NoteInject()
-		tl.NoteEject()
 		tl.NoteRetire(lat(c))
-		if tl.Tick(occ) {
-			tl.EndInterval(1)
+		w++
+		if tl.Tick() {
+			tl.EndInterval(w, w, w*occ, 1)
+			w = 0
 		}
 	}
-	tl.EndInterval(1) // flush the partial final window, as Network.Run does
+	tl.EndInterval(w, w, w*occ, 1) // flush the partial final window, as Network.Run does
 }
 
 func TestTimelineWindows(t *testing.T) {
@@ -193,18 +195,16 @@ func TestTimelineSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// The per-event and per-cycle paths must not allocate: they run inside
-// the simulator's steady-state loop.
+// The per-packet and per-cycle paths and the window close must not
+// allocate: they run inside the simulator's steady-state loop.
 func TestTimelineHooksNoAllocs(t *testing.T) {
 	tl := NewTimeline(16, 0)
 	// Warm through several compactions first so append never regrows.
 	feedTimeline(tl, 16*defaultTimelineSamples*4, 1, func(int) float64 { return 5 })
 	if avg := testing.AllocsPerRun(2000, func() {
-		tl.NoteInject()
-		tl.NoteEject()
 		tl.NoteRetire(12)
-		if tl.Tick(3) {
-			tl.EndInterval(2)
+		if tl.Tick() {
+			tl.EndInterval(16, 16, 48, 2)
 		}
 	}); avg != 0 {
 		t.Errorf("timeline hooks allocate %v allocs/op, want 0", avg)
@@ -221,9 +221,9 @@ func TestTimelineCompactionNoAllocs(t *testing.T) {
 	feedTimeline(tl, 8, 1, func(int) float64 { return 5 })
 	if avg := testing.AllocsPerRun(10, func() {
 		for w := 0; w < 4; w++ {
-			for !tl.Tick(1) {
+			for !tl.Tick() {
 			}
-			tl.EndInterval(1)
+			tl.EndInterval(1, 1, 1, 1)
 		}
 	}); avg != 0 {
 		t.Errorf("timeline compaction allocates %v times, want 0", avg)
@@ -249,10 +249,9 @@ func TestTimelineConcurrentSnapshot(t *testing.T) {
 				return
 			default:
 			}
-			tl.NoteInject()
 			tl.NoteRetire(float64(i % 50))
-			if tl.Tick(1) {
-				tl.EndInterval(1)
+			if tl.Tick() {
+				tl.EndInterval(4, 0, 4, 1)
 			}
 		}
 	}()

@@ -128,7 +128,7 @@ func BenchmarkSimCycleLowLoad(b *testing.B) {
 // so its case is the whole-run guard of four-word port masks (the
 // clos case's radix-64 routers use one); the clos/timeline and
 // clos/attribution cases price those observers against the bare clos
-// case.
+// case (the timeline together with the collector it attaches).
 //
 // allocs/op is per-run growth to steady capacity (source queues, the
 // packet table); the steady-state cycle itself allocates nothing —

@@ -245,11 +245,6 @@ type Network struct {
 
 	// The attached instruments; Reset detaches them all at once.
 	observers
-
-	// tlChanFlits is the timeline's per-channel flit count of the open
-	// sampling window (see observe.go). Reset keeps it, zeroed, so
-	// reattaching a timeline to a warm network allocates nothing.
-	tlChanFlits []int32
 }
 
 // observers holds every instrument a Network can have attached. Each is
@@ -258,7 +253,8 @@ type Network struct {
 // zeroes the whole struct, so an instrument added here is detached by
 // construction (TestResetDetachesEveryObserver).
 type observers struct {
-	// probe collects per-router/per-channel counters (see probe.go).
+	// probe collects per-router/per-channel counters (see probe.go); a
+	// timeline attaches it too.
 	probe *obs.Collector
 
 	// Verification (see check.go): the invariant checker and the
@@ -271,10 +267,12 @@ type observers struct {
 	// the event sites.
 	ab *abortState
 
-	// Time-resolved observability (see observe.go): the timeline sampler
-	// and the packet-lifecycle flight recorder.
-	tline *obs.Timeline
-	tr    *obs.FlightRecorder
+	// Time-resolved observability (see observe.go): the timeline sampler,
+	// the probe's counters at its last window close, and the
+	// packet-lifecycle flight recorder.
+	tline  *obs.Timeline
+	tlMark timelineMark
+	tr     *obs.FlightRecorder
 
 	// at is the congestion attribution's per-packet stage decomposition
 	// and blame counters (see attrib.go).

@@ -6,44 +6,46 @@ import "waferswitch/internal/obs"
 // interval the network closes a window holding the interval's injected
 // and accepted flits, the mean and P99 latency of packets retired in
 // the window, the busiest channel's utilization and the mean buffered
-// occupancy. Like the probe and the checker, the timeline hides behind
-// one nil check per event site, so a run without it pays only predicted
-// branches and the steady-state loop stays at 0 allocs/op; with it
-// attached the loop stays allocation-free too (the sampler's memory is
-// fixed at construction). Call before Run; Reset detaches it.
+// occupancy. The timeline is a windowed view of the network's
+// collector, which it attaches when no probe has: a window's flit and
+// occupancy counts are the change in the collector's running counters
+// since the last close, so no event is counted twice. The probe and the
+// timeline attach in either order, and neither allocates on the cycle
+// path. Call before Run; Reset detaches it.
 func (n *Network) AttachTimeline(t *obs.Timeline) {
+	if n.probe == nil {
+		n.AttachProbe()
+	}
 	n.tline = t
-	if n.tlChanFlits == nil {
-		n.tlChanFlits = make([]int32, len(n.channels))
-	}
+	n.tlMark = timelineMark{chanFlits: make([]int64, len(n.channels))}
 }
 
-// tickTimeline advances the sampler by one cycle and closes the window
-// at interval boundaries. Runs only with a timeline attached.
-func (n *Network) tickTimeline() {
-	var occ int64
-	for _, o := range n.routerOcc {
-		occ += int64(o)
-	}
-	if n.tline.Tick(occ) {
-		n.closeTimelineWindow()
-	}
+// timelineMark holds the collector's running counters as they stood at
+// the timeline's last window close.
+type timelineMark struct {
+	injected, ejected, occSum int64
+	chanFlits                 []int64
 }
 
-// closeTimelineWindow ends the open sampling window: the busiest
-// channel's flit count feeds the window's top utilization, and the
-// per-channel counters reset. The window's latency sum comes from the
+// closeTimelineWindow ends the open sampling window with the change in
+// the collector's counters since the last close: injected and ejected
+// flits, the occupancy integral summed over routers, and the busiest
+// channel's flit count. The window's latency sum comes from the
 // timeline's window histogram; latencies are integers, so it is exact
 // whatever order the packets retired in (see Run's AvgLatency).
 func (n *Network) closeTimelineWindow() {
-	var maxFlits int32
-	for i, f := range n.tlChanFlits {
-		if f > maxFlits {
-			maxFlits = f
-		}
-		n.tlChanFlits[i] = 0
+	p, m := n.probe, &n.tlMark
+	var occSum, maxFlits int64
+	for r := range p.Routers {
+		occSum += p.Routers[r].OccSum
 	}
-	n.tline.EndInterval(int64(maxFlits))
+	for c, prev := range m.chanFlits {
+		f := p.Channels[c].Flits
+		maxFlits = max(maxFlits, f-prev)
+		m.chanFlits[c] = f
+	}
+	n.tline.EndInterval(p.Injected-m.injected, p.Ejected-m.ejected, occSum-m.occSum, maxFlits)
+	m.injected, m.ejected, m.occSum = p.Injected, p.Ejected, occSum
 }
 
 // Trace starts recording packet-lifecycle events into rec: head-of-

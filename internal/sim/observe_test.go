@@ -259,6 +259,69 @@ func TestTimelineMatchesProbeTotals(t *testing.T) {
 	}
 }
 
+// A timeline is a windowed view of the network's collector, so its
+// series must not depend on whether a probe was asked for, or on
+// whether the probe or the timeline attached first: on a bare network
+// in each order, and through a sweep with and without Probe.
+func TestTimelineWithoutProbe(t *testing.T) {
+	t.Run("attach", func(t *testing.T) {
+		run := func(attach func(n *Network, tl *obs.Timeline) *Probe) (string, *Network, *Probe) {
+			n := instrumentedNetwork(t, nil)
+			tl := obs.NewTimeline(100, 0)
+			p := attach(n, tl)
+			n.Run(uniformInjector(0.6), 0.6)
+			j, err := json.Marshal(tl.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(j), n, p
+		}
+		alone, n, _ := run(func(n *Network, tl *obs.Timeline) *Probe { n.AttachTimeline(tl); return nil })
+		if n.probe == nil || len(n.Snapshot().Routers) == 0 {
+			t.Error("a timeline alone attached no collector, or Snapshot left its counters out")
+		}
+		for _, tc := range []struct {
+			name   string
+			attach func(n *Network, tl *obs.Timeline) *Probe
+		}{
+			{"probe first", func(n *Network, tl *obs.Timeline) *Probe { p := n.AttachProbe(); n.AttachTimeline(tl); return p }},
+			{"timeline first", func(n *Network, tl *obs.Timeline) *Probe { n.AttachTimeline(tl); return n.AttachProbe() }},
+		} {
+			got, n, p := run(tc.attach)
+			if got != alone {
+				t.Errorf("%s: series differs from the timeline-only run:\n%s\n%s", tc.name, got, alone)
+			}
+			if n.probe != p || p.Injected == 0 {
+				t.Errorf("%s: the returned probe is not the collector the run counted into", tc.name)
+			}
+		}
+	})
+	t.Run("sweep", func(t *testing.T) {
+		cfg := sweepTestConfig()
+		cl := testClos(t)
+		build := func() (*Network, error) { return Build(cl, ConstantLatency(1), cfg) }
+		injf := SyntheticInjector(traffic.Uniform(cl.ExternalPorts()), cfg.PacketFlits)
+		loads := []float64{0.2, 0.5, 0.9}
+		timeline := func(probe bool) string {
+			res, err := Sweep(build, injf, loads, SweepOptions{Workers: 1, Probe: probe, TimelineInterval: 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !probe && (res.Points[0].Probe != nil || len(res.Aggregate.Routers) != 0) {
+				t.Error("a sweep without Probe reported collector counters")
+			}
+			j, err := json.Marshal(res.Timeline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(j)
+		}
+		if with, without := timeline(true), timeline(false); with != without {
+			t.Errorf("merged timeline depends on Probe:\nwith    %s\nwithout %s", with, without)
+		}
+	})
+}
+
 // A traced run must record the full lifecycle: inject at a terminal,
 // RC/VA/ST at routers, eject at the destination — and
 // obs.WriteChromeTrace must render them as valid Chrome trace-event

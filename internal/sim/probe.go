@@ -21,7 +21,9 @@ type Probe = obs.Collector
 
 // AttachProbe builds a collector sized for this network, with channel
 // metadata (endpoint routers, injecting terminal) filled in, starts
-// reporting events into it and returns it. Reset detaches it.
+// reporting events into it and returns it. An attached timeline reads
+// its windows off this collector, whichever of the two attached first.
+// Call before Run; Reset detaches it.
 func (n *Network) AttachProbe() *Probe {
 	p := obs.NewCollector(n.R, len(n.channels))
 	for ci := range n.channels {
@@ -34,7 +36,8 @@ func (n *Network) AttachProbe() *Probe {
 
 // Snapshot returns the run's observability data in JSON-ready form: the
 // latency histogram always, plus per-router counters and channel
-// utilization when a probe was attached. Call it after Run.
+// utilization when a collector was attached, by AttachProbe or by
+// AttachTimeline. Call it after Run.
 func (n *Network) Snapshot() *obs.Snapshot {
 	var s *obs.Snapshot
 	if n.probe != nil {

@@ -92,10 +92,8 @@ func (n *Network) Reset(seed int64) {
 	n.measuredBorn = 0
 	n.ejectedFlits = 0
 
-	// Observers: detached, like a fresh Build. The timeline's scratch
-	// array is kept (zeroed) so reattaching allocates nothing.
+	// Observers: detached, like a fresh Build.
 	n.observers = observers{}
-	clear(n.tlChanFlits)
 
 	// Random streams, reseeded in place (see initTermRng).
 	n.initTermRng(seed)

@@ -222,8 +222,8 @@ func (n *Network) step(inj Injector) {
 	if n.probe != nil {
 		n.recordOccupancy()
 	}
-	if n.tline != nil {
-		n.tickTimeline()
+	if n.tline != nil && n.tline.Tick() {
+		n.closeTimelineWindow()
 	}
 	if n.chk != nil {
 		n.chk.endCycle(n)
@@ -704,9 +704,6 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 		if n.probe != nil {
 			n.probe.Channels[n.outCh[o]].Flits++
 		}
-		if n.tline != nil {
-			n.tlChanFlits[n.outCh[o]]++
-		}
 	} else {
 		// Terminal ejection: the flit leaves through the egress pipeline
 		// and the host link.
@@ -715,9 +712,6 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 		}
 		if n.probe != nil {
 			n.probe.Ejected++
-		}
-		if n.tline != nil {
-			n.tline.NoteEject()
 		}
 		if n.tr != nil && f.last {
 			n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: f.pkt,
@@ -992,10 +986,6 @@ func (n *Network) sends() {
 			if n.probe != nil {
 				n.probe.Injected++
 				n.probe.Channels[n.termChIn[t]].Flits++
-			}
-			if n.tline != nil {
-				n.tline.NoteInject()
-				n.tlChanFlits[n.termChIn[t]]++
 			}
 			if n.tr != nil && sent == 0 {
 				n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: pkt,
