@@ -68,8 +68,13 @@ type Params struct {
 	// substrate area and pays a repeater power overhead (Fig 26).
 	PhysicalClos bool
 	// MapRestarts is the number of random restarts for the placement
-	// optimizer (the paper uses 1000 and reports <1% spread; 3 is enough
-	// to reproduce every shape here). Zero means 3.
+	// optimizer. Zero means 3. The paper uses 1000 and reports <1%
+	// spread. 3 does not reproduce every verdict here: run at 1000, 12
+	// of the 18 design-space tables fig6-13, fig16-19, fig25-28, table3
+	// and table6 moved, and three verdicts flipped (fig7's Optical I/O
+	// and fig17's radix-256 SSCs reach 4096 ports at 3200 Gbps/mm, and
+	// fig19's radix-256 SSCs meet 200 Gb/s per port at 4096 ports;
+	// ROADMAP.md item 18).
 	MapRestarts int
 	// Seed makes the whole evaluation deterministic.
 	Seed int64

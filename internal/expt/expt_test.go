@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,7 +19,8 @@ var update = flag.Bool("update", false, "rewrite "+goldenFile+" from this run's 
 
 // goldenFile holds the sha256 of every experiment table's JSON at
 // Options{Quick: true, Seed: 1}, keyed by id, and of each goldenVariants
-// experiment's table at that variant's options, keyed by id + key.
+// experiment's table at that variant's options, keyed by id + key. Each
+// table's parts are hashed too, under "<key>#<part>" (see tableDigests).
 const goldenFile = "testdata/golden_quick_seed1.json"
 
 // goldenVariants are the option sets some simulator experiments are
@@ -75,19 +77,30 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 	o := Options{Quick: true, Seed: 1}
 	// digest runs experiment id at opts and compares the sha256 of its
-	// table's JSON with golden[key], or records it there under -update.
+	// table's JSON with golden[key], or records it there, with its parts'
+	// digests, under -update. The whole-table digest is the gate; on a
+	// mismatch the parts' digests name what moved.
 	digest := func(t *testing.T, key, id string, opts Options) *Table {
 		tab, err := Run(id, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b, err := json.Marshal(tab); err != nil {
+		sum, parts, err := tableDigests(tab)
+		if err != nil {
 			t.Errorf("table JSON: %v", err)
-		} else if sum := sha256.Sum256(b); *update {
-			golden[key] = hex.EncodeToString(sum[:])
-		} else if compare && golden[key] != hex.EncodeToString(sum[:]) {
-			t.Errorf("%s: table JSON sha256 %x, %s has %q (rerun with -update if the change is intended)",
-				key, sum, goldenFile, golden[key])
+		} else if *update {
+			for k := range golden {
+				if strings.HasPrefix(k, key+"#") {
+					delete(golden, k) // a part the table no longer has
+				}
+			}
+			golden[key] = sum
+			for part, d := range parts {
+				golden[key+"#"+part] = d
+			}
+		} else if compare && golden[key] != sum {
+			t.Errorf("%s: table JSON sha256 %s, %s has %q; parts moved: %s (rerun with -update if the change is intended)",
+				key, sum, goldenFile, golden[key], strings.Join(movedParts(golden, parts, key), ", "))
 		}
 		return tab
 	}
@@ -121,7 +134,8 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 	if *update {
 		for key := range golden {
-			id, variant, _ := strings.Cut(key, "/")
+			table, _, _ := strings.Cut(key, "#")
+			id, variant, _ := strings.Cut(table, "/")
 			wanted := false
 			if _, ok := registry[id]; ok {
 				wanted = variant == ""
@@ -141,6 +155,55 @@ func TestAllExperimentsRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// tableDigests returns the hex sha256 of tab's JSON and of each of its
+// parts: every attachment's JSON, under "attachments.<name>", and the
+// JSON of the table without its attachments, under "table".
+func tableDigests(tab *Table) (string, map[string]string, error) {
+	hash := func(v interface{}) (string, error) {
+		b, err := json.Marshal(v)
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:]), err
+	}
+	whole, err := hash(tab)
+	if err != nil {
+		return "", nil, err
+	}
+	bare := *tab
+	bare.Attachments = nil
+	parts := map[string]string{}
+	if parts["table"], err = hash(&bare); err != nil {
+		return "", nil, err
+	}
+	for name, v := range tab.Attachments {
+		if parts["attachments."+name], err = hash(v); err != nil {
+			return "", nil, err
+		}
+	}
+	return whole, parts, nil
+}
+
+// movedParts lists, sorted, the parts of the table under key whose
+// digest differs from golden's, a part only one side has included.
+func movedParts(golden, parts map[string]string, key string) []string {
+	moved := map[string]bool{}
+	for k, d := range golden {
+		if part, ok := strings.CutPrefix(k, key+"#"); ok && parts[part] != d {
+			moved[part] = true
+		}
+	}
+	for part, d := range parts {
+		if golden[key+"#"+part] != d {
+			moved[part] = true
+		}
+	}
+	names := make([]string, 0, len(moved))
+	for part := range moved {
+		names = append(names, part)
+	}
+	sort.Strings(names)
+	return names
 }
 
 func TestRunUnknownID(t *testing.T) {

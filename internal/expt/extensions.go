@@ -152,8 +152,9 @@ func extMeshSim(o Options) (*Table, error) {
 		// probe and its load sweep serially. All four series on one pool
 		// measured slower: the mesh's 0.3 point is long although its
 		// load is low, so longest-first dispatch starts it late. That
-		// point is saturated, so under o.Adaptive its drain is aborted
-		// and its p99 covers only the packets completed before the abort.
+		// point is saturated, so under o.Adaptive its drain is skipped
+		// and its p99 covers only the packets completed in its
+		// measurement window.
 		name := "ext-meshsim/" + f.name
 		res, err := sim.Sweeps([]sim.Series{
 			{Name: name + "/zero_load", Build: build, Inject: injf, Loads: []float64{sim.ZeroLoad}},

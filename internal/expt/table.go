@@ -122,13 +122,14 @@ type Options struct {
 	Workers int `json:"workers"`
 
 	// Adaptive arms early abort on every point of every simulator sweep
-	// (wsswitch -adaptive, sim.SweepOptions.Abort): a saturated point
-	// stops its drain once divergence is certain. The measurement window
-	// always completes, so Offered, Accepted and saturation throughput
-	// stay those of a full run. Near the knee a point a full run drains
-	// can be aborted, which moves the knee and the drained-point
-	// summaries; the latency reported for non-drained points covers only
-	// the packets completed before the abort.
+	// (wsswitch -adaptive, sim.SweepOptions.Abort): a point whose
+	// measurement window showed saturation skips its drain, and every
+	// other point runs as in a full run. The measurement window always
+	// completes, so Offered, Accepted and saturation throughput stay
+	// those of a full run. Near the knee a point a full run drains can be
+	// aborted, which moves the knee and the drained-point summaries; the
+	// latency reported for an aborted point covers only the packets
+	// completed in its measurement window.
 	Adaptive bool `json:"adaptive,omitempty"`
 
 	// Attribution attaches congestion-attribution collectors to every

@@ -1,23 +1,24 @@
 package sim
 
 // The early-abort saturation detector is an online divergence test that
-// stops a run as soon as saturation is certain instead of burning the
-// full drain budget to report the same Drained=false.
+// skips the drain of a run whose measurement window has already shown
+// saturation, instead of burning the full drain budget to report the
+// same Drained=false.
 //
-// The detector runs on a fixed cycle cadence (abortEvery) from state
-// that is a pure function of the seed, so an aborted run is
-// deterministic and bit-identical up to the abort point for any worker
-// count. It watches two signals during the measurement window — the gap
-// between accepted and offered flits, and monotone growth of the
-// terminal source-queue backlog — and, during the drain phase, whether
-// the measured-packet completion rate can still retire the stranded
-// backlog before the deadline. The measurement window always runs to
-// completion, so Offered and Accepted (and therefore
+// The detector runs on a fixed cycle cadence (abortEvery) during the
+// measurement window, from state that is a pure function of the seed,
+// so an aborted run is deterministic for any worker count. It watches
+// two signals: the gap between accepted and offered flits, and growth
+// of the terminal source-queue backlog. It decides once, when the
+// window ends. A run it armed that still has measured packets in flight
+// stops there, at exactly WarmupCycles + MeasureCycles; every other run
+// drains cycle for cycle as an unarmed one does. The measurement window
+// always runs to completion, so Offered and Accepted (and therefore
 // SaturationThroughput) are exactly those of a full run; only the drain
 // budget — 3-10x the measurement window in the stock configurations,
 // and the most expensive cycles of all since every buffer is full — is
-// cut short. Both phases can misjudge a point near the knee whose
-// queues would still empty within the budget; it then reports
+// skipped. The gap rule can still arm on a point near the knee whose
+// queues would empty within the budget; that point then reports
 // Drained=false, which moves FirstSaturatedLoad (DESIGN.md §10.1).
 const (
 	// abortEvery is the detector cadence in cycles. Checks are
@@ -40,11 +41,10 @@ const (
 // ArmAbort and consulted by Run on the check cadence. All fields are
 // owned by the simulating goroutine.
 type abortState struct {
-	streak        int
-	armed         bool
-	lastEjected   int64
-	lastCompleted int
-	lastBacklog   int64
+	streak      int
+	armed       bool
+	lastEjected int64
+	lastBacklog int64
 }
 
 // ArmAbort arms the early-abort saturation detector for the next Run;
@@ -86,35 +86,4 @@ func (a *abortState) measureCheck(n *Network, offered float64) {
 		a.streak = 0
 	}
 	a.lastBacklog = backlog
-}
-
-// startDrain resets the per-phase state when the drain loop begins.
-func (a *abortState) startDrain(completed int) {
-	a.streak = 0
-	a.lastCompleted = completed
-}
-
-// drainCheck evaluates one window of the drain phase and reports
-// whether the run should abort: either the stranded backlog provably
-// exceeds the remaining ejection capacity (at most one packet tail per
-// terminal per cycle), or the completion rate has extrapolated short of
-// the deadline for enough consecutive windows.
-func (a *abortState) drainCheck(n *Network, deadline int64) bool {
-	remaining := int64(n.measuredBorn - n.completed)
-	if remaining <= 0 {
-		return false
-	}
-	left := deadline - n.now
-	if remaining > left*int64(n.T) {
-		return true // provably cannot drain in the budget left
-	}
-	window := int64(n.completed - a.lastCompleted)
-	a.lastCompleted = n.completed
-	checksLeft := (left + abortEvery - 1) / abortEvery
-	if window*checksLeft < remaining {
-		a.streak++
-	} else {
-		a.streak = 0
-	}
-	return a.streak >= abortWindows
 }

@@ -11,6 +11,103 @@ import (
 	"waferswitch/internal/traffic"
 )
 
+// TestZeroLoadClosedForm checks every delivered packet against its
+// path's zero-load latency, at the four configurations fig22 and fig23
+// simulate, on the 512-port Clos they run at -quick. A packet spends
+// RC - 1 + PipeDelay cycles in each router, RC being RCIngress at its
+// first router and RCOther after it; the link latency on each
+// inter-router link; TermDelay on each host link; and PacketFlits - 1
+// cycles for its tail to follow its head. Its path has one router when
+// source and destination share a leaf, and three (leaf, spine, leaf)
+// when they do not. No packet can beat that sum at any load. At load
+// 0.005 almost every measured packet meets no other and lands on it
+// exactly (97.9-99.5% over these cases). refsim cannot check this: it
+// shares the router's timing.
+func TestZeroLoadClosedForm(t *testing.T) {
+	chip, err := ssc.MustTH5(200).Deradix(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := topo.HomogeneousClos(512, chip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leafOf []int // terminal -> router, in Build's terminal order
+	for r, node := range cl.Nodes {
+		for p := 0; p < node.ExternalPorts; p++ {
+			leafOf = append(leafOf, r)
+		}
+	}
+	for _, sys := range []struct {
+		name string
+		link int
+		cfg  Config
+	}{
+		{"fig23/waferscale", 1, Config{NumVCs: 16, RCIngress: 2, RCOther: 2, PipeDelay: 9}},
+		{"fig23/network", 8, Config{NumVCs: 16, RCIngress: 4, RCOther: 4, PipeDelay: 11}},
+		{"fig22/baseline", 1, Config{NumVCs: 2, RCIngress: 4, RCOther: 4, PipeDelay: 12}},
+		{"fig22/proprietary", 1, Config{NumVCs: 2, RCIngress: 2, RCOther: 1, PipeDelay: 12}},
+	} {
+		for _, flits := range []int{1, 4, 8} {
+			loads := []float64{0.005}
+			if flits == 4 {
+				loads = append(loads, 0.3)
+			}
+			for _, load := range loads {
+				name := fmt.Sprintf("%s flits=%d load=%g", sys.name, flits, load)
+				cfg := sys.cfg
+				cfg.BufPerPort, cfg.PacketFlits, cfg.TermDelay = 32, flits, 8
+				cfg.WarmupCycles, cfg.MeasureCycles, cfg.Seed = 1000, 4000, 1
+				if load > 0.005 {
+					cfg.MeasureCycles = 1000 // the bound needs no long window
+				}
+				n, err := Build(cl, ConstantLatency(sys.link), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inj, err := SyntheticInjector(traffic.Uniform(len(leafOf)), flits)(load)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.RecordDeliveries()
+				n.Run(inj, load)
+				routerCycles := func(rc int) int64 { return int64(rc - 1 + cfg.PipeDelay) }
+				below, measured, exact := 0, 0, 0
+				for _, d := range n.Deliveries() {
+					form := routerCycles(cfg.RCIngress) + int64(2*cfg.TermDelay+int(d.Size)-1)
+					if leafOf[d.Src] != leafOf[d.Dst] {
+						form += 2*routerCycles(cfg.RCOther) + int64(2*sys.link)
+					}
+					got := d.Done - d.Born + int64(cfg.PipeDelay+cfg.TermDelay)
+					if got < form {
+						if below == 0 {
+							t.Errorf("%s: packet %d->%d took %d cycles, below its path's zero-load latency %d",
+								name, d.Src, d.Dst, got, form)
+						}
+						below++
+					}
+					if d.Measured {
+						measured++
+						if got == form {
+							exact++
+						}
+					}
+				}
+				if below > 1 {
+					t.Errorf("%s: %d packets in all came in below their path's zero-load latency", name, below)
+				}
+				if measured == 0 {
+					t.Fatalf("%s: no measured packet delivered", name)
+				}
+				if share := float64(exact) / float64(measured); load == 0.005 && share < 0.97 {
+					t.Errorf("%s: %.1f%% of %d measured packets landed on their path's zero-load latency, want at least 97%%",
+						name, 100*share, measured)
+				}
+			}
+		}
+	}
+}
+
 // TestCreditLoopClosedForm checks the router against a first-principles
 // result that the reference simulator cannot check, because it shares
 // the router's semantics. Two routers are joined by one lane whose

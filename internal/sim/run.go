@@ -97,7 +97,7 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 	cfg := n.cfg
 	logger := cfg.Logger // checked once per cycle, never per flit
 	n.measStart = int64(cfg.WarmupCycles)
-	n.measEnd = int64(cfg.WarmupCycles + cfg.MeasureCycles)
+	n.measEnd = int64(cfg.WarmupCycles) + int64(cfg.MeasureCycles)
 	drain := int64(cfg.DrainCycles)
 	if drain <= 0 {
 		drain = 10 * int64(cfg.MeasureCycles)
@@ -134,24 +134,13 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 		}
 	}
 	n.catchUp(inj, n.measEnd-1)
-	deadline := n.measEnd + drain
-	aborted := false
-	if n.ab != nil && n.ab.armed && n.completed < n.measuredBorn {
-		// Saturation became certain during measurement: the whole drain
-		// budget would only confirm Drained=false. Skip it.
-		aborted = true
-	} else {
-		if n.ab != nil {
-			n.ab.startDrain(n.completed)
-		}
-		for n.completed < n.measuredBorn && n.now < deadline {
+	// The detector decides once, here: a run it armed during measurement
+	// skips its whole drain, and every other run drains exactly as an
+	// unarmed one does.
+	aborted := n.ab != nil && n.ab.armed && n.completed < n.measuredBorn
+	if !aborted {
+		for deadline := n.measEnd + drain; n.completed < n.measuredBorn && n.now < deadline; n.now++ {
 			n.step(inj)
-			n.now++
-			if n.ab != nil && (n.now-n.measEnd)%abortEvery == 0 &&
-				n.ab.drainCheck(n, deadline) {
-				aborted = true
-				break
-			}
 		}
 	}
 	if n.tline != nil {

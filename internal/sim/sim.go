@@ -95,6 +95,15 @@ func (c Config) validate() error {
 	if c.WarmupCycles < 0 || c.MeasureCycles < 1 {
 		return fmt.Errorf("sim: bad measurement window")
 	}
+	// Run's deadline is WarmupCycles + MeasureCycles + the drain budget
+	// in int64 cycles; a sum that wrapped would run no cycle at all and
+	// report the empty run as drained. room cannot wrap: both fields are
+	// non-negative here.
+	room := math.MaxInt64 - int64(c.WarmupCycles) - int64(c.MeasureCycles)
+	if room < 0 || int64(c.DrainCycles) > room || c.DrainCycles == 0 && int64(c.MeasureCycles) > room/10 {
+		return fmt.Errorf("sim: WarmupCycles (%d) + MeasureCycles (%d) + the drain budget (DrainCycles = %d, or 10 x MeasureCycles when 0) overflows int64 cycles",
+			c.WarmupCycles, c.MeasureCycles, c.DrainCycles)
+	}
 	return nil
 }
 
@@ -252,12 +261,12 @@ type Stats struct {
 	// drain budget; false indicates the network is saturated.
 	Drained bool `json:"drained"`
 	// Aborted reports that the early-abort saturation detector (see
-	// Network.ArmAbort) cut the run short: the measurement window completed
-	// in full — Offered and Accepted are exact — but the remaining drain
-	// budget was skipped once divergence was certain, so Drained is
-	// false and the latency fields cover only the packets completed by
-	// the abort, exactly as for a budget-exhausted point. Omitted from
-	// JSON when false, so default runs serialize byte-identically.
+	// Network.ArmAbort) skipped the run's drain: the measurement window
+	// completed in full — Offered and Accepted are exact — and the run
+	// stopped there, at Cycles = WarmupCycles + MeasureCycles, so Drained
+	// is false and the latency fields cover only the packets completed
+	// in the window, as for a budget-exhausted point. Omitted from JSON
+	// when false, so default runs serialize byte-identically.
 	Aborted bool `json:"aborted,omitempty"`
 	// Cycles is the total simulated cycle count.
 	Cycles int64 `json:"cycles"`

@@ -94,21 +94,6 @@ func serialStats(t *testing.T, build Builder, injf InjectorFactory, loads []floa
 	return res.Stats()
 }
 
-func TestZeroLoadLatencyMatchesAnalytic(t *testing.T) {
-	cl := testClos(t)
-	cfg := testConfig()
-	build := func() (*Network, error) { return Build(cl, ConstantLatency(1), cfg) }
-	injf := SyntheticInjector(traffic.Uniform(128), cfg.PacketFlits)
-	zl := zeroLoadLatency(t, build, injf)
-	// Terminal->leaf->spine->leaf->terminal: 2 term-link hops, 3 router
-	// pipeline stages, 2 on-wafer links, RC delays, serialization.
-	analytic := float64(2*cfg.TermDelay + 3*cfg.PipeDelay + 2*1 +
-		cfg.RCIngress + 2*cfg.RCOther - 3 + cfg.PacketFlits - 1)
-	if math.Abs(zl-analytic) > 2 {
-		t.Errorf("zero-load latency = %.2f, analytic %.2f (tolerance 2)", zl, analytic)
-	}
-}
-
 func TestAcceptedTracksOfferedBelowSaturation(t *testing.T) {
 	cl := testClos(t)
 	cfg := testConfig()
@@ -323,10 +308,26 @@ func TestConfigValidation(t *testing.T) {
 		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: 10, RCOther: math.MaxInt32 + 1},
 		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: 10, PipeDelay: 1 << 32},
 		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: 10, TermDelay: 1 << 32},
+		// Cycle budgets whose deadline, WarmupCycles + MeasureCycles +
+		// the drain budget, overflows int64: Run would step no cycle and
+		// report an empty run as drained.
+		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, WarmupCycles: 1, MeasureCycles: math.MaxInt},
+		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, WarmupCycles: math.MaxInt, MeasureCycles: 1},
+		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: math.MaxInt/10 + 1},
+		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, WarmupCycles: 10, MeasureCycles: 10, DrainCycles: math.MaxInt - 19},
 	}
 	for i, cfg := range bad {
 		if _, err := Build(cl, ConstantLatency(1), cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+	// The longest cycle budgets that fit int64 build.
+	for _, cfg := range []Config{
+		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, WarmupCycles: 10, MeasureCycles: 10, DrainCycles: math.MaxInt - 20},
+		{NumVCs: 1, BufPerPort: 8, PacketFlits: 1, MeasureCycles: math.MaxInt / 11},
+	} {
+		if _, err := Build(cl, ConstantLatency(1), cfg); err != nil {
+			t.Errorf("cycle budget %d + %d + %d refused: %v", cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles, err)
 		}
 	}
 	// A link latency that does not fit int32, one that fits but whose

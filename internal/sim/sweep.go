@@ -125,10 +125,11 @@ type SweepOptions struct {
 	// Abort arms the early-abort saturation detector on every point
 	// (see Network.ArmAbort). The measurement window always runs to
 	// completion, so Offered, Accepted and SaturationThroughput match a
-	// full sweep; saturated points skip the drain budget and report
-	// Stats.Aborted alongside Drained=false. A point near the knee that a
-	// full sweep drains can be cut short too, so Drained and the
-	// Summarize figures built on it can differ (DESIGN.md §10.1).
+	// full sweep; a point the detector armed skips its whole drain and
+	// reports Stats.Aborted alongside Drained=false, and every other
+	// point runs exactly as in a full sweep. A point near the knee that
+	// a full sweep drains can be armed too, so Drained and the Summarize
+	// figures built on it can differ (DESIGN.md §10.1).
 	Abort bool
 
 	// Attribution attaches a congestion-attribution collector to every
